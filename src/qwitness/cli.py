@@ -289,7 +289,7 @@ def cmd_sweep(args) -> int:
             values.append(float(chunk))
         else:
             values.append(int(chunk))
-    rows = sweep(spec, args.axis, values)
+    rows = sweep(spec, args.axis, values, jobs=args.jobs)
     table = []
     for row in rows:
         spec_row = replace(spec, params=replace(spec.params, **{args.axis: row.value}))
@@ -372,18 +372,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Append config-file entries as flags, unless already given; flags win."""
-    if "--config" not in argv:
+    """Append config-file entries as flags, unless already given; flags win.
+
+    Flags count as given in both the ``--flag value`` and ``--flag=value`` forms.
+    """
+    given = [arg.partition("=") for arg in argv]
+    names = [name for name, _, _ in given]
+    if "--config" not in names:
         return argv
-    idx = argv.index("--config")
+    idx = names.index("--config")
+    _, eq, path = given[idx]
     try:
-        defaults = _load_config_defaults(argv[idx + 1])
+        defaults = _load_config_defaults(path if eq else argv[idx + 1])
     except (OSError, IndexError, ConfigurationError) as e:
         parser.error(f"cannot read config: {e}")
     extra: list[str] = []
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in argv:
+        if flag not in names:
             extra += [flag, value]
     return argv + extra
 

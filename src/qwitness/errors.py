@@ -9,10 +9,6 @@ class ResourceCapError(RuntimeError):
     """A composite system would exceed the hard size cap."""
 
 
-class SamplingError(RuntimeError):
-    """A sampling loop exceeded its iteration budget."""
-
-
 class ConfigurationError(ValueError):
     """Parameters, strategies, or protocol selection are inconsistent."""
 

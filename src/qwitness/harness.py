@@ -2,9 +2,10 @@
 
 One experiment is a fully specified, seeded batch of independent
 protocol runs aggregated into a single metric. Per-trial generators
-are derived counter-style from (master_seed, trial index), so results
-are bit-identical across executions and across any partitioning of
-the trial range; accumulator merging is associative.
+are derived counter-style from (master_seed, trial index), and the
+per-trial values are summed in trial order however the range is split
+across processes, so results are bit-identical across executions and
+across ``jobs``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import csv
 import io
 import json
 import math
+import os
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -49,8 +52,9 @@ class TrialStats:
     """Aggregated metric over a batch of trials.
 
     Bernoulli metrics track a success count; fidelity metrics track
-    value sums. ``merge`` is associative and order-independent, and a
-    closed-form value can be wrapped via ``from_formula`` (zero error).
+    value sums. ``merge`` adds counts exactly, but its float sums depend
+    on how trials were grouped, in the last digits. A closed-form value
+    can be wrapped via ``from_formula`` (zero error).
     """
 
     metric: Metric
@@ -161,13 +165,9 @@ def run_trial(spec: ExperimentSpec, index: int) -> ProtocolOutcome:
     return run_protocol(spec.protocol, spec.params, spec.alice, spec.bob, rng)
 
 
-def run_trials_range(spec: ExperimentSpec, start: int, stop: int) -> TrialStats:
-    """Run trials [start, stop) and aggregate the metric."""
-    n = 0
-    successes = 0
-    value_sum = 0.0
-    value_sumsq = 0.0
-    bernoulli = spec.metric in _BERNOULLI_METRICS
+def _trial_values(spec: ExperimentSpec, start: int, stop: int) -> array:
+    """The metric value of each trial in [start, stop), in trial order."""
+    values = array("d")
     for i in range(start, stop):
         try:
             outcome = run_trial(spec, i)
@@ -180,39 +180,43 @@ def run_trials_range(spec: ExperimentSpec, start: int, stop: int) -> TrialStats:
                 raise ConfigurationError(
                     f"trial {i}: transcript violations {report.violations}"
                 )
-        n += 1
-        if bernoulli:
-            successes += int(value)
-        else:
-            value_sum += value
-            value_sumsq += value * value
-    return TrialStats(spec.metric, n, successes, value_sum, value_sumsq)
+        values.append(value)
+    return values
+
+
+def _fold(metric: Metric, values: array) -> TrialStats:
+    """Aggregate per-trial values, adding them in the order given."""
+    if metric in _BERNOULLI_METRICS:
+        return TrialStats(metric, len(values), sum(int(v) for v in values))
+    value_sum = value_sumsq = 0.0
+    for v in values:
+        value_sum += v
+        value_sumsq += v * v
+    return TrialStats(metric, len(values), 0, value_sum, value_sumsq)
+
+
+def run_trials_range(spec: ExperimentSpec, start: int, stop: int) -> TrialStats:
+    """Run trials [start, stop) and aggregate the metric."""
+    return _fold(spec.metric, _trial_values(spec, start, stop))
 
 
 def run_trials(spec: ExperimentSpec, jobs: int = 1) -> TrialStats:
-    """Run all trials of the experiment; optionally across processes."""
+    """Run all trials over 1 to os.cpu_count() processes, summing values in trial order."""
     if spec.n_trials < 1:
         raise ConfigurationError("experiment needs at least one trial")
-    if jobs <= 1:
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ConfigurationError(f"jobs must lie in [1, {cpus}], got {jobs}")
+    if jobs == 1:
         return run_trials_range(spec, 0, spec.n_trials)
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = math.ceil(spec.n_trials / jobs)
-    ranges = [
-        (start, min(start + chunk, spec.n_trials))
-        for start in range(0, spec.n_trials, chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_run_chunk, [(spec, a, b) for a, b in ranges]))
-    stats = parts[0]
-    for part in parts[1:]:
-        stats = stats.merge(part)
-    return stats
-
-
-def _run_chunk(task: tuple[ExperimentSpec, int, int]) -> TrialStats:
-    spec, start, stop = task
-    return run_trials_range(spec, start, stop)
+    starts = range(0, spec.n_trials, chunk)
+    stops = [min(start + chunk, spec.n_trials) for start in starts]
+    with ProcessPoolExecutor(max_workers=len(starts)) as pool:
+        parts = list(pool.map(_trial_values, [spec] * len(starts), starts, stops))
+    return _fold(spec.metric, sum(parts, array("d")))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +304,8 @@ class SweepRow:
 _SWEEP_AXES = ("d", "n", "q", "eps_c_target", "abort_epsilon")
 
 
-def sweep(base: ExperimentSpec, axis: str, values) -> list[SweepRow]:
-    """Rerun the experiment along one parameter axis."""
+def sweep(base: ExperimentSpec, axis: str, values, jobs: int = 1) -> list[SweepRow]:
+    """Rerun the experiment along one parameter axis, each row over ``jobs`` processes."""
     if axis not in _SWEEP_AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; pick one of {_SWEEP_AXES}")
     rows: list[SweepRow] = []
@@ -312,7 +316,7 @@ def sweep(base: ExperimentSpec, axis: str, values) -> list[SweepRow]:
             .generate_state(1)[0]
         )
         spec = replace(base, params=params, master_seed=row_seed)
-        stats = run_trials(spec)
+        stats = run_trials(spec, jobs)
         target = formula_target(spec)
         if target is None:
             rows.append(SweepRow(axis, value, stats, None, None, None))

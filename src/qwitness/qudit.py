@@ -1,11 +1,12 @@
 """Dense linear algebra for small qudit systems.
 
 States are unit-norm complex vectors, operators are dense Hermitian
-matrices. Everything here is deliberately brute force and desk scale:
+matrices. The dense algebra is deliberately brute force and desk scale:
 tensor products are built with explicit Kronecker products and the
 symmetric-subspace projector is an explicit sum over all factor
-permutations, behind a hard size cap. Global phase is ignored
-throughout; states are compared only through squared fidelity.
+permutations, behind a hard size cap; protocol runs use closed forms
+that tests check against it. Global phase is ignored throughout;
+states are compared only through squared fidelity.
 """
 
 from __future__ import annotations
@@ -224,6 +225,16 @@ def sym_outcome_probability(
     rho = reduce(np.kron, mats)
     proj = sym_projector(n, d).matrix
     return clamp_probability(float(np.trace(proj @ rho).real))
+
+
+def symmetric_acceptance(phi: PureState, n: int, psi: PureState) -> float:
+    """Probability that n copies of ``phi`` plus ``psi`` pass the symmetric test.
+
+    A product of k pure states passes with probability perm(G) / k!, G
+    their Gram matrix (Harrow, arXiv:1308.6595); for n copies of phi
+    and one psi that is (1 + n |<phi|psi>|^2) / (n + 1).
+    """
+    return (1 + n * fidelity_sq(phi, psi)) / (n + 1)
 
 
 def measure_binary(

@@ -31,14 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .estimation import EstimationResult, covariant_estimate
-from .qudit import (
-    HermitianOperator,
-    PureState,
-    fidelity_sq,
-    haar_random,
-    measure_basis,
-    measure_binary,
-)
+from .qudit import PureState, fidelity_sq, haar_random, measure_basis
 
 
 class AliceKind(Enum):
@@ -178,7 +171,6 @@ class DetectionCommitPlan:
     commit_values: tuple[int, ...] | None  # None when aborting
     aborted: bool
     positives: int | None  # detection count for honest kinds
-    retained_systems: bool  # steal keeps everything unmeasured
 
 
 @dataclass(frozen=True)
@@ -334,23 +326,23 @@ def _alice_detection_commits(
     if strategy.kind is AliceKind.ALWAYS_ABORT:
         if not ctx.abort_allowed:
             raise ConfigurationError("always-abort requires the abort variant")
-        return DetectionCommitPlan(None, True, None, False)
+        return DetectionCommitPlan(None, True, None)
     if strategy.kind is AliceKind.HONEST_KNOWING:
-        projector = HermitianOperator.from_state(ctx.true_state)
+        # Projective test onto the known state: Born probability |<eta|s>|^2.
         detected = [
             label
             for label, system in enumerate(ctx.systems, start=1)
-            if measure_binary(system, projector, rng).index == 1
+            if rng.random() < fidelity_sq(system, ctx.true_state)
         ]
         positives = len(detected)
         if positives > q:
             if ctx.abort_allowed:
-                return DetectionCommitPlan(None, True, positives, False)
+                return DetectionCommitPlan(None, True, positives)
             chosen = rng.choice(detected, size=q, replace=False)
             values = tuple(int(v) for v in chosen)
         else:
             values = tuple(detected) + (0,) * (q - positives)
-        return DetectionCommitPlan(values, False, positives, False)
+        return DetectionCommitPlan(values, False, positives)
     if strategy.kind in (
         AliceKind.IGNORANT,
         AliceKind.RANDOM_DISTINCT_COMMIT,
@@ -360,8 +352,7 @@ def _alice_detection_commits(
         # same way but keeps every received system unmeasured.
         chosen = rng.choice(np.arange(1, n_plus_1 + 1), size=q, replace=False)
         values = tuple(int(v) for v in chosen)
-        retained = strategy.kind is AliceKind.STEAL_STATE
-        return DetectionCommitPlan(values, False, None, retained)
+        return DetectionCommitPlan(values, False, None)
     raise ConfigurationError(
         f"alice strategy {strategy.kind.value!r} does not play the receiver protocol"
     )

@@ -54,6 +54,16 @@ def test_simulate_reproducible_csv(tmp_path):
     assert line.startswith("b2a,ignorant,honest,acceptance,2,9,2")
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "n", "--values", "1"]])
+def test_jobs_outside_cpu_range_exit_2(command, capsys):
+    code = run_cli(command + [
+        "--protocol", "a2b", "--d", "2", "--alice", "ignorant", "--trials", "5",
+        "--jobs", "0",
+    ])
+    assert code == 2
+    assert "jobs" in capsys.readouterr().err
+
+
 def test_simulate_prints_target_comparison(tmp_path, capsys):
     code = run_cli([
         "simulate", "--protocol", "a2b", "--d", "2", "--n", "1",
@@ -128,3 +138,8 @@ def test_config_file_defaults_with_flag_override(tmp_path, capsys):
     fields = row.split(",")
     assert fields[0] == "b2a"
     assert fields[8] == "250"  # flag wins over the config value
+    # The --flag=value forms count as given too.
+    for args in (["--d=3", "--config", str(cfg)], [f"--config={cfg}", "--d=3"]):
+        assert run_cli(["simulate", *args, "--trials=250"]) == 0
+        fields = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert (fields[4], fields[8]) == ("3", "250")

@@ -51,6 +51,38 @@ def test_covariant_estimate_matches_law(m, d):
     assert abs(values.mean() - target) <= 4 * se
 
 
+def beta_cdf(x, a, b):
+    """CDF of Beta(a, b) for integer a, b: P(Binomial(a + b - 1, x) >= a)."""
+    k = a + b - 1
+    return sum(math.comb(k, j) * x**j * (1 - x) ** (k - j) for j in range(a, k + 1))
+
+
+@pytest.mark.parametrize("m, d", [(1, 2), (3, 3), (8, 4), (20, 6)])
+def test_covariant_estimate_samples_beta_posterior(m, d):
+    rng = np.random.default_rng(300 + 10 * m + d)
+    trials = 20_000
+    eta = haar_random(d, rng)
+    # A fixed direction orthogonal to eta probes the complement part.
+    v = np.eye(d)[0] - eta.amplitudes.conj()[0] * eta.amplitudes
+    v /= np.linalg.norm(v)
+    fsq, off = np.empty(trials), np.empty(trials)
+    for i in range(trials):
+        result = covariant_estimate(eta, m, rng)
+        fsq[i] = result.achieved_fsq
+        off[i] = abs(np.vdot(v, result.guess.amplitudes)) ** 2
+    a, b = m + 1, d - 1
+    mean = a / (a + b)
+    sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+    for x in (mean - sd, mean, mean + sd):
+        p = beta_cdf(x, a, b)
+        hits = np.count_nonzero(fsq <= x) / trials
+        assert abs(hits - p) <= 4 * math.sqrt(p * (1 - p) / trials), x
+    # Haar on the complement spreads the remaining weight 1 - F evenly.
+    target = (1 - mean_estimation_fsq(m, d)) / (d - 1)
+    se = off.std(ddof=1) / math.sqrt(trials)
+    assert abs(off.mean() - target) <= 4 * se
+
+
 def test_covariant_estimate_concentrates_for_many_copies():
     rng = np.random.default_rng(16)
     trials = 1000

@@ -1,5 +1,8 @@
 """Experiment runner: determinism, merging, comparisons, sweeps."""
 
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
@@ -70,8 +73,27 @@ def test_merge_associativity():
 
 
 def test_parallel_jobs_match_serial():
-    spec = spec_b2a(n_trials=300)
-    assert run_trials(spec, jobs=2) == run_trials(spec, jobs=1)
+    fidelity = ExperimentSpec(
+        Protocol.CLASSICAL1,
+        ProtocolParams(d=2, eps_c_target=0.1),
+        HONEST_A,
+        BobStrategy(BobKind.MEASURE_RETAIN_GUESS),
+        Metric.MEAN_FSQ,
+        2000,
+        3,
+    )
+    for spec in (spec_b2a(n_trials=300), fidelity):
+        assert run_trials(spec, jobs=2) == run_trials(spec, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
+def test_jobs_outside_cpu_range_rejected_before_any_pool(jobs, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ConfigurationError):
+        run_trials(spec_b2a(n_trials=10), jobs=jobs)
 
 
 def test_honest_sender_protocol_degenerate_stats():

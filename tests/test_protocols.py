@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qwitness.errors import ConfigurationError, ResourceCapError
-from qwitness.harness import Metric, TrialStats
+from qwitness.errors import ConfigurationError
+from qwitness.harness import ExperimentSpec, Metric, TrialStats, compare_to_formula, run_trials
 from qwitness.protocols import (
     BoundKind,
     Protocol,
@@ -141,10 +141,15 @@ def test_parameter_validation():
         ProtocolParams(d=3, q=4).resolved_q(Protocol.CLASSICAL2)
 
 
-def test_sender_protocol_size_cap():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ResourceCapError):
-        run_quantum_a2b(ProtocolParams(d=8, n=4), HONEST_A, HONEST_B, rng)
+@pytest.mark.parametrize("d, n", [(8, 4), (2, 11)])
+def test_sender_protocol_beyond_dense_scale(d, n):
+    # Joint dimensions 8**5 and 2**12, past the dense projector's size cap.
+    spec = ExperimentSpec(
+        Protocol.QUANTUM_A2B, ProtocolParams(d=d, n=n), IGNORANT, HONEST_B,
+        Metric.ACCEPTANCE, 4000, 40 + d + n,
+    )
+    report = compare_to_formula(run_trials(spec), a2b_soundness(n, d), z=4.0)
+    assert report.passed, report
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwitness.errors import DimensionError, ResourceCapError
 from qwitness.qudit import (
@@ -18,6 +20,7 @@ from qwitness.qudit import (
     sym_dim,
     sym_outcome_probability,
     sym_projector,
+    symmetric_acceptance,
     tensor_power,
     tensor_states,
 )
@@ -195,6 +198,41 @@ def test_sym_outcome_copies_plus_mixed_ratio():
         got = sym_outcome_probability([phi] * n + [MAXIMALLY_MIXED], d)
         expected = sym_dim(n + 1, d) / (sym_dim(n, d) * d)
         assert got == pytest.approx(expected, abs=1e-10), (n, d)
+
+
+# Closed forms sampled in protocol runs, against the dense oracle. The grid
+# keeps the joint dimension d**(n + 1) at desk scale.
+ORACLE_GRID = [(n, d) for d in range(2, 17) for n in range(8) if d ** (n + 1) <= 256]
+weights = st.floats(0.0, 1.0)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def state_toward(target, weight, rng):
+    """A Haar state pulled toward ``target``, so overlaps span [0, 1]."""
+    amps = weight * target.amplitudes + (1 - weight) * haar_random(target.dim, rng).amplitudes
+    return PureState(amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sampled_from(ORACLE_GRID), weight=weights, seed=seeds)
+def test_symmetric_acceptance_matches_dense_projector(grid, weight, seed):
+    n, d = grid
+    rng = np.random.default_rng(seed)
+    psi = haar_random(d, rng)
+    phi = state_toward(psi, weight, rng)
+    joint = tensor_states([phi] * n + [psi]).amplitudes
+    dense = np.vdot(joint, sym_projector(n + 1, d).matrix @ joint).real
+    assert abs(symmetric_acceptance(phi, n, psi) - dense) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 16), weight=weights, seed=seeds)
+def test_detection_probability_matches_projector(d, weight, seed):
+    rng = np.random.default_rng(seed)
+    eta = haar_random(d, rng)
+    s = state_toward(eta, weight, rng)
+    dense = np.vdot(s.amplitudes, HermitianOperator.from_state(eta).matrix @ s.amplitudes).real
+    assert abs(fidelity_sq(s, eta) - dense) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
