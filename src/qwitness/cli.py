@@ -320,6 +320,10 @@ def _load_config_defaults(path: str) -> dict[str, str]:
     return defaults
 
 
+# Options of simulate and sweep that the command line or the config file must give.
+_REQUIRED_RUN_OPTIONS = ("protocol", "d", "alice")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwitness",
@@ -337,15 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, help="key=value defaults file")
-        p.add_argument("--protocol", required=True,
-                       choices=[proto.value for proto in Protocol])
-        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--protocol", choices=[proto.value for proto in Protocol],
+                       help="required, here or in the config file")
+        p.add_argument("--d", type=int, help="required, here or in the config file")
         p.add_argument("--n", type=int, default=0)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--eps-c-target", type=float, default=0.0)
         p.add_argument("--abort-epsilon", type=float, default=0.1)
         p.add_argument("--cheat-epsilon", type=float, default=0.0)
-        p.add_argument("--alice", required=True)
+        p.add_argument("--alice", help="required, here or in the config file")
         p.add_argument("--bob", default="honest")
         p.add_argument("--metric", default="acceptance",
                        choices=[m.value for m in Metric])
@@ -371,35 +375,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Append config-file entries as flags, unless already given; flags win.
+def _parse_args(argv: list[str], parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Parse ``argv``, taking ``--config`` file entries as defaults; flags win.
 
-    Flags count as given in both the ``--flag value`` and ``--flag=value`` forms.
+    argparse itself decides which flags were given, abbreviated and
+    ``--flag=value`` forms included: the file's entries are inserted as
+    flags ahead of the command line's own, and for each option the last
+    value given wins.
     """
-    given = [arg.partition("=") for arg in argv]
-    names = [name for name, _, _ in given]
-    if "--config" not in names:
-        return argv
-    idx = names.index("--config")
-    _, eq, path = given[idx]
-    try:
-        defaults = _load_config_defaults(path if eq else argv[idx + 1])
-    except (OSError, IndexError, ConfigurationError) as e:
-        parser.error(f"cannot read config: {e}")
-    extra: list[str] = []
-    for key, value in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        if flag not in names:
-            extra += [flag, value]
-    return argv + extra
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is not None:
+        try:
+            defaults = _load_config_defaults(args.config)
+        except (OSError, ConfigurationError) as e:
+            parser.error(f"cannot read config: {e}")
+        entries = [f"--{key.replace('_', '-')}={value}" for key, value in defaults.items()]
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + entries + argv[at:])
+    missing = [f"--{name}" for name in _REQUIRED_RUN_OPTIONS if getattr(args, name, "") is None]
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    argv = _apply_config(argv, parser)
+    args = _parse_args(argv, parser)
     try:
-        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)

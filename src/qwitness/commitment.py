@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -46,7 +47,9 @@ class CommitmentConfig:
         if not 0.0 <= self.cheat_epsilon < 1.0:
             raise ConfigurationError("cheat_epsilon must lie in [0, 1)")
 
+    @cache
     def with_alphabet(self, alphabet_size: int) -> "CommitmentConfig":
+        """This configuration with the alphabet resolved; one instance per size."""
         if self.alphabet_size is not None and self.alphabet_size != alphabet_size:
             raise ConfigurationError(
                 f"configured alphabet {self.alphabet_size} != required {alphabet_size}"

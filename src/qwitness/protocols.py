@@ -26,6 +26,7 @@ soundness / (1 - completeness_err) >= 1/d.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -247,7 +248,7 @@ class _Run:
     params: ProtocolParams
     rng: np.random.Generator
     transcript: Transcript
-    layout: dict[AgentId, AgentSite]
+    layout: Mapping[AgentId, AgentSite]
     true_state: PureState
 
     def site(self, agent: AgentId) -> AgentSite:

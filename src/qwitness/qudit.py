@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -50,6 +50,15 @@ def clamp_probability(p: float, tol: float = PROB_TOL) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def clamp_probabilities(p: np.ndarray, tol: float = PROB_TOL) -> np.ndarray:
+    """``clamp_probability`` applied to every entry of an array."""
+    lo, hi = float(p.min()), float(p.max())
+    if lo < -tol or hi > 1.0 + tol:
+        bad = lo if lo < -tol else hi
+        raise ValueError(f"value {bad!r} is not a probability (tolerance {tol})")
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex amplitude vector of a d-dimensional pure state."""
@@ -60,7 +69,7 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 1:
             raise DimensionError("amplitudes must be a non-empty 1-D sequence")
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps = amps.copy()
@@ -99,6 +108,11 @@ class HermitianOperator:
         mat = self.matrix
         return bool(np.max(np.abs(mat @ mat - mat)) <= tol)
 
+    @cached_property
+    def projective(self) -> bool:
+        """``is_projector()`` at the default tolerance, computed once per operator."""
+        return self.is_projector()
+
     @classmethod
     def from_state(cls, state: PureState) -> "HermitianOperator":
         """Rank-1 projector onto ``state``."""
@@ -124,14 +138,22 @@ def haar_random(d: int, rng: np.random.Generator) -> PureState:
 
     Samples a vector of independent standard complex Gaussians and
     normalizes it, which is exactly Haar on the unit sphere of C^d.
+    The d real parts are drawn before the d imaginary parts, and the
+    norm and scaling repeat ``np.linalg.norm(z)`` and ``z / norm`` bit
+    for bit, without their per-call overhead.
     """
     if d < 1:
         raise DimensionError(f"invalid dimension {d}")
     while True:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        norm = np.linalg.norm(z)
+        parts = rng.standard_normal((2, d))
+        z = np.ascontiguousarray(parts.T).view(np.complex128)[:, 0]
+        # Strided views, as np.linalg.norm takes them: BLAS sums the
+        # contiguous rows of `parts` in another order.
+        re, im = z.real, z.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))
         if norm > 0.0:
-            return PureState(z / norm)
+            z *= 1.0 / norm
+            return PureState(z)
 
 
 def fidelity_sq(a: PureState, b: PureState) -> float:
@@ -247,7 +269,7 @@ def measure_binary(
     """
     if s.dim != p.dim:
         raise DimensionError(f"dimension mismatch: state {s.dim} vs operator {p.dim}")
-    if not p.is_projector():
+    if not p.projective:
         raise ValueError("measurement operator is not a projector")
     projected = p.matrix @ s.amplitudes
     prob_one = clamp_probability(float(np.vdot(s.amplitudes, projected).real))

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
+from types import MappingProxyType
 
 from .errors import ConfigurationError
 
@@ -106,14 +109,18 @@ class TimingConfig:
             )
 
 
-def standard_configuration(cfg: TimingConfig) -> dict[AgentId, AgentSite]:
-    """Place the four agents: A1, B1 near the origin; B2, A2 near x = D."""
-    return {
+@cache
+def standard_configuration(cfg: TimingConfig) -> Mapping[AgentId, AgentSite]:
+    """Place the four agents: A1, B1 near the origin; B2, A2 near x = D.
+
+    Built once per configuration; the read-only mapping is shared by every run.
+    """
+    return MappingProxyType({
         AgentId.A1: AgentSite(AgentId.A1, 0.0),
         AgentId.B1: AgentSite(AgentId.B1, cfg.d_small),
         AgentId.B2: AgentSite(AgentId.B2, cfg.D),
         AgentId.A2: AgentSite(AgentId.A2, cfg.D + cfg.d_small),
-    }
+    })
 
 
 def causally_precedes(e1: SpacetimeEvent, e2: SpacetimeEvent) -> bool:

@@ -31,7 +31,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .estimation import EstimationResult, covariant_estimate
-from .qudit import PureState, fidelity_sq, haar_random, measure_basis
+from .qudit import (
+    PureState,
+    clamp_probabilities,
+    fidelity_sq,
+    haar_random,
+    measure_basis,
+)
 
 
 class AliceKind(Enum):
@@ -328,12 +334,11 @@ def _alice_detection_commits(
             raise ConfigurationError("always-abort requires the abort variant")
         return DetectionCommitPlan(None, True, None)
     if strategy.kind is AliceKind.HONEST_KNOWING:
-        # Projective test onto the known state: Born probability |<eta|s>|^2.
-        detected = [
-            label
-            for label, system in enumerate(ctx.systems, start=1)
-            if rng.random() < fidelity_sq(system, ctx.true_state)
-        ]
+        # Projective test onto the known state: label j is detected with Born
+        # probability |<eta|s_j>|^2, one uniform per label in label order.
+        amps = np.array([system.amplitudes for system in ctx.systems])
+        born = clamp_probabilities(np.abs(amps @ ctx.true_state.amplitudes.conj()) ** 2)
+        detected = (np.flatnonzero(rng.random(n_plus_1) < born) + 1).tolist()
         positives = len(detected)
         if positives > q:
             if ctx.abort_allowed:

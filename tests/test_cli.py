@@ -143,3 +143,26 @@ def test_config_file_defaults_with_flag_override(tmp_path, capsys):
         assert run_cli(["simulate", *args, "--trials=250"]) == 0
         fields = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert (fields[4], fields[8]) == ("3", "250")
+    # argparse accepts unique prefixes, for --trials and for --config alike.
+    cfg.write_text("protocol=classical1\nd=3\nalice=ignorant\ntrials=500\nseed=1\n")
+    for args in (["--config", str(cfg), "--tri", "250"], ["--conf", str(cfg), "--trials=250"]):
+        assert run_cli(["simulate", *args]) == 0
+        fields = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert (fields[0], fields[8]) == ("classical1", "250")
+    assert run_cli(["simulate", "--conf", str(cfg)]) == 0
+    fields = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert (fields[0], fields[4], fields[8]) == ("classical1", "3", "500")
+
+
+def test_config_file_entries_are_checked_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("protocol=b2a\nd=2\nalice=ignorant\ntrials=5\nbogus=1\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "--bogus" in capsys.readouterr().err
+    cfg.write_text("protocol=b2a\nalice=ignorant\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "required: --d" in capsys.readouterr().err

@@ -146,3 +146,14 @@ def test_dishonest_unveil_frequency_example():
 def test_cheat_epsilon_validated():
     with pytest.raises(ConfigurationError):
         CommitmentConfig(alphabet_size=4, cheat_epsilon=1.0)
+
+
+def test_with_alphabet_is_cached_and_still_checked():
+    open_cfg = CommitmentConfig(cheat_epsilon=0.1)
+    resolved = open_cfg.with_alphabet(6)
+    assert resolved == CommitmentConfig(alphabet_size=6, cheat_epsilon=0.1)
+    assert open_cfg.with_alphabet(6) is resolved
+    assert resolved.with_alphabet(6) is resolved.with_alphabet(6)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            resolved.with_alphabet(7)

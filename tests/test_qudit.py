@@ -1,5 +1,6 @@
 """Brute-force oracles and Born-rule statistics for the qudit layer."""
 
+import copy
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from qwitness.qudit import (
     MAXIMALLY_MIXED,
     HermitianOperator,
     PureState,
+    clamp_probabilities,
     clamp_probability,
     fidelity_sq,
     haar_random,
@@ -52,6 +54,19 @@ def test_haar_random_unit_norm():
         for _ in range(50):
             s = haar_random(d, rng)
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_haar_random_keeps_the_random_stream(d):
+    # d real parts, then d imaginary parts, normalised: the same state and the
+    # same generator position as two standard_normal(d) draws.
+    rng = np.random.default_rng(100 + d)
+    for _ in range(50):
+        clone = copy.deepcopy(rng)
+        z = clone.standard_normal(d) + 1j * clone.standard_normal(d)
+        state = haar_random(d, rng)
+        assert np.max(np.abs(state.amplitudes - z / np.linalg.norm(z))) <= 1e-15
+        assert rng.random() == clone.random()
 
 
 def test_haar_random_d1_is_the_single_state():
@@ -285,6 +300,35 @@ def test_measure_binary_rejects_non_projector():
     not_projector = HermitianOperator(np.diag([2.0, 0.0]))
     with pytest.raises(ValueError):
         measure_binary(basis_state(2, 0), not_projector, rng)
+
+
+def test_measure_binary_checks_each_operator_once(monkeypatch):
+    checks = []
+    original = HermitianOperator.is_projector
+
+    def counted(self, *args, **kwargs):
+        checks.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(HermitianOperator, "is_projector", counted)
+    rng = np.random.default_rng(14)
+    p = HermitianOperator.from_state(basis_state(3, 1))
+    for _ in range(5):
+        measure_binary(haar_random(3, rng), p, rng)
+    not_projector = HermitianOperator(np.diag([2.0, 0.0]))
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            measure_binary(basis_state(2, 0), not_projector, rng)
+    assert len(checks) == 2 and checks[0] is p and checks[1] is not_projector
+
+
+def test_clamp_probabilities_matches_scalar_clamp():
+    values = np.array([0.0, 0.5, 1.0, -1e-13, 1.0 + 1e-13])
+    clamped = clamp_probabilities(values)
+    assert clamped.tolist() == [clamp_probability(v) for v in values]
+    for bad in (-1e-9, 1.0 + 1e-9):
+        with pytest.raises(ValueError):
+            clamp_probabilities(np.array([0.5, bad]))
 
 
 def test_measure_binary_dimension_mismatch():

@@ -55,6 +55,15 @@ def test_standard_configuration_large_separation():
     assert layout[AgentId.B2].position == 100.0
 
 
+def test_standard_configuration_is_shared_and_read_only():
+    cfg = TimingConfig()
+    layout = standard_configuration(cfg)
+    assert standard_configuration(TimingConfig()) is layout
+    with pytest.raises(TypeError):
+        layout[AgentId.A1] = AgentSite(AgentId.A1, 0.5)
+    assert layout[AgentId.A1].position == 0.0
+
+
 def test_timing_rejects_bad_step_order():
     with pytest.raises(ConfigurationError):
         TimingConfig(delta=0.05, delta_prime=0.02)

@@ -1,5 +1,6 @@
 """Strategy behaviors: honest baselines and the adversarial analyses."""
 
+import copy
 import math
 
 import numpy as np
@@ -18,9 +19,11 @@ from qwitness.strategies import (
     AliceStrategy,
     BobKind,
     BobStrategy,
+    DetectionCommitContext,
+    alice_act,
     knowledge_subspace,
 )
-from qwitness.qudit import fidelity_sq, haar_random
+from qwitness.qudit import PureState, fidelity_sq, haar_random
 
 HONEST_A = AliceStrategy(AliceKind.HONEST_KNOWING)
 IGNORANT = AliceStrategy(AliceKind.IGNORANT)
@@ -51,6 +54,29 @@ def test_subspace_strategy_needs_dimension():
         AliceStrategy(AliceKind.SUBSPACE_KNOWLEDGE)
     with pytest.raises(ConfigurationError):
         AliceStrategy(AliceKind.IGNORANT, subspace_dim=2)
+
+
+@pytest.mark.parametrize("extra", [0, 3, 9])
+def test_honest_detection_draws_one_uniform_per_label(extra):
+    # Label j is detected iff the j-th of n + 1 uniforms, drawn in label
+    # order, falls below |<eta|s_j>|^2; eta itself is always detected and a
+    # state orthogonal to it never is.
+    rng = np.random.default_rng(20 + extra)
+    eta = PureState([1.0, 0.0, 0.0])
+    orthogonal = PureState([0.0, 0.6, 0.8j])
+    for _ in range(20):
+        systems = (eta, orthogonal) + tuple(haar_random(3, rng) for _ in range(extra))
+        ctx = DetectionCommitContext(systems, len(systems), eta, False, rng)
+        clone = copy.deepcopy(rng)
+        uniforms = clone.random(len(systems))
+        plan = alice_act(HONEST_A, ctx)
+        expected = [
+            label for label, (u, s) in enumerate(zip(uniforms, systems), start=1)
+            if u < fidelity_sq(s, eta)
+        ]
+        assert plan.commit_values[: plan.positives] == tuple(expected)
+        assert 1 in expected and 2 not in expected
+        assert rng.random() == clone.random()
 
 
 def test_knowledge_subspace_contains_state():
