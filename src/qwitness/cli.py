@@ -162,7 +162,7 @@ def _check_haar_moments(max_dim: int, trials: int, rng) -> list[tuple[str, bool,
 
 def _check_born_frequencies(max_dim: int, trials: int, rng) -> list[tuple[str, bool, str]]:
     rows = []
-    for d in (2, min(max_dim, 4)):
+    for d in sorted({2, min(max_dim, 4)}):
         state = haar_random(d, rng)
         direction = haar_random(d, rng)
         projector = HermitianOperator.from_state(direction)
@@ -191,6 +191,11 @@ def _check_estimation_law(rng) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(args) -> int:
+    # Every sample-mean check needs a standard error, and every oracle d >= 2.
+    if args.trials < 2:
+        raise ConfigurationError(f"--trials must be at least 2, got {args.trials}")
+    if args.max_dim < 2:
+        raise ConfigurationError(f"--max-dim must be at least 2, got {args.max_dim}")
     rng = np.random.default_rng(args.seed)
     dim_fn = sym_dim
     if args.inject_fault:
@@ -246,6 +251,10 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.transcript_limit < 0:
+        raise ConfigurationError(
+            f"--transcript-limit must be nonnegative, got {args.transcript_limit}"
+        )
     spec = _build_spec(args)
     stats = run_trials(spec, jobs=args.jobs)
     target = formula_target(spec)

@@ -10,12 +10,13 @@ Haar-averaged inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
-from .qudit import PureState, fidelity_sq, measure_basis
+from .qudit import PureState, fidelity_sq, haar_complement, measure_basis
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,10 @@ def covariant_estimate(
     d = eta.dim
     amps = eta.amplitudes
     f = rng.beta(m + 1, d - 1)
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    r = z - np.vdot(amps, z) * amps
-    phi = np.sqrt(f) * amps + np.sqrt(1.0 - f) * r / np.linalg.norm(r)
-    # Renormalize: when z lies nearly along eta, rounding in r leaves a
-    # small overlap with eta that would break the norm tolerance.
+    r = haar_complement(amps, 1, rng)[:, 0]
+    phi = math.sqrt(f) * amps + math.sqrt(1.0 - f) * r
+    # Renormalize: a draw lying nearly along eta leaves r a small rounding
+    # overlap with eta that would break the norm tolerance.
     guess = PureState(phi / np.linalg.norm(phi))
     return EstimationResult(guess, fidelity_sq(guess, eta))
 

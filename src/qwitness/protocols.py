@@ -110,8 +110,8 @@ class ProtocolParams:
             raise ConfigurationError("commitment-list length q must be >= 1")
         if not 0.0 <= self.eps_c_target < 1.0:
             raise ConfigurationError("eps_c_target must lie in [0, 1)")
-        if self.abort_epsilon <= 0.0:
-            raise ConfigurationError("abort_epsilon must be positive")
+        if not 0.0 < self.abort_epsilon < math.inf:
+            raise ConfigurationError("abort_epsilon must be positive and finite")
 
     def resolved_q(self, protocol: Protocol) -> int:
         if self.q is not None:
@@ -331,6 +331,7 @@ def _run_classical(
     # t = delta: B1 measures and reports.
     report = bob_act(bob, OutcomeReportContext(plan.basis, run.true_state, rng))
     unveiled_value: int | None = None
+    unveil_deps: tuple[int, ...] = ()
     verdict = Verdict.REJECT
     if report.reported is None:
         tr.emit(t.delta, b1, EventKind.ANNOUNCE, {"step": "no-report"})
@@ -354,6 +355,7 @@ def _run_classical(
                 commitments[slot], report.reported, rng, a1, t.delta_prime, tr,
                 depends_on=(report_rx.event_id, shared.event_id),
             )
+            unveil_deps = (commitments[slot].phase_events[-1].event_id,)
             if result.accepted:
                 unveiled_value = result.claimed_value
         else:
@@ -364,12 +366,10 @@ def _run_classical(
         # Verdict once B1 can compare notes with B2 across the separation.
         verdict_time = t.D + t.delta_prime
         accept = unveiled_value is not None and unveiled_value == report.reported
-        deps = [e.event_id for e in tr.events if e.kind is EventKind.UNVEIL]
-        deps += [commitments[0].phase_events[0].event_id]
         tr.emit(
             verdict_time, b1, EventKind.ANNOUNCE,
             {"step": "verdict", "accept": accept},
-            depends_on=tuple(deps),
+            depends_on=(*unveil_deps, commitments[0].phase_events[0].event_id),
         )
         verdict = Verdict.ACCEPT if accept else Verdict.REJECT
 
@@ -572,12 +572,14 @@ def _run_b2a(
     x = package.announced_label
     unveil_time = t.delta_prime + 2 * t.d_small
     unveiled: int | None = None
+    unveil_deps: tuple[int, ...] = ()
     matching = [c for value, c in commitments if value == x]
     if matching:
         result = unveil(
             matching[0], x, rng, a1, unveil_time, tr,
             depends_on=(x_received.event_id, shared.event_id),
         )
+        unveil_deps = (matching[0].phase_events[-1].event_id,)
         if result.accepted:
             unveiled = x
     else:
@@ -587,12 +589,12 @@ def _run_b2a(
         )
 
     accept = unveiled == x
-    verdict_deps = [e.event_id for e in tr.events if e.kind is EventKind.UNVEIL]
-    verdict_deps += [e.event_id for e in tr.events if e.kind is EventKind.COMMIT_SUSTAIN][:1]
+    # q >= 1, so the first commitment's sustain event always exists.
+    first_sustain = commitments[0][1].phase_events[1]
     tr.emit(
         t.D + unveil_time, b1, EventKind.ANNOUNCE,
         {"step": "verdict", "accept": accept},
-        depends_on=tuple(verdict_deps) or (announce_x.event_id,),
+        depends_on=(*unveil_deps, first_sustain.event_id),
     )
 
     response_bit = 1 if accept else 0

@@ -43,9 +43,9 @@ def clamp_probability(p: float, tol: float = PROB_TOL) -> float:
     """Clip a computed probability to [0, 1].
 
     Values within ``tol`` outside the interval are treated as rounding
-    noise; larger excursions indicate a bug and raise.
+    noise; larger excursions and non-finite values indicate a bug and raise.
     """
-    if p < -tol or p > 1.0 + tol:
+    if not -tol <= p <= 1.0 + tol:
         raise ValueError(f"value {p!r} is not a probability (tolerance {tol})")
     return min(max(p, 0.0), 1.0)
 
@@ -53,8 +53,8 @@ def clamp_probability(p: float, tol: float = PROB_TOL) -> float:
 def clamp_probabilities(p: np.ndarray, tol: float = PROB_TOL) -> np.ndarray:
     """``clamp_probability`` applied to every entry of an array."""
     lo, hi = float(p.min()), float(p.max())
-    if lo < -tol or hi > 1.0 + tol:
-        bad = lo if lo < -tol else hi
+    if not (-tol <= lo and hi <= 1.0 + tol):
+        bad = hi if lo >= -tol else lo
         raise ValueError(f"value {bad!r} is not a probability (tolerance {tol})")
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
@@ -70,7 +70,7 @@ class PureState:
         if amps.ndim != 1 or amps.size < 1:
             raise DimensionError("amplitudes must be a non-empty 1-D sequence")
         norm = math.sqrt(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -94,7 +94,7 @@ class HermitianOperator:
         mat = np.asarray(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise DimensionError("operator matrix must be square and non-empty")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL}")
         mat = mat.copy()
         mat.flags.writeable = False
@@ -154,6 +154,29 @@ def haar_random(d: int, rng: np.random.Generator) -> PureState:
         if norm > 0.0:
             z *= 1.0 / norm
             return PureState(z)
+
+
+def haar_complement(fixed: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` orthonormal columns, Haar on the orthogonal complement of ``fixed``.
+
+    ``fixed`` holds orthonormal columns (a 1-D array is one column). Each
+    new column is d real then d imaginary standard normals, projected off
+    every fixed and earlier column in order, normalized, and redrawn when
+    its norm is at most 1e-8. Returns a d x count array.
+    """
+    fixed = np.asarray(fixed)
+    cols = [fixed] if fixed.ndim == 1 else list(fixed.T)
+    d, k = len(fixed), len(cols)
+    if not 0 <= count <= d - k:
+        raise DimensionError(f"cannot add {count} columns to {k} in dimension {d}")
+    while len(cols) < k + count:
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        for c in cols:
+            z = z - np.vdot(c, z) * c
+        norm = np.linalg.norm(z)
+        if norm > 1e-8:
+            cols.append(z / norm)
+    return np.array(cols[k:], dtype=np.complex128).reshape(count, d).T
 
 
 def fidelity_sq(a: PureState, b: PureState) -> float:

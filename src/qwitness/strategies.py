@@ -35,6 +35,7 @@ from .qudit import (
     PureState,
     clamp_probabilities,
     fidelity_sq,
+    haar_complement,
     haar_random,
     measure_basis,
 )
@@ -97,15 +98,8 @@ def knowledge_subspace(
     d = true_state.dim
     if not 1 <= k <= d:
         raise ConfigurationError(f"subspace dimension {k} outside [1, {d}]")
-    cols = [true_state.amplitudes]
-    while len(cols) < k:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        for c in cols:
-            z = z - np.vdot(c, z) * c
-        norm = np.linalg.norm(z)
-        if norm > 1e-8:
-            cols.append(z / norm)
-    return np.column_stack(cols)
+    eta = true_state.amplitudes
+    return np.column_stack([eta, haar_complement(eta, k - 1, rng)])
 
 
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,19 +107,6 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _complete_basis(fixed: list[np.ndarray], d: int, rng: np.random.Generator) -> np.ndarray:
-    """Extend orthonormal columns to a full basis with a Haar-random completion."""
-    cols = list(fixed)
-    while len(cols) < d:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        for c in cols:
-            z = z - np.vdot(c, z) * c
-        norm = np.linalg.norm(z)
-        if norm > 1e-8:
-            cols.append(z / norm)
-    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -240,30 +221,6 @@ def alice_act(strategy: AliceStrategy, ctx) -> object:
     raise ConfigurationError(f"unsupported alice stage {type(ctx).__name__}")
 
 
-def _rotate_with_overlap(
-    true_state: PureState, eps_c: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """First basis vector with squared overlap 1 - eps_c, plus the residual direction."""
-    d = true_state.dim
-    eta = true_state.amplitudes
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    z = z - np.vdot(eta, z) * eta
-    norm = np.linalg.norm(z)
-    while norm <= 1e-8:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        z = z - np.vdot(eta, z) * eta
-        norm = np.linalg.norm(z)
-    r = z / norm
-    u1 = np.sqrt(1.0 - eps_c) * eta + np.sqrt(eps_c) * r
-    residual = eta - np.vdot(u1, eta) * u1
-    res_norm = np.linalg.norm(residual)
-    if res_norm > 1e-8:
-        v = residual / res_norm
-    else:
-        v = r  # eps_c == 0: the true state is u1 itself
-    return u1, v
-
-
 def _alice_measurement_choice(
     strategy: AliceStrategy, ctx: MeasurementChoiceContext
 ) -> ClassicalPlan:
@@ -273,10 +230,16 @@ def _alice_measurement_choice(
             raise ConfigurationError(
                 "eps_c_target > 0 needs q <= d - 1 so the residual stays uncovered"
             )
-        u1, v = _rotate_with_overlap(ctx.true_state, ctx.eps_c_target, rng)
-        basis = _complete_basis([u1, v], d, rng)
-        # Committed set: the high-overlap vector plus q - 1 columns orthogonal
-        # to the state's residual, so coverage is exactly 1 - eps_c_target.
+        # Rotate eta and a Haar direction r orthogonal to it, so the first
+        # column has squared overlap exactly 1 - eps_c_target with the state,
+        # the second eps_c_target, and the others none.
+        eta = ctx.true_state.amplitudes
+        rest = haar_complement(eta, d - 1, rng)
+        r = rest[:, 0]
+        a, b = np.sqrt(1.0 - ctx.eps_c_target), np.sqrt(ctx.eps_c_target)
+        basis = np.column_stack([a * eta + b * r, b * eta - a * r, rest[:, 1:]])
+        # Committed set: the high-overlap vector plus q - 1 of the columns
+        # orthogonal to the state, so coverage is exactly 1 - eps_c_target.
         others = [j for j in range(2, d)]
         if q - 1 > len(others):
             extra = [1] + others  # only reachable when eps_c_target == 0
@@ -293,7 +256,7 @@ def _alice_measurement_choice(
             raise ConfigurationError("subspace knowledge was not bound for this run")
         k = ctx.subspace.shape[1]
         rotated = ctx.subspace @ _haar_unitary(k, rng)
-        basis = _complete_basis([rotated[:, j] for j in range(k)], d, rng)
+        basis = np.column_stack([rotated, haar_complement(rotated, d - k, rng)])
         # The state lies in the first k columns; commit as many of those as fit.
         in_subspace = list(range(min(q, k)))
         filler = rng.choice(np.arange(k, d), size=q - len(in_subspace), replace=False)

@@ -26,6 +26,20 @@ def test_verify_fault_injection_fails(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "1"], ["--max-dim", "1"]])
+def test_verify_degenerate_values_exit_2(flags, capsys):
+    code = run_cli(["verify", "--max-dim", "2", "--trials", "2000"] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert flags[0] in captured.err
+    assert "checks passed" not in captured.out
+
+
+def test_verify_runs_each_born_dimension_once(capsys):
+    assert run_cli(["verify", "--max-dim", "2", "--trials", "2000"]) == 0
+    assert capsys.readouterr().out.count("born frequency d=2") == 1
+
+
 def test_simulate_missing_dimension_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["simulate", "--protocol", "b2a", "--alice", "ignorant"])
@@ -89,6 +103,18 @@ def test_simulate_transcript_export(tmp_path):
     assert {r["trial"] for r in records} == {0, 1, 2}
     for r in records:
         assert set(r) == {"time", "agent", "position", "kind", "payload_digest", "trial"}
+
+
+def test_simulate_negative_transcript_limit_exit_2(tmp_path, capsys):
+    path = tmp_path / "events.jsonl"
+    code = run_cli([
+        "simulate", "--protocol", "classical1", "--d", "2",
+        "--alice", "honest", "--trials", "5", "--out", str(tmp_path / "o.csv"),
+        "--transcripts", str(path), "--transcript-limit", "-3",
+    ])
+    assert code == 2
+    assert "--transcript-limit" in capsys.readouterr().err
+    assert not path.exists() and not (tmp_path / "o.csv").exists()
 
 
 def test_sweep_single_value(tmp_path, capsys):

@@ -139,6 +139,12 @@ def test_parameter_validation():
         ProtocolParams(d=2, n=3, q=9).resolved_q(Protocol.QUANTUM_B2A)
     with pytest.raises(ConfigurationError):
         ProtocolParams(d=3, q=4).resolved_q(Protocol.CLASSICAL2)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            ProtocolParams(d=2, n=10, abort_epsilon=bad)
+    for bad in (math.nan, -0.1, 1.0):
+        with pytest.raises(ConfigurationError):
+            ProtocolParams(d=2, eps_c_target=bad)
 
 
 @pytest.mark.parametrize("d, n", [(8, 4), (2, 11)])

@@ -16,6 +16,7 @@ from qwitness.qudit import (
     clamp_probabilities,
     clamp_probability,
     fidelity_sq,
+    haar_complement,
     haar_random,
     measure_basis,
     measure_binary,
@@ -43,6 +44,13 @@ def test_pure_state_rejects_bad_norm():
         PureState([1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pure_state_rejects_non_finite(bad):
+    for amps in ([bad, 0.0], [1.0, bad], [complex(0.0, bad), 0.0]):
+        with pytest.raises(ValueError):
+            PureState(amps)
+
+
 def test_pure_state_rejects_empty():
     with pytest.raises(DimensionError):
         PureState([])
@@ -67,6 +75,81 @@ def test_haar_random_keeps_the_random_stream(d):
         state = haar_random(d, rng)
         assert np.max(np.abs(state.amplitudes - z / np.linalg.norm(z))) <= 1e-15
         assert rng.random() == clone.random()
+
+
+def _orthonormal_columns(d, k, rng):
+    z = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("d,k,count", [(2, 1, 1), (3, 1, 2), (4, 2, 2), (5, 2, 1), (6, 3, 3)])
+def test_haar_complement_is_orthonormal_and_orthogonal_to_fixed(d, k, count):
+    rng = np.random.default_rng(10 * d + k)
+    for _ in range(20):
+        fixed = _orthonormal_columns(d, k, rng)
+        cols = haar_complement(fixed, count, rng)
+        assert cols.shape == (d, count)
+        assert np.max(np.abs(cols.conj().T @ cols - np.eye(count))) <= 1e-12
+        assert np.max(np.abs(fixed.conj().T @ cols)) <= 1e-12
+
+
+@pytest.mark.parametrize("d,k,count", [(2, 1, 1), (3, 1, 2), (4, 2, 2), (6, 3, 3)])
+def test_haar_complement_keeps_the_random_stream(d, k, count):
+    # Column j is the pair standard_normal(d) + 1j * standard_normal(d) drawn
+    # j-th, with its part in the span of the fixed and earlier columns removed.
+    rng = np.random.default_rng(200 + d + k)
+    for _ in range(20):
+        fixed = _orthonormal_columns(d, k, rng)
+        clone = copy.deepcopy(rng)
+        cols = haar_complement(fixed, count, rng)
+        span = fixed
+        for j in range(count):
+            z = clone.standard_normal(d) + 1j * clone.standard_normal(d)
+            r = z - span @ (span.conj().T @ z)
+            expected = r / np.linalg.norm(r)
+            assert np.max(np.abs(cols[:, j] - expected)) <= 1e-12
+            span = np.column_stack([span, expected])
+        assert rng.random() == clone.random()
+
+
+def test_haar_complement_accepts_a_vector_and_no_columns():
+    rng = np.random.default_rng(7)
+    eta = haar_random(3, rng).amplitudes
+    clone = copy.deepcopy(rng)
+    assert haar_complement(eta, 0, rng).shape == (3, 0)
+    assert rng.random() == clone.random()
+    cols = haar_complement(eta, 2, rng)
+    assert np.max(np.abs(np.column_stack([eta, cols]).conj().T
+                         @ np.column_stack([eta, cols]) - np.eye(3))) <= 1e-12
+
+
+class _StubNormals:
+    """Generator stand-in that hands out preset standard-normal vectors in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, d):
+        return np.asarray(self.draws.pop(0), dtype=float)
+
+
+def test_haar_complement_redraws_a_draw_inside_the_span():
+    fixed = np.array([1.0, 0.0, 0.0], dtype=complex)
+    stub = _StubNormals([
+        [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0],  # 2 - 1j along fixed: norm 0 after projection
+        [5.0, 3.0, 0.0], [0.0, 0.0, 4.0],  # 3 e1 + 4i e2 after projection
+    ])
+    cols = haar_complement(fixed, 1, stub)
+    assert not stub.draws
+    assert np.max(np.abs(cols[:, 0] - np.array([0.0, 0.6, 0.8j]))) <= 1e-15
+
+
+def test_haar_complement_rejects_too_many_columns():
+    rng = np.random.default_rng(8)
+    with pytest.raises(DimensionError):
+        haar_complement(np.eye(3, 2, dtype=complex), 2, rng)
+    with pytest.raises(DimensionError):
+        haar_complement(np.eye(2, 1, dtype=complex), -1, rng)
 
 
 def test_haar_random_d1_is_the_single_state():
@@ -326,9 +409,11 @@ def test_clamp_probabilities_matches_scalar_clamp():
     values = np.array([0.0, 0.5, 1.0, -1e-13, 1.0 + 1e-13])
     clamped = clamp_probabilities(values)
     assert clamped.tolist() == [clamp_probability(v) for v in values]
-    for bad in (-1e-9, 1.0 + 1e-9):
+    for bad in (-1e-9, 1.0 + 1e-9, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             clamp_probabilities(np.array([0.5, bad]))
+        with pytest.raises(ValueError):
+            clamp_probabilities(np.array([bad, 0.5]))
 
 
 def test_measure_binary_dimension_mismatch():
@@ -369,6 +454,8 @@ def test_measure_basis_biased_qubit():
 def test_hermitian_operator_rejects_non_hermitian():
     with pytest.raises(ValueError):
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        HermitianOperator(np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_projector_check():
@@ -384,3 +471,6 @@ def test_clamp_probability():
         clamp_probability(1.1)
     with pytest.raises(ValueError):
         clamp_probability(-0.01)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            clamp_probability(bad)

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qwitness.strategies import (
     BobKind,
     BobStrategy,
     DetectionCommitContext,
+    MeasurementChoiceContext,
     alice_act,
     knowledge_subspace,
 )
@@ -31,7 +33,8 @@ HONEST_B = BobStrategy(BobKind.HONEST)
 
 
 def rng_for(tag):
-    return np.random.default_rng(abs(hash(tag)) % 2**32)
+    # crc32, not hash(): string hashing is salted per process.
+    return np.random.default_rng(zlib.crc32(tag.encode()))
 
 
 def bernoulli_se(p, n):
@@ -88,6 +91,41 @@ def test_knowledge_subspace_contains_state():
     # The state is inside the span: projecting onto the basis preserves it.
     coeffs = basis.conj().T @ eta.amplitudes
     assert np.linalg.norm(basis @ coeffs - eta.amplitudes) < 1e-10
+
+
+def _classical_plan(alice, d, q, eps_c, rng):
+    eta = haar_random(d, rng)
+    subspace = (
+        knowledge_subspace(eta, alice.subspace_dim, rng)
+        if alice.kind is AliceKind.SUBSPACE_KNOWLEDGE else None
+    )
+    return eta, alice_act(alice, MeasurementChoiceContext(d, q, eps_c, eta, subspace, rng))
+
+
+@pytest.mark.parametrize("name,d,q,eps_c", [
+    ("honest", 2, 1, 0.0), ("honest", 3, 2, 0.1), ("honest", 4, 4, 0.0),
+    ("ignorant", 3, 1, 0.0), ("subspace-1", 3, 1, 0.0), ("subspace-2", 4, 2, 0.0),
+    ("subspace-3", 5, 1, 0.0), ("subspace-4", 4, 3, 0.0),
+])
+def test_classical_plan_basis_is_unitary(name, d, q, eps_c):
+    rng = np.random.default_rng(d + 10 * q)
+    alice = AliceStrategy.from_name(name)
+    for _ in range(20):
+        _, plan = _classical_plan(alice, d, q, eps_c, rng)
+        assert plan.basis.shape == (d, d)
+        assert np.max(np.abs(plan.basis.conj().T @ plan.basis - np.eye(d))) <= 1e-12
+
+
+@pytest.mark.parametrize("eps_c", [0.0, 0.1])
+@pytest.mark.parametrize("d,q", [(2, 1), (3, 1), (3, 2), (5, 3)])
+def test_honest_classical_plan_covers_exactly_one_minus_eps_c(eps_c, d, q):
+    rng = np.random.default_rng(30 + d + q)
+    for _ in range(20):
+        eta, plan = _classical_plan(HONEST_A, d, q, eps_c, rng)
+        overlaps = np.abs(plan.basis.conj().T @ eta.amplitudes) ** 2
+        assert abs(overlaps[0] - (1.0 - eps_c)) <= 1e-12
+        assert 0 in plan.commit_values and len(set(plan.commit_values)) == q
+        assert abs(overlaps[list(plan.commit_values)].sum() - (1.0 - eps_c)) <= 1e-12
 
 
 def test_honest_alice_commits_detections_plus_dummies():
