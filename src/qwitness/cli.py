@@ -11,12 +11,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 
-from .commitment import CommitmentConfig
 from .errors import ConfigurationError
 from .estimation import covariant_estimate, mean_estimation_fsq
 from .harness import (
@@ -229,7 +227,7 @@ def _build_spec(args) -> ExperimentSpec:
         q=args.q,
         eps_c_target=args.eps_c_target,
         abort_epsilon=args.abort_epsilon,
-        commitment=CommitmentConfig(cheat_epsilon=args.cheat_epsilon),
+        cheat_epsilon=args.cheat_epsilon,
     )
     return ExperimentSpec(
         protocol=Protocol(args.protocol),
@@ -242,6 +240,14 @@ def _build_spec(args) -> ExperimentSpec:
     )
 
 
+def _format_rows(rows: list[dict], fmt: str) -> str:
+    if fmt == "csv":
+        return rows_to_csv(rows)
+    if fmt == "json":
+        return rows_to_json(rows)
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
 def _write_output(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -251,23 +257,18 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if args.transcript_limit < 0:
-        raise ConfigurationError(
-            f"--transcript-limit must be nonnegative, got {args.transcript_limit}"
-        )
+    if args.transcript_limit is not None and args.transcripts is None:
+        raise ConfigurationError("--transcript-limit needs --transcripts")
+    limit = 10 if args.transcript_limit is None else args.transcript_limit
+    if limit < 0:
+        raise ConfigurationError(f"--transcript-limit must be nonnegative, got {limit}")
     spec = _build_spec(args)
     stats = run_trials(spec, jobs=args.jobs)
     target = formula_target(spec)
-    row = result_row(spec, stats, target)
-    if args.format == "csv":
-        _write_output(args.out, rows_to_csv([row]))
-    elif args.format == "json":
-        _write_output(args.out, rows_to_json([row]))
-    else:
-        _write_output(args.out, json.dumps(row, sort_keys=True) + "\n")
+    _write_output(args.out, _format_rows([result_row(spec, stats, target)], args.format))
     if args.transcripts:
         lines = []
-        for i in range(min(spec.n_trials, args.transcript_limit)):
+        for i in range(min(spec.n_trials, limit)):
             outcome = run_trial(spec, i)
             for record in outcome.transcript.to_jsonl().splitlines():
                 entry = json.loads(record)
@@ -299,15 +300,8 @@ def cmd_sweep(args) -> int:
         else:
             values.append(int(chunk))
     rows = sweep(spec, args.axis, values, jobs=args.jobs)
-    table = []
-    for row in rows:
-        spec_row = replace(spec, params=replace(spec.params, **{args.axis: row.value}))
-        target = (row.target, row.target_kind) if row.target is not None else None
-        table.append(result_row(spec_row, row.stats, target))
-    if args.format == "json":
-        _write_output(args.out, rows_to_json(table))
-    else:
-        _write_output(args.out, rows_to_csv(table))
+    table = [result_row(row.spec, row.stats, formula_target(row.spec)) for row in rows]
+    _write_output(args.out, _format_rows(table, args.format))
     return 0
 
 
@@ -372,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_options(p_sim)
     p_sim.add_argument("--transcripts", default=None,
                        help="also write per-trial event logs (JSONL)")
-    p_sim.add_argument("--transcript-limit", type=int, default=10)
+    p_sim.add_argument("--transcript-limit", type=int, default=None,
+                       help="trials whose event logs --transcripts writes (default 10)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="rerun along one parameter axis")

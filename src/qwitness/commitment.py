@@ -12,13 +12,12 @@ Phases move strictly initiated -> sustained -> unveiled or expired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 
 import numpy as np
 
-from .errors import CommitmentPhaseError, ConfigurationError
+from .errors import CommitmentPhaseError
 from .spacetime import AgentSite, EventKind, SpacetimeEvent, Transcript
 
 
@@ -29,39 +28,12 @@ class CommitmentPhase(Enum):
     EXPIRED = "expired"
 
 
-@dataclass(frozen=True)
-class CommitmentConfig:
-    """Alphabet size and binding-failure probability of the functionality.
-
-    ``alphabet_size`` of None means "derived by the protocol engine"
-    (the quantum receiver protocol uses index alphabet 0..N+1, so
-    N + 2 symbols including the dummy index 0).
-    """
-
-    alphabet_size: int | None = None
-    cheat_epsilon: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.alphabet_size is not None and self.alphabet_size < 1:
-            raise ConfigurationError("alphabet_size must be positive")
-        if not 0.0 <= self.cheat_epsilon < 1.0:
-            raise ConfigurationError("cheat_epsilon must lie in [0, 1)")
-
-    @cache
-    def with_alphabet(self, alphabet_size: int) -> "CommitmentConfig":
-        """This configuration with the alphabet resolved; one instance per size."""
-        if self.alphabet_size is not None and self.alphabet_size != alphabet_size:
-            raise ConfigurationError(
-                f"configured alphabet {self.alphabet_size} != required {alphabet_size}"
-            )
-        return replace(self, alphabet_size=alphabet_size)
-
-
 @dataclass
 class Commitment:
     handle_id: int
     committed_value: int  # hidden from the receiver until unveiled
-    config: CommitmentConfig
+    alphabet_size: int
+    cheat_epsilon: float
     phase: CommitmentPhase
     phase_events: list[SpacetimeEvent] = field(default_factory=list)
 
@@ -73,35 +45,32 @@ class Commitment:
         """
         return {
             "handle": self.handle_id,
-            "alphabet_size": self.config.alphabet_size,
+            "alphabet_size": self.alphabet_size,
             "phase": self.phase.value,
             "events": [e.to_record() for e in self.phase_events],
         }
 
 
-@dataclass(frozen=True)
-class UnveilResult:
-    accepted: bool
-    claimed_value: int
-
-
 def commit(
     value: int,
-    cfg: CommitmentConfig,
+    alphabet_size: int,
+    cheat_epsilon: float,
     site: AgentSite,
     time: float,
     transcript: Transcript,
     depends_on: tuple[int, ...] = (),
 ) -> Commitment:
-    """Open a commitment to ``value``; the receiver learns only that it exists."""
-    if cfg.alphabet_size is None:
-        raise ConfigurationError("alphabet_size must be resolved before committing")
-    if not 0 <= value < cfg.alphabet_size:
-        raise ValueError(f"value {value} outside alphabet [0, {cfg.alphabet_size})")
+    """Open a commitment to ``value``; the receiver learns only that it exists.
+
+    A dishonest unveiling of it is accepted with probability ``cheat_epsilon``.
+    """
+    if not 0 <= value < alphabet_size:
+        raise ValueError(f"value {value} outside alphabet [0, {alphabet_size})")
     c = Commitment(
         handle_id=transcript.new_handle(),
         committed_value=value,
-        config=cfg,
+        alphabet_size=alphabet_size,
+        cheat_epsilon=cheat_epsilon,
         phase=CommitmentPhase.INITIATED,
     )
     event = transcript.emit(
@@ -147,8 +116,8 @@ def unveil(
     time: float,
     transcript: Transcript,
     depends_on: tuple[int, ...] = (),
-) -> UnveilResult:
-    """Unveil ``claimed_value``.
+) -> bool:
+    """Unveil ``claimed_value``; True iff the receiver accepts it.
 
     An honest unveiling (claimed == committed) is always accepted. A
     dishonest one is accepted only with the configured cheat
@@ -160,7 +129,7 @@ def unveil(
     if claimed_value == c.committed_value:
         accepted = True
     else:
-        accepted = rng.random() < c.config.cheat_epsilon
+        accepted = rng.random() < c.cheat_epsilon
     event = transcript.emit(
         time,
         site,
@@ -170,7 +139,7 @@ def unveil(
     )
     c.phase = CommitmentPhase.UNVEILED
     c.phase_events.append(event)
-    return UnveilResult(accepted, claimed_value)
+    return accepted
 
 
 def expire(c: Commitment) -> Commitment:

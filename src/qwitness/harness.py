@@ -139,6 +139,9 @@ class ExperimentSpec:
     master_seed: int
     validate_transcripts: bool = False
 
+    def __post_init__(self) -> None:
+        self.params.check(self.protocol)
+
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     """Deterministic per-trial generator, stable under partitioning."""
@@ -293,8 +296,7 @@ def formula_target(spec: ExperimentSpec) -> tuple[float, BoundKind] | None:
 
 @dataclass(frozen=True)
 class SweepRow:
-    axis: str
-    value: object
+    spec: ExperimentSpec  # the row's parameters and its own derived seed
     stats: TrialStats
     target: float | None
     target_kind: BoundKind | None
@@ -319,11 +321,11 @@ def sweep(base: ExperimentSpec, axis: str, values, jobs: int = 1) -> list[SweepR
         stats = run_trials(spec, jobs)
         target = formula_target(spec)
         if target is None:
-            rows.append(SweepRow(axis, value, stats, None, None, None))
+            rows.append(SweepRow(spec, stats, None, None, None))
         else:
             t_value, t_kind = target
             report = compare_to_formula(stats, t_value, kind=t_kind)
-            rows.append(SweepRow(axis, value, stats, t_value, t_kind, report.passed))
+            rows.append(SweepRow(spec, stats, t_value, t_kind, report.passed))
     return rows
 
 

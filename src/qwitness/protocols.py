@@ -26,20 +26,18 @@ soundness / (1 - completeness_err) >= 1/d.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .commitment import Commitment, CommitmentConfig, commit, sustain, unveil
+from .commitment import Commitment, commit, sustain, unveil
 from .errors import ConfigurationError
 from .estimation import EstimationResult, covariant_estimate
 from .qudit import PureState, haar_random, symmetric_acceptance
 from .qudit import measure_binary  # noqa: F401 - perfbench tests read protocols.measure_binary
 from .spacetime import (
     AgentId,
-    AgentSite,
     EventKind,
     TimingConfig,
     Transcript,
@@ -90,7 +88,9 @@ class ProtocolParams:
 
     ``d`` is the qudit dimension, ``n`` the decoy or copy count, ``q``
     the commitment-list length (None resolves to the protocol default,
-    ceil((n + 1) / d) for the receiver protocol and 1 otherwise).
+    ceil((n + 1) / d) for the receiver protocol and 1 otherwise), and
+    ``cheat_epsilon`` the probability that a commitment accepts an
+    unveiling of a value it was not committed to.
     """
 
     d: int
@@ -98,8 +98,7 @@ class ProtocolParams:
     q: int | None = None
     eps_c_target: float = 0.0
     abort_epsilon: float = 0.1
-    timing: TimingConfig = TimingConfig()
-    commitment: CommitmentConfig = CommitmentConfig()
+    cheat_epsilon: float = 0.0
 
     def __post_init__(self) -> None:
         if self.d < 2:
@@ -112,6 +111,23 @@ class ProtocolParams:
             raise ConfigurationError("eps_c_target must lie in [0, 1)")
         if not 0.0 < self.abort_epsilon < math.inf:
             raise ConfigurationError("abort_epsilon must be positive and finite")
+        if not 0.0 <= self.cheat_epsilon < 1.0:
+            raise ConfigurationError("cheat_epsilon must lie in [0, 1)")
+
+    def check(self, protocol: Protocol) -> None:
+        """Reject a setting that ``protocol`` would accept and then ignore."""
+        classical = protocol in (Protocol.CLASSICAL1, Protocol.CLASSICAL2)
+        if protocol is Protocol.QUANTUM_A2B and self.q is not None:
+            raise ConfigurationError("a2b commits nothing, so q does not apply")
+        if protocol is Protocol.QUANTUM_A2B and self.cheat_epsilon > 0.0:
+            raise ConfigurationError("a2b has no commitments, so cheat_epsilon does not apply")
+        if classical and self.n > 0:
+            raise ConfigurationError(f"{protocol.value} sends no extra systems, so n must be 0")
+        if not classical and self.eps_c_target > 0.0:
+            raise ConfigurationError(
+                f"eps_c_target applies to the classical protocols only, not {protocol.value}"
+            )
+        self.resolved_q(protocol)
 
     def resolved_q(self, protocol: Protocol) -> int:
         if self.q is not None:
@@ -242,24 +258,21 @@ def closed_forms(protocol: Protocol, params: ProtocolParams) -> SecurityFigures:
 # ---------------------------------------------------------------------------
 # Shared run scaffolding
 
+# Every run uses the one standard two-pair layout.
+_TIMING = TimingConfig()
+_SITES = standard_configuration(_TIMING)
+_A1, _A2, _B1 = _SITES[AgentId.A1], _SITES[AgentId.A2], _SITES[AgentId.B1]
+
 
 @dataclass
 class _Run:
-    params: ProtocolParams
     rng: np.random.Generator
     transcript: Transcript
-    layout: Mapping[AgentId, AgentSite]
     true_state: PureState
-
-    def site(self, agent: AgentId) -> AgentSite:
-        return self.layout[agent]
 
 
 def _start_run(params: ProtocolParams, rng: np.random.Generator) -> _Run:
-    layout = standard_configuration(params.timing)
-    transcript = Transcript()
-    true_state = haar_random(params.d, rng)
-    return _Run(params, rng, transcript, layout, true_state)
+    return _Run(rng, Transcript(), haar_random(params.d, rng))
 
 
 def _bind_subspace(
@@ -272,10 +285,9 @@ def _bind_subspace(
 
 def _preshare_event(run: _Run):
     """Alice's agents share commitment data well before the run starts."""
-    t = run.params.timing
     return run.transcript.emit(
-        -(t.D + 2 * t.d_small),
-        run.site(AgentId.A1),
+        -(_TIMING.D + 2 * _TIMING.d_small),
+        _A1,
         EventKind.ANNOUNCE,
         {"step": "pre-shared commitment data"},
     )
@@ -294,11 +306,8 @@ def _run_classical(
 ) -> ProtocolOutcome:
     q = params.resolved_q(protocol)
     run = _start_run(params, rng)
-    t, tr = params.timing, run.transcript
-    a1, a2, b1 = run.site(AgentId.A1), run.site(AgentId.A2), run.site(AgentId.B1)
-    if t.delta < t.d_small or t.delta_prime < t.delta + t.d_small:
-        raise ConfigurationError("timing too tight: delta >= d_small and "
-                                 "delta_prime >= delta + d_small required")
+    t, tr = _TIMING, run.transcript
+    a1, a2, b1 = _A1, _A2, _B1
 
     subspace = _bind_subspace(alice, run)
     plan = alice_act(
@@ -318,9 +327,9 @@ def _run_classical(
         t.d_small, b1, EventKind.RECEIVE, {"step": "measurement"},
         depends_on=(announce.event_id,),
     )
-    cfg = params.commitment.with_alphabet(params.d)
     commitments: list[Commitment] = [
-        commit(v, cfg, a2, 0.0, tr, depends_on=(shared.event_id,))
+        commit(v, params.d, params.cheat_epsilon, a2, 0.0, tr,
+               depends_on=(shared.event_id,))
         for v in plan.commit_values
     ]
     # Second commitment round, run by the near pair from pre-shared data.
@@ -351,13 +360,13 @@ def _run_classical(
         # t = delta': A1 unveils iff the report matches a committed index.
         if report.reported in plan.commit_values:
             slot = plan.commit_values.index(report.reported)
-            result = unveil(
+            accepted = unveil(
                 commitments[slot], report.reported, rng, a1, t.delta_prime, tr,
                 depends_on=(report_rx.event_id, shared.event_id),
             )
             unveil_deps = (commitments[slot].phase_events[-1].event_id,)
-            if result.accepted:
-                unveiled_value = result.claimed_value
+            if accepted:
+                unveiled_value = report.reported
         else:
             tr.emit(
                 t.delta_prime, a1, EventKind.ANNOUNCE, {"step": "failure"},
@@ -376,13 +385,10 @@ def _run_classical(
     guess = bob_act(
         bob,
         FinalGuessContext(
-            d=params.d,
             basis=plan.basis,
             reported=report.reported,
             unveiled_value=unveiled_value,
             retained=report.retained,
-            copies=None,
-            response_bit=1 if unveiled_value is not None else 0,
             rng=rng,
         ),
     )
@@ -424,13 +430,12 @@ def run_quantum_a2b(
     """Alice supplies n systems; Bob projects all n + 1 onto the symmetric subspace."""
     d, n = params.d, params.n
     run = _start_run(params, rng)
-    t, tr = params.timing, run.transcript
-    a1, b1 = run.site(AgentId.A1), run.site(AgentId.B1)
+    t, tr = _TIMING, run.transcript
+    a1, b1 = _A1, _B1
 
     subspace = _bind_subspace(alice, run)
-    copies = alice_act(
-        alice, CopyPreparationContext(d, n, run.true_state, subspace, rng)
-    )
+    # Every copy-preparing strategy hands over n copies of one state phi.
+    phi = alice_act(alice, CopyPreparationContext(d, run.true_state, subspace, rng))
     sent = tr.emit(0.0, a1, EventKind.SEND, {"systems": n})
     received = tr.emit(
         t.d_small, b1, EventKind.RECEIVE, {"systems": n}, depends_on=(sent.event_id,)
@@ -439,21 +444,11 @@ def run_quantum_a2b(
     verdict = Verdict.REJECT
     if bob.kind is BobKind.SKIP_PROTOCOL_MEASURE:
         tr.emit(2 * t.d_small, b1, EventKind.ANNOUNCE, {"step": "no-measurement"})
-        guess = bob_act(
-            bob,
-            FinalGuessContext(d, None, None, None, run.true_state, None, None, rng),
-        )
+        guess = bob_act(bob, FinalGuessContext(retained=run.true_state, rng=rng))
     else:
-        if bob.kind is BobKind.SUBSTITUTE_STATE:
-            own = haar_random(d, rng)
-            retained: PureState | None = run.true_state
-        else:
-            own = run.true_state
-            retained = None
-        # Every copy-preparing strategy hands over n equal copies. One uniform
-        # is drawn even at n = 0, where the test accepts with certainty.
-        prob = symmetric_acceptance(copies[0], n, own) if n else 1.0
-        accept = rng.random() < prob
+        own = haar_random(d, rng) if bob.kind is BobKind.SUBSTITUTE_STATE else run.true_state
+        # One uniform is drawn even at n = 0, where the test accepts with certainty.
+        accept = bool(rng.random() < symmetric_acceptance(phi, n, own))
         measured = tr.emit(
             2 * t.d_small, b1, EventKind.MEASURE, {"outcome": int(accept)},
             depends_on=(received.event_id,),
@@ -466,19 +461,8 @@ def run_quantum_a2b(
         verdict = Verdict.ACCEPT if accept else Verdict.REJECT
         # After an honest run the copies are undisturbed; with honest Alice
         # they are all the unknown state, so Bob may estimate from n + 1 copies.
-        copies_for_guess = (
-            tuple([run.true_state] * (n + 1))
-            if alice.kind is AliceKind.HONEST_KNOWING and retained is None
-            else None
-        )
-        guess = bob_act(
-            bob,
-            FinalGuessContext(
-                d, None, None, None,
-                retained if retained is not None else run.true_state,
-                copies_for_guess, None, rng,
-            ),
-        )
+        copies = n + 1 if alice.kind is AliceKind.HONEST_KNOWING and own is run.true_state else 1
+        guess = bob_act(bob, FinalGuessContext(retained=run.true_state, copies=copies, rng=rng))
     return ProtocolOutcome(
         verdict, tr, record_guess(guess, run.true_state), None, run.true_state
     )
@@ -499,8 +483,8 @@ def _run_b2a(
     q = params.resolved_q(protocol)
     d, n = params.d, params.n
     run = _start_run(params, rng)
-    t, tr = params.timing, run.transcript
-    a1, a2, b1 = run.site(AgentId.A1), run.site(AgentId.A2), run.site(AgentId.B1)
+    t, tr = _TIMING, run.transcript
+    a1, a2, b1 = _A1, _A2, _B1
 
     shared = _preshare_event(run)
     package: Package = bob_act(bob, PackageContext(run.true_state, n, d, rng))
@@ -526,7 +510,7 @@ def _run_b2a(
         )
         measure_deps = (measured.event_id,)
 
-    if plan.aborted:
+    if plan.commit_values is None:
         # Abort announcements reach every agent before any verdict window.
         abort_announce = tr.emit(
             0.0, a1, EventKind.ANNOUNCE, {"step": "abort"}, depends_on=measure_deps
@@ -542,15 +526,13 @@ def _run_b2a(
         alice_guess = _steal_estimate(alice, package, run, None)
         return ProtocolOutcome(Verdict.ABORT, tr, None, alice_guess, run.true_state)
 
-    assert plan.commit_values is not None
     # The commitment alphabet covers 0..n+1: every label plus the dummy 0.
-    cfg = params.commitment.with_alphabet(n + 2)
     order = rng.permutation(len(plan.commit_values))
     commitments: list[tuple[int, Commitment]] = []
     for slot in order:
         value = plan.commit_values[int(slot)]
         c = commit(
-            value, cfg, a1, 0.0, tr,
+            value, n + 2, params.cheat_epsilon, a1, 0.0, tr,
             depends_on=(shared.event_id,) + measure_deps,
         )
         commitments.append((value, c))
@@ -575,12 +557,12 @@ def _run_b2a(
     unveil_deps: tuple[int, ...] = ()
     matching = [c for value, c in commitments if value == x]
     if matching:
-        result = unveil(
+        accepted = unveil(
             matching[0], x, rng, a1, unveil_time, tr,
             depends_on=(x_received.event_id, shared.event_id),
         )
         unveil_deps = (matching[0].phase_events[-1].event_id,)
-        if result.accepted:
+        if accepted:
             unveiled = x
     else:
         tr.emit(
@@ -597,15 +579,9 @@ def _run_b2a(
         depends_on=(*unveil_deps, first_sustain.event_id),
     )
 
-    response_bit = 1 if accept else 0
     bob_guess = None
     if bob.kind is not BobKind.HONEST:
-        guess = bob_act(
-            bob,
-            FinalGuessContext(
-                d, None, None, None, package.retained, None, response_bit, rng
-            ),
-        )
+        guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
         bob_guess = record_guess(guess, run.true_state)
     alice_guess = _steal_estimate(alice, package, run, x)
     return ProtocolOutcome(

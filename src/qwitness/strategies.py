@@ -133,10 +133,9 @@ class ClassicalPlan:
 
 @dataclass(frozen=True)
 class CopyPreparationContext:
-    """Sender protocol: Alice prepares the systems she hands over."""
+    """Sender protocol: Alice picks the state she hands over n copies of."""
 
     d: int
-    n_copies: int
     true_state: PureState
     subspace: np.ndarray | None
     rng: np.random.Generator
@@ -156,7 +155,6 @@ class DetectionCommitContext:
 @dataclass(frozen=True)
 class DetectionCommitPlan:
     commit_values: tuple[int, ...] | None  # None when aborting
-    aborted: bool
     positives: int | None  # detection count for honest kinds
 
 
@@ -194,16 +192,18 @@ class OutcomeReport:
 
 @dataclass(frozen=True)
 class FinalGuessContext:
-    """Close-out: Bob turns whatever he holds into a guess, or nothing."""
+    """Close-out: Bob turns whatever he holds into a guess, or nothing.
 
-    d: int
-    basis: np.ndarray | None
-    reported: int | None
-    unveiled_value: int | None
-    retained: PureState | None
-    copies: tuple[PureState, ...] | None
-    response_bit: int | None
+    ``copies`` counts the copies of ``retained`` that retain-guess Bob
+    estimates from.
+    """
+
     rng: np.random.Generator
+    retained: PureState | None = None
+    copies: int = 1
+    basis: np.ndarray | None = None
+    reported: int | None = None
+    unveiled_value: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +269,17 @@ def _alice_measurement_choice(
 
 def _alice_prepare_copies(
     strategy: AliceStrategy, ctx: CopyPreparationContext
-) -> list[PureState]:
+) -> PureState:
     if strategy.kind is AliceKind.HONEST_KNOWING:
-        return [ctx.true_state] * ctx.n_copies
+        return ctx.true_state
     if strategy.kind is AliceKind.IGNORANT:
         # Best blind strategy: a single random state, repeated.
-        phi = haar_random(ctx.d, ctx.rng)
-        return [phi] * ctx.n_copies
+        return haar_random(ctx.d, ctx.rng)
     if strategy.kind is AliceKind.SUBSPACE_KNOWLEDGE:
         if ctx.subspace is None:
             raise ConfigurationError("subspace knowledge was not bound for this run")
         k = ctx.subspace.shape[1]
-        phi = PureState(ctx.subspace @ haar_random(k, ctx.rng).amplitudes)
-        return [phi] * ctx.n_copies
+        return PureState(ctx.subspace @ haar_random(k, ctx.rng).amplitudes)
     raise ConfigurationError(
         f"alice strategy {strategy.kind.value!r} does not play the sender protocol"
     )
@@ -295,7 +293,7 @@ def _alice_detection_commits(
     if strategy.kind is AliceKind.ALWAYS_ABORT:
         if not ctx.abort_allowed:
             raise ConfigurationError("always-abort requires the abort variant")
-        return DetectionCommitPlan(None, True, None)
+        return DetectionCommitPlan(None, None)
     if strategy.kind is AliceKind.HONEST_KNOWING:
         # Projective test onto the known state: label j is detected with Born
         # probability |<eta|s_j>|^2, one uniform per label in label order.
@@ -305,12 +303,12 @@ def _alice_detection_commits(
         positives = len(detected)
         if positives > q:
             if ctx.abort_allowed:
-                return DetectionCommitPlan(None, True, positives)
+                return DetectionCommitPlan(None, positives)
             chosen = rng.choice(detected, size=q, replace=False)
             values = tuple(int(v) for v in chosen)
         else:
             values = tuple(detected) + (0,) * (q - positives)
-        return DetectionCommitPlan(values, False, positives)
+        return DetectionCommitPlan(values, positives)
     if strategy.kind in (
         AliceKind.IGNORANT,
         AliceKind.RANDOM_DISTINCT_COMMIT,
@@ -320,7 +318,7 @@ def _alice_detection_commits(
         # same way but keeps every received system unmeasured.
         chosen = rng.choice(np.arange(1, n_plus_1 + 1), size=q, replace=False)
         values = tuple(int(v) for v in chosen)
-        return DetectionCommitPlan(values, False, None)
+        return DetectionCommitPlan(values, None)
     raise ConfigurationError(
         f"alice strategy {strategy.kind.value!r} does not play the receiver protocol"
     )
@@ -401,12 +399,8 @@ def _bob_final_guess(strategy: BobStrategy, ctx: FinalGuessContext) -> PureState
             return covariant_estimate(ctx.retained, 1, rng).guess
         raise ConfigurationError("substitute strategy holds nothing to estimate")
     if strategy.kind is BobKind.MEASURE_RETAIN_GUESS:
-        if ctx.copies:
-            # Sender protocol, honest Alice: every received copy plus the
-            # original is available for estimation afterwards.
-            return covariant_estimate(ctx.copies[0], len(ctx.copies), rng).guess
         if ctx.retained is not None:
-            return covariant_estimate(ctx.retained, 1, rng).guess
+            return covariant_estimate(ctx.retained, ctx.copies, rng).guess
         if ctx.basis is not None:
             index = ctx.unveiled_value if ctx.unveiled_value is not None else ctx.reported
             if index is None:

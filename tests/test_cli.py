@@ -117,6 +117,22 @@ def test_simulate_negative_transcript_limit_exit_2(tmp_path, capsys):
     assert not path.exists() and not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--protocol", "a2b", "--d", "3", "--n", "2", "--q", "5"],
+    ["--protocol", "a2b", "--d", "2", "--n", "2", "--cheat-epsilon", "0.1"],
+    ["--protocol", "classical1", "--d", "2", "--n", "7"],
+    ["--protocol", "b2a", "--d", "2", "--n", "4", "--eps-c-target", "0.5"],
+    ["--protocol", "classical1", "--d", "2", "--transcript-limit", "3"],
+])
+def test_ignored_flags_exit_2(flags, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    code = run_cli(["simulate", *flags, "--alice", "ignorant", "--trials", "5",
+                    "--out", str(out)])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_single_value(tmp_path, capsys):
     code = run_cli([
         "sweep", "--protocol", "a2b", "--d", "2", "--alice", "ignorant",
@@ -192,3 +208,26 @@ def test_config_file_entries_are_checked_like_flags(tmp_path, capsys):
         run_cli(["simulate", "--config", str(cfg)])
     assert exc.value.code == 2
     assert "required: --d" in capsys.readouterr().err
+
+
+def test_sweep_rows_reproduce_at_their_printed_seed(capsys):
+    run = ["--protocol", "a2b", "--d", "2", "--alice", "ignorant", "--trials", "50"]
+    assert run_cli(["sweep", *run, "--seed", "5", "--axis", "n", "--values", "1,2"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(lines) == 2
+    for line in lines:
+        fields = line.split(",")
+        n, seed = fields[5], fields[9]
+        assert seed != "5"  # each row runs at its own derived seed
+        assert run_cli(["simulate", *run, "--n", n, "--seed", seed]) == 0
+        assert capsys.readouterr().out.strip().split("\n")[1] == line
+
+
+def test_sweep_jsonl_has_one_json_row_per_value(capsys):
+    sweep = ["sweep", "--protocol", "a2b", "--d", "2", "--alice", "ignorant",
+             "--trials", "50", "--seed", "5", "--axis", "n", "--values", "1,2"]
+    assert run_cli(sweep + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["n"] for row in rows] == [1, 2]
+    assert run_cli(sweep + ["--format", "jsonl"]) == 0
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == rows

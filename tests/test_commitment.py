@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qwitness.commitment import (
-    CommitmentConfig,
     CommitmentPhase,
     commit,
     expire,
@@ -15,6 +14,7 @@ from qwitness.commitment import (
     unveil,
 )
 from qwitness.errors import CommitmentPhaseError, ConfigurationError
+from qwitness.protocols import ProtocolParams
 from qwitness.spacetime import AgentId, AgentSite, Transcript
 
 SITE = AgentSite(AgentId.A2, 1.01)
@@ -22,8 +22,7 @@ SITE = AgentSite(AgentId.A2, 1.01)
 
 def fresh(value, alphabet=12, cheat=0.0):
     tr = Transcript()
-    cfg = CommitmentConfig(alphabet_size=alphabet, cheat_epsilon=cheat)
-    c = commit(value, cfg, SITE, 0.0, tr)
+    c = commit(value, alphabet, cheat, SITE, 0.0, tr)
     return c, tr
 
 
@@ -32,24 +31,17 @@ def test_round_trip_honest_unveil():
     for value in (0, 5, 11):
         c, tr = fresh(value)
         sustain(c, SITE, 0.02, tr)
-        result = unveil(c, value, rng, SITE, 0.05, tr)
-        assert result.accepted
+        assert unveil(c, value, rng, SITE, 0.05, tr) is True
         assert c.phase is CommitmentPhase.UNVEILED
 
 
 def test_commit_range_checked():
     tr = Transcript()
-    cfg = CommitmentConfig(alphabet_size=12)  # indices 0..11 for N = 10
+    # Alphabet 12: indices 0..11 for N = 10.
     with pytest.raises(ValueError):
-        commit(12, cfg, SITE, 0.0, tr)
+        commit(12, 12, 0.0, SITE, 0.0, tr)
     with pytest.raises(ValueError):
-        commit(-1, cfg, SITE, 0.0, tr)
-
-
-def test_unresolved_alphabet_rejected():
-    tr = Transcript()
-    with pytest.raises(ConfigurationError):
-        commit(0, CommitmentConfig(), SITE, 0.0, tr)
+        commit(-1, 12, 0.0, SITE, 0.0, tr)
 
 
 def test_hiding_receiver_views_identical_across_values():
@@ -65,9 +57,8 @@ def test_hiding_receiver_views_identical_across_values():
 def test_hiding_holds_for_commitment_sets():
     def views(values):
         tr = Transcript()
-        cfg = CommitmentConfig(alphabet_size=12)
         return json.dumps(
-            [commit(v, cfg, SITE, 0.0, tr).receiver_view() for v in values],
+            [commit(v, 12, 0.0, SITE, 0.0, tr).receiver_view() for v in values],
             sort_keys=True,
         )
 
@@ -115,7 +106,7 @@ def test_dishonest_unveil_rejected_when_binding_perfect():
     for _ in range(200):
         c, tr = fresh(4, cheat=0.0)
         sustain(c, SITE, 0.02, tr)
-        assert not unveil(c, 5, rng, SITE, 0.05, tr).accepted
+        assert unveil(c, 5, rng, SITE, 0.05, tr) is False
 
 
 @pytest.mark.parametrize("cheat", [0.0, 0.05, 0.2])
@@ -126,7 +117,7 @@ def test_binding_failure_frequency(cheat):
     for _ in range(trials):
         c, tr = fresh(4, cheat=cheat)
         sustain(c, SITE, 0.02, tr)
-        accepted += unveil(c, 5, rng, SITE, 0.05, tr).accepted
+        accepted += unveil(c, 5, rng, SITE, 0.05, tr)
     se = math.sqrt(max(cheat * (1 - cheat), 1e-12) / trials)
     assert abs(accepted / trials - cheat) <= 4 * se + 1e-12
 
@@ -138,22 +129,13 @@ def test_dishonest_unveil_frequency_example():
     for _ in range(trials):
         c, tr = fresh(2, cheat=0.1)
         sustain(c, SITE, 0.02, tr)
-        accepted += unveil(c, 0, rng, SITE, 0.05, tr).accepted
+        accepted += unveil(c, 0, rng, SITE, 0.05, tr)
     se = math.sqrt(0.1 * 0.9 / trials)
     assert abs(accepted / trials - 0.1) <= 3 * se
 
 
 def test_cheat_epsilon_validated():
-    with pytest.raises(ConfigurationError):
-        CommitmentConfig(alphabet_size=4, cheat_epsilon=1.0)
-
-
-def test_with_alphabet_is_cached_and_still_checked():
-    open_cfg = CommitmentConfig(cheat_epsilon=0.1)
-    resolved = open_cfg.with_alphabet(6)
-    assert resolved == CommitmentConfig(alphabet_size=6, cheat_epsilon=0.1)
-    assert open_cfg.with_alphabet(6) is resolved
-    assert resolved.with_alphabet(6) is resolved.with_alphabet(6)
-    for _ in range(2):
+    # The binding failure is a protocol parameter; it must be a probability below 1.
+    for bad in (1.0, -0.1, math.nan):
         with pytest.raises(ConfigurationError):
-            resolved.with_alphabet(7)
+            ProtocolParams(d=2, cheat_epsilon=bad)

@@ -145,6 +145,21 @@ def test_parameter_validation():
     for bad in (math.nan, -0.1, 1.0):
         with pytest.raises(ConfigurationError):
             ProtocolParams(d=2, eps_c_target=bad)
+    # Settings a protocol would ignore are rejected for it.
+    ignored = [
+        (Protocol.QUANTUM_A2B, ProtocolParams(d=3, n=2, q=5)),
+        (Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=2, cheat_epsilon=0.1)),
+        (Protocol.CLASSICAL1, ProtocolParams(d=2, n=7)),
+        (Protocol.CLASSICAL2, ProtocolParams(d=4, n=1, q=2)),
+        (Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=2, eps_c_target=0.5)),
+        (Protocol.QUANTUM_B2A, ProtocolParams(d=2, n=4, eps_c_target=0.5)),
+        (Protocol.QUANTUM_B2A_ABORT, ProtocolParams(d=2, n=4, eps_c_target=0.5)),
+    ]
+    for protocol, params in ignored:
+        with pytest.raises(ConfigurationError):
+            params.check(protocol)
+    ProtocolParams(d=4, q=2, eps_c_target=0.1, cheat_epsilon=0.1).check(Protocol.CLASSICAL2)
+    ProtocolParams(d=2, n=4, cheat_epsilon=0.1).check(Protocol.QUANTUM_B2A)
 
 
 @pytest.mark.parametrize("d, n", [(8, 4), (2, 11)])
@@ -391,6 +406,30 @@ def test_transcripts_pass_causality_validation(protocol, params, alice, bob):
         out = run_protocol(protocol, params, alice, bob, rng)
         report = out.transcript.validate()
         assert report.ok, report.violations
+
+
+@pytest.mark.parametrize(
+    "protocol,params",
+    [
+        (Protocol.CLASSICAL1, ProtocolParams(d=2)),
+        (Protocol.CLASSICAL2, ProtocolParams(d=4, q=2)),
+        (Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=0)),
+        (Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=2)),
+        (Protocol.QUANTUM_B2A, ProtocolParams(d=2, n=4, q=2)),
+        (Protocol.QUANTUM_B2A_ABORT, ProtocolParams(d=2, n=6, q=4)),
+    ],
+)
+def test_verdict_accept_is_a_python_bool(protocol, params):
+    # A numpy bool would hash into the payload digest as the string "True".
+    rng = np.random.default_rng(1)
+    seen = set()
+    for _ in range(40):
+        out = run_protocol(protocol, params, IGNORANT, HONEST_B, rng)
+        for e in out.transcript.events:
+            if e.payload.get("step") == "verdict":
+                assert type(e.payload["accept"]) is bool
+                seen.add(e.payload["accept"])
+    assert seen  # every protocol announced at least one verdict
 
 
 # ---------------------------------------------------------------------------
