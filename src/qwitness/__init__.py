@@ -1,6 +1,6 @@
 """Simulation lab for knowledge-evidencing protocols on random qudit states."""
 
-from .commitment import Commitment, CommitmentPhase, commit, expire, sustain, unveil
+from .commitment import Commitment, CommitmentPhase, commit, sustain, unveil
 from .estimation import EstimationResult, basis_measure_guess, covariant_estimate, mean_estimation_fsq
 from .harness import (
     ComparisonReport,

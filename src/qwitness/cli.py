@@ -227,7 +227,6 @@ def _build_spec(args) -> ExperimentSpec:
         q=args.q,
         eps_c_target=args.eps_c_target,
         abort_epsilon=args.abort_epsilon,
-        cheat_epsilon=args.cheat_epsilon,
     )
     return ExperimentSpec(
         protocol=Protocol(args.protocol),
@@ -290,15 +289,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _build_spec(args)
+    parse = float if args.axis in ("eps_c_target", "abort_epsilon") else int
     values = []
     for chunk in args.values.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if args.axis in ("eps_c_target", "abort_epsilon"):
-            values.append(float(chunk))
-        else:
-            values.append(int(chunk))
+        try:
+            values.append(parse(chunk))
+        except ValueError:
+            raise ConfigurationError(f"--values: {chunk!r} is not a valid {args.axis}") from None
+    if not values:
+        raise ConfigurationError("--values names no value to sweep")
     rows = sweep(spec, args.axis, values, jobs=args.jobs)
     table = [result_row(row.spec, row.stats, formula_target(row.spec)) for row in rows]
     _write_output(args.out, _format_rows(table, args.format))
@@ -350,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=0)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--eps-c-target", type=float, default=0.0)
-        p.add_argument("--abort-epsilon", type=float, default=0.1)
-        p.add_argument("--cheat-epsilon", type=float, default=0.0)
+        p.add_argument("--abort-epsilon", type=float, default=None,
+                       help="b2a-abort without --q only (default 0.1)")
         p.add_argument("--alice", help="required, here or in the config file")
         p.add_argument("--bob", default="honest")
         p.add_argument("--metric", default="acceptance",

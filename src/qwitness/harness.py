@@ -141,6 +141,11 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         self.params.check(self.protocol)
+        # Only honest Alice aims her measurement at a completeness error.
+        if self.params.eps_c_target > 0.0 and self.alice.kind is not AliceKind.HONEST_KNOWING:
+            raise ConfigurationError(
+                f"eps_c_target applies to honest Alice only, not {self.alice.kind.value}"
+            )
 
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -279,7 +284,8 @@ def formula_target(spec: ExperimentSpec) -> tuple[float, BoundKind] | None:
     if metric is Metric.MEAN_FSQ:
         if bob is BobKind.SKIP_PROTOCOL_MEASURE:
             return figures.baseline_fsq, BoundKind.EXACT
-        if bob is BobKind.MEASURE_RETAIN_GUESS:
+        # The paper's concealment figures hold for honest Alice.
+        if bob is BobKind.MEASURE_RETAIN_GUESS and alice is AliceKind.HONEST_KNOWING:
             return figures.concealment, figures.concealment_kind
         return None
     if metric is Metric.ALICE_MEAN_FSQ and alice is AliceKind.STEAL_STATE:
@@ -310,14 +316,17 @@ def sweep(base: ExperimentSpec, axis: str, values, jobs: int = 1) -> list[SweepR
     """Rerun the experiment along one parameter axis, each row over ``jobs`` processes."""
     if axis not in _SWEEP_AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; pick one of {_SWEEP_AXES}")
-    rows: list[SweepRow] = []
+    # Every row's spec is built, and so checked, before any row runs.
+    specs = []
     for row_index, value in enumerate(values):
         params = replace(base.params, **{axis: value})
         row_seed = int(
             np.random.SeedSequence(base.master_seed, spawn_key=(10_000 + row_index,))
             .generate_state(1)[0]
         )
-        spec = replace(base, params=params, master_seed=row_seed)
+        specs.append(replace(base, params=params, master_seed=row_seed))
+    rows: list[SweepRow] = []
+    for spec in specs:
         stats = run_trials(spec, jobs)
         target = formula_target(spec)
         if target is None:

@@ -87,18 +87,19 @@ class ProtocolParams:
     """Security parameters shared by all protocols.
 
     ``d`` is the qudit dimension, ``n`` the decoy or copy count, ``q``
-    the commitment-list length (None resolves to the protocol default,
-    ceil((n + 1) / d) for the receiver protocol and 1 otherwise), and
-    ``cheat_epsilon`` the probability that a commitment accepts an
-    unveiling of a value it was not committed to.
+    the commitment-list length (None resolves to the protocol default:
+    ceil((n + 1) / d) for the receiver protocol, ceil(n/d + abort_epsilon n)
+    for its abort variant and 1 otherwise), ``eps_c_target`` honest
+    Alice's completeness error in the classical protocols, and
+    ``abort_epsilon`` the abort variant's detection headroom (None means
+    0.1), read only when that variant derives its own q.
     """
 
     d: int
     n: int = 0
     q: int | None = None
     eps_c_target: float = 0.0
-    abort_epsilon: float = 0.1
-    cheat_epsilon: float = 0.0
+    abort_epsilon: float | None = None
 
     def __post_init__(self) -> None:
         if self.d < 2:
@@ -109,23 +110,26 @@ class ProtocolParams:
             raise ConfigurationError("commitment-list length q must be >= 1")
         if not 0.0 <= self.eps_c_target < 1.0:
             raise ConfigurationError("eps_c_target must lie in [0, 1)")
-        if not 0.0 < self.abort_epsilon < math.inf:
+        if self.abort_epsilon is not None and not 0.0 < self.abort_epsilon < math.inf:
             raise ConfigurationError("abort_epsilon must be positive and finite")
-        if not 0.0 <= self.cheat_epsilon < 1.0:
-            raise ConfigurationError("cheat_epsilon must lie in [0, 1)")
 
     def check(self, protocol: Protocol) -> None:
         """Reject a setting that ``protocol`` would accept and then ignore."""
         classical = protocol in (Protocol.CLASSICAL1, Protocol.CLASSICAL2)
         if protocol is Protocol.QUANTUM_A2B and self.q is not None:
             raise ConfigurationError("a2b commits nothing, so q does not apply")
-        if protocol is Protocol.QUANTUM_A2B and self.cheat_epsilon > 0.0:
-            raise ConfigurationError("a2b has no commitments, so cheat_epsilon does not apply")
         if classical and self.n > 0:
             raise ConfigurationError(f"{protocol.value} sends no extra systems, so n must be 0")
         if not classical and self.eps_c_target > 0.0:
             raise ConfigurationError(
                 f"eps_c_target applies to the classical protocols only, not {protocol.value}"
+            )
+        if self.abort_epsilon is not None and (
+            protocol is not Protocol.QUANTUM_B2A_ABORT or self.q is not None
+        ):
+            raise ConfigurationError(
+                "abort_epsilon only sets the default q of b2a-abort, so it needs "
+                "b2a-abort without an explicit q"
             )
         self.resolved_q(protocol)
 
@@ -136,7 +140,8 @@ class ProtocolParams:
             q = math.ceil((self.n + 1) / self.d)
         elif protocol is Protocol.QUANTUM_B2A_ABORT:
             # Detection budget with headroom so the abort rate is tail-bounded.
-            q = max(1, math.ceil(self.n / self.d + self.abort_epsilon * self.n))
+            eps = 0.1 if self.abort_epsilon is None else self.abort_epsilon
+            q = max(1, math.ceil(self.n / self.d + eps * self.n))
         else:
             q = 1
         if protocol in (Protocol.QUANTUM_B2A, Protocol.QUANTUM_B2A_ABORT):
@@ -328,8 +333,7 @@ def _run_classical(
         depends_on=(announce.event_id,),
     )
     commitments: list[Commitment] = [
-        commit(v, params.d, params.cheat_epsilon, a2, 0.0, tr,
-               depends_on=(shared.event_id,))
+        commit(v, params.d, a2, 0.0, tr, depends_on=(shared.event_id,))
         for v in plan.commit_values
     ]
     # Second commitment round, run by the near pair from pre-shared data.
@@ -339,9 +343,7 @@ def _run_classical(
 
     # t = delta: B1 measures and reports.
     report = bob_act(bob, OutcomeReportContext(plan.basis, run.true_state, rng))
-    unveiled_value: int | None = None
-    unveil_deps: tuple[int, ...] = ()
-    verdict = Verdict.REJECT
+    accept = report.reported in plan.commit_values
     if report.reported is None:
         tr.emit(t.delta, b1, EventKind.ANNOUNCE, {"step": "no-report"})
     else:
@@ -358,42 +360,39 @@ def _run_classical(
             depends_on=(sent.event_id,),
         )
         # t = delta': A1 unveils iff the report matches a committed index.
-        if report.reported in plan.commit_values:
+        unveil_deps: tuple[int, ...] = ()
+        if accept:
             slot = plan.commit_values.index(report.reported)
-            accepted = unveil(
-                commitments[slot], report.reported, rng, a1, t.delta_prime, tr,
+            opened = unveil(
+                commitments[slot], a1, t.delta_prime, tr,
                 depends_on=(report_rx.event_id, shared.event_id),
             )
-            unveil_deps = (commitments[slot].phase_events[-1].event_id,)
-            if accepted:
-                unveiled_value = report.reported
+            unveil_deps = (opened.event_id,)
         else:
             tr.emit(
                 t.delta_prime, a1, EventKind.ANNOUNCE, {"step": "failure"},
                 depends_on=(report_rx.event_id,),
             )
         # Verdict once B1 can compare notes with B2 across the separation.
-        verdict_time = t.D + t.delta_prime
-        accept = unveiled_value is not None and unveiled_value == report.reported
         tr.emit(
-            verdict_time, b1, EventKind.ANNOUNCE,
+            t.D + t.delta_prime, b1, EventKind.ANNOUNCE,
             {"step": "verdict", "accept": accept},
             depends_on=(*unveil_deps, commitments[0].phase_events[0].event_id),
         )
-        verdict = Verdict.ACCEPT if accept else Verdict.REJECT
 
     guess = bob_act(
         bob,
         FinalGuessContext(
             basis=plan.basis,
             reported=report.reported,
-            unveiled_value=unveiled_value,
+            unveiled=accept,
             retained=report.retained,
             rng=rng,
         ),
     )
     return ProtocolOutcome(
-        verdict, tr, record_guess(guess, run.true_state), None, run.true_state
+        Verdict.ACCEPT if accept else Verdict.REJECT,
+        tr, record_guess(guess, run.true_state), None, run.true_state,
     )
 
 
@@ -532,7 +531,7 @@ def _run_b2a(
     for slot in order:
         value = plan.commit_values[int(slot)]
         c = commit(
-            value, n + 2, params.cheat_epsilon, a1, 0.0, tr,
+            value, n + 2, a1, 0.0, tr,
             depends_on=(shared.event_id,) + measure_deps,
         )
         commitments.append((value, c))
@@ -553,24 +552,22 @@ def _run_b2a(
 
     x = package.announced_label
     unveil_time = t.delta_prime + 2 * t.d_small
-    unveiled: int | None = None
-    unveil_deps: tuple[int, ...] = ()
+    # Alice can unveil, and Bob accepts, iff a commitment holds the label.
     matching = [c for value, c in commitments if value == x]
-    if matching:
-        accepted = unveil(
-            matching[0], x, rng, a1, unveil_time, tr,
+    accept = bool(matching)
+    unveil_deps: tuple[int, ...] = ()
+    if accept:
+        opened = unveil(
+            matching[0], a1, unveil_time, tr,
             depends_on=(x_received.event_id, shared.event_id),
         )
-        unveil_deps = (matching[0].phase_events[-1].event_id,)
-        if accepted:
-            unveiled = x
+        unveil_deps = (opened.event_id,)
     else:
         tr.emit(
             unveil_time, a1, EventKind.ANNOUNCE, {"step": "failure"},
             depends_on=(x_received.event_id,),
         )
 
-    accept = unveiled == x
     # q >= 1, so the first commitment's sustain event always exists.
     first_sustain = commitments[0][1].phase_events[1]
     tr.emit(

@@ -72,7 +72,11 @@ class AliceStrategy:
     @classmethod
     def from_name(cls, name: str) -> "AliceStrategy":
         if name.startswith("subspace-"):
-            return cls(AliceKind.SUBSPACE_KNOWLEDGE, int(name.split("-", 1)[1]))
+            try:
+                k = int(name.split("-", 1)[1])
+            except ValueError:
+                raise ConfigurationError(f"alice strategy {name!r} needs an integer k") from None
+            return cls(AliceKind.SUBSPACE_KNOWLEDGE, k)
         try:
             return cls(AliceKind(name))
         except ValueError:
@@ -195,7 +199,8 @@ class FinalGuessContext:
     """Close-out: Bob turns whatever he holds into a guess, or nothing.
 
     ``copies`` counts the copies of ``retained`` that retain-guess Bob
-    estimates from.
+    estimates from; ``unveiled`` says Alice opened a commitment to
+    ``reported``, which binding makes the only value she can open.
     """
 
     rng: np.random.Generator
@@ -203,7 +208,7 @@ class FinalGuessContext:
     copies: int = 1
     basis: np.ndarray | None = None
     reported: int | None = None
-    unveiled_value: int | None = None
+    unveiled: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +395,8 @@ def _bob_final_guess(strategy: BobStrategy, ctx: FinalGuessContext) -> PureState
         if ctx.basis is not None and ctx.retained is not None:
             # Classical protocols: the unveiled index pins the projector down;
             # otherwise measure the kept state in the announced basis.
-            if ctx.unveiled_value is not None:
-                return PureState(ctx.basis[:, ctx.unveiled_value])
+            if ctx.unveiled:
+                return PureState(ctx.basis[:, ctx.reported])
             rotated = PureState(ctx.basis.conj().T @ ctx.retained.amplitudes)
             outcome = measure_basis(rotated, rng)
             return PureState(ctx.basis[:, outcome])
@@ -402,10 +407,8 @@ def _bob_final_guess(strategy: BobStrategy, ctx: FinalGuessContext) -> PureState
         if ctx.retained is not None:
             return covariant_estimate(ctx.retained, ctx.copies, rng).guess
         if ctx.basis is not None:
-            index = ctx.unveiled_value if ctx.unveiled_value is not None else ctx.reported
-            if index is None:
-                return None
-            return PureState(ctx.basis[:, index])
+            # Classical protocols: any unveiling opens his own report.
+            return PureState(ctx.basis[:, ctx.reported])
         return None
     raise ConfigurationError(f"unsupported bob strategy {strategy.kind.value!r}")
 

@@ -119,10 +119,12 @@ def test_simulate_negative_transcript_limit_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--protocol", "a2b", "--d", "3", "--n", "2", "--q", "5"],
-    ["--protocol", "a2b", "--d", "2", "--n", "2", "--cheat-epsilon", "0.1"],
     ["--protocol", "classical1", "--d", "2", "--n", "7"],
     ["--protocol", "b2a", "--d", "2", "--n", "4", "--eps-c-target", "0.5"],
     ["--protocol", "classical1", "--d", "2", "--transcript-limit", "3"],
+    ["--protocol", "classical1", "--d", "2", "--eps-c-target", "0.1"],
+    ["--protocol", "b2a", "--d", "2", "--n", "4", "--abort-epsilon", "0.3"],
+    ["--protocol", "b2a-abort", "--d", "2", "--n", "4", "--q", "2", "--abort-epsilon", "0.3"],
 ])
 def test_ignored_flags_exit_2(flags, tmp_path, capsys):
     out = tmp_path / "o.csv"
@@ -131,6 +133,91 @@ def test_ignored_flags_exit_2(flags, tmp_path, capsys):
     assert code == 2
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_removed_cheat_epsilon_flag_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--protocol", "b2a", "--d", "2", "--n", "4",
+                 "--alice", "ignorant", "--cheat-epsilon", "0.1"])
+    assert exc.value.code == 2
+
+
+_B2A_RUN = ["--protocol", "b2a", "--d", "2", "--n", "4", "--trials", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *_B2A_RUN, "--alice", "subspace-x"],
+    ["sweep", *_B2A_RUN, "--alice", "subspace-x", "--axis", "n", "--values", "1"],
+    ["sweep", *_B2A_RUN, "--alice", "ignorant", "--axis", "n", "--values", "1,x"],
+    ["sweep", *_B2A_RUN, "--alice", "ignorant", "--axis", "n", "--values", ""],
+    ["sweep", *_B2A_RUN, "--alice", "ignorant", "--axis", "abort_epsilon", "--values", "0.1,0.2"],
+])
+def test_malformed_values_exit_2(argv, capsys):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert "error" in captured.err
+    assert captured.out == ""
+
+
+# Each flag on each protocol either changes the run or is rejected: (protocol,
+# Alice, flag, two values). Rows that change the run differ in the estimate or
+# in the exported transcripts; the CSV itself echoes eps_c_target, so it is
+# not compared whole.
+_BASE = {
+    "classical1": ["--d", "3"],
+    "classical2": ["--d", "4", "--q", "2"],
+    "a2b": ["--d", "2", "--n", "2"],
+    "b2a": ["--d", "2", "--n", "4"],
+    "b2a-abort": ["--d", "2", "--n", "10"],
+}
+_FLAG_ROWS = [
+    ("classical1", "honest", "--n", "1", "2"),
+    ("classical1", "ignorant", "--q", "2", "3"),
+    ("classical1", "honest", "--eps-c-target", "0.1", "0.4"),
+    ("classical1", "ignorant", "--eps-c-target", "0.1", "0.4"),
+    ("classical1", "honest", "--abort-epsilon", "0.1", "0.4"),
+    ("classical2", "honest", "--n", "1", "2"),
+    ("classical2", "ignorant", "--q", "1", "3"),
+    ("classical2", "honest", "--eps-c-target", "0.1", "0.4"),
+    ("classical2", "subspace-2", "--eps-c-target", "0.1", "0.4"),
+    ("classical2", "honest", "--abort-epsilon", "0.1", "0.4"),
+    ("a2b", "ignorant", "--n", "1", "4"),
+    ("a2b", "ignorant", "--q", "1", "2"),
+    ("a2b", "honest", "--eps-c-target", "0.1", "0.4"),
+    ("a2b", "ignorant", "--abort-epsilon", "0.1", "0.4"),
+    ("b2a", "ignorant", "--n", "2", "6"),
+    ("b2a", "ignorant", "--q", "1", "3"),
+    ("b2a", "honest", "--eps-c-target", "0.1", "0.4"),
+    ("b2a", "honest", "--abort-epsilon", "0.1", "0.4"),
+    ("b2a-abort", "honest", "--n", "4", "10"),
+    ("b2a-abort", "honest", "--q", "3", "6"),
+    ("b2a-abort", "honest", "--eps-c-target", "0.1", "0.4"),
+    ("b2a-abort", "honest", "--abort-epsilon", "0.1", "0.4"),
+]
+
+
+@pytest.mark.parametrize("protocol, alice, flag, first, second", _FLAG_ROWS)
+def test_no_flag_is_silently_ignored(protocol, alice, flag, first, second, tmp_path, capsys):
+    results = []
+    for value in (first, second):
+        out, transcripts = tmp_path / f"{value}.csv", tmp_path / f"{value}.jsonl"
+        code = run_cli([
+            "simulate", "--protocol", protocol, *_BASE[protocol], "--alice", alice,
+            flag, value, "--trials", "100", "--seed", "3",
+            "--out", str(out), "--transcripts", str(transcripts),
+        ])
+        capsys.readouterr()
+        if code == 2:
+            results.append(None)
+            continue
+        assert code == 0
+        estimate = out.read_text().splitlines()[1].split(",")[10]
+        results.append((estimate, transcripts.read_bytes()))
+    if None in results:
+        assert results == [None, None], f"{flag} {first} and {second} must both be rejected"
+    else:
+        (est1, tr1), (est2, tr2) = results
+        assert est1 != est2 or tr1 != tr2
 
 
 def test_sweep_single_value(tmp_path, capsys):

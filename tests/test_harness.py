@@ -2,10 +2,12 @@
 
 import concurrent.futures
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qwitness import harness
 from qwitness.errors import ConfigurationError
 from qwitness.harness import (
     ExperimentSpec,
@@ -212,6 +214,19 @@ def test_formula_targets():
         HONEST_A, BobStrategy(BobKind.MEASURE_RETAIN_GUESS), Metric.MEAN_FSQ, 10, 0,
     )
     assert formula_target(retain) == (1.0, BoundKind.UPPER)
+    # Concealment figures hold for honest Alice; other Alices get no target.
+    a2b_retain = ExperimentSpec(
+        Protocol.QUANTUM_A2B, ProtocolParams(d=3, n=2),
+        HONEST_A, BobStrategy(BobKind.MEASURE_RETAIN_GUESS), Metric.MEAN_FSQ, 10, 0,
+    )
+    assert formula_target(a2b_retain) == (4 / 6, BoundKind.EXACT)
+    assert formula_target(replace(a2b_retain, alice=IGNORANT)) is None
+    classical_retain = ExperimentSpec(
+        Protocol.CLASSICAL1, ProtocolParams(d=2),
+        IGNORANT, BobStrategy(BobKind.MEASURE_RETAIN_GUESS), Metric.MEAN_FSQ, 10, 0,
+    )
+    assert formula_target(classical_retain) is None
+    assert formula_target(replace(classical_retain, alice=HONEST_A)) == (1.0, BoundKind.LOWER)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +240,16 @@ def test_sweep_empty_values():
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(ConfigurationError):
         sweep(spec_b2a(), "banana", [1])
+
+
+def test_sweep_checks_every_row_before_running_any(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a row ran before every row was checked")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    for axis, values in (("q", [2, 99]), ("abort_epsilon", [0.1])):
+        with pytest.raises(ConfigurationError):
+            sweep(spec_b2a(), axis, values)
 
 
 def test_sweep_sender_soundness_decreases():

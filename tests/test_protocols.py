@@ -126,8 +126,11 @@ def test_default_q_resolution():
     params = ProtocolParams(d=2, n=9)
     assert params.resolved_q(Protocol.QUANTUM_B2A) == 5  # ceil(10 / 2)
     assert params.resolved_q(Protocol.CLASSICAL1) == 1
-    abort_params = ProtocolParams(d=2, n=100, abort_epsilon=0.1)
-    assert abort_params.resolved_q(Protocol.QUANTUM_B2A_ABORT) == 60
+    # q = ceil(n/d + abort_epsilon n), with abort_epsilon 0.1 by default.
+    for abort_params in (ProtocolParams(d=2, n=100), ProtocolParams(d=2, n=100, abort_epsilon=0.1)):
+        assert abort_params.resolved_q(Protocol.QUANTUM_B2A_ABORT) == 60
+    assert ProtocolParams(d=2, n=100, abort_epsilon=0.3).resolved_q(
+        Protocol.QUANTUM_B2A_ABORT) == 80
 
 
 def test_parameter_validation():
@@ -148,18 +151,28 @@ def test_parameter_validation():
     # Settings a protocol would ignore are rejected for it.
     ignored = [
         (Protocol.QUANTUM_A2B, ProtocolParams(d=3, n=2, q=5)),
-        (Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=2, cheat_epsilon=0.1)),
         (Protocol.CLASSICAL1, ProtocolParams(d=2, n=7)),
         (Protocol.CLASSICAL2, ProtocolParams(d=4, n=1, q=2)),
         (Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=2, eps_c_target=0.5)),
         (Protocol.QUANTUM_B2A, ProtocolParams(d=2, n=4, eps_c_target=0.5)),
         (Protocol.QUANTUM_B2A_ABORT, ProtocolParams(d=2, n=4, eps_c_target=0.5)),
+        (Protocol.CLASSICAL1, ProtocolParams(d=2, abort_epsilon=0.3)),
+        (Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=2, abort_epsilon=0.3)),
+        (Protocol.QUANTUM_B2A, ProtocolParams(d=2, n=4, abort_epsilon=0.3)),
+        (Protocol.QUANTUM_B2A_ABORT, ProtocolParams(d=2, n=4, q=2, abort_epsilon=0.3)),
     ]
     for protocol, params in ignored:
         with pytest.raises(ConfigurationError):
             params.check(protocol)
-    ProtocolParams(d=4, q=2, eps_c_target=0.1, cheat_epsilon=0.1).check(Protocol.CLASSICAL2)
-    ProtocolParams(d=2, n=4, cheat_epsilon=0.1).check(Protocol.QUANTUM_B2A)
+    ProtocolParams(d=4, q=2, eps_c_target=0.1).check(Protocol.CLASSICAL2)
+    ProtocolParams(d=2, n=4, abort_epsilon=0.3).check(Protocol.QUANTUM_B2A_ABORT)
+    # Only honest Alice reads eps_c_target, so the experiment rejects it for others.
+    for alice in (IGNORANT, AliceStrategy(AliceKind.SUBSPACE_KNOWLEDGE, 2)):
+        with pytest.raises(ConfigurationError):
+            ExperimentSpec(
+                Protocol.CLASSICAL2, ProtocolParams(d=4, q=2, eps_c_target=0.1),
+                alice, HONEST_B, Metric.ACCEPTANCE, 10, 0,
+            )
 
 
 @pytest.mark.parametrize("d, n", [(8, 4), (2, 11)])

@@ -50,8 +50,8 @@ PINNED = {
         200, 0, '0x1.3ce68ca193ed9p+6', '0x1.3c10c1292cdcfp+5',
         'f366b6b084fa6479f04216a896310b057b14f116173fb540cdf0f67ad21045ad',
     ),
-    'classical2-cheat': (
-        '--protocol classical2 --d 4 --q 2 --alice ignorant --cheat-epsilon 0.3',
+    'classical2-ignorant': (
+        '--protocol classical2 --d 4 --q 2 --alice ignorant',
         200, 100, '0x0.0p+0', '0x0.0p+0',
         '72f97de25da852b0067753f938a529ee71a83c7c005f32d79a31f2346634a70a',
     ),
@@ -110,8 +110,8 @@ PINNED = {
         200, 0, '0x1.876efe3ff442dp+6', '0x1.d21ecfad1438ep+5',
         'fa6c3cd9127f7336c3e5032101261547a27411258e66307ce387ff478b5383c1',
     ),
-    'b2a-cheat': (
-        '--protocol b2a --d 2 --n 4 --q 2 --alice ignorant --cheat-epsilon 0.3',
+    'b2a-ignorant': (
+        '--protocol b2a --d 2 --n 4 --q 2 --alice ignorant',
         200, 67, '0x0.0p+0', '0x0.0p+0',
         '2f374317a87b5cef59cd5ccec7140caa6aa31b398d1cb4d3934fe90330327c16',
     ),
