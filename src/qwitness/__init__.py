@@ -51,10 +51,8 @@ from .spacetime import (
     AgentSite,
     EventKind,
     SpacetimeEvent,
-    TimingConfig,
     Transcript,
     causally_precedes,
-    standard_configuration,
     validate_transcript,
 )
 from .strategies import AliceKind, AliceStrategy, BobKind, BobStrategy, alice_act, bob_act

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .estimation import covariant_estimate, mean_estimation_fsq
 from .harness import (
+    SWEEP_AXES,
     ExperimentSpec,
     Metric,
-    compare_to_formula,
     formula_target,
     result_row,
     rows_to_csv,
@@ -263,8 +263,8 @@ def cmd_simulate(args) -> int:
         raise ConfigurationError(f"--transcript-limit must be nonnegative, got {limit}")
     spec = _build_spec(args)
     stats = run_trials(spec, jobs=args.jobs)
-    target = formula_target(spec)
-    _write_output(args.out, _format_rows([result_row(spec, stats, target)], args.format))
+    row = result_row(spec, stats, formula_target(spec))
+    _write_output(args.out, _format_rows([row], args.format))
     if args.transcripts:
         lines = []
         for i in range(min(spec.n_trials, limit)):
@@ -275,13 +275,10 @@ def cmd_simulate(args) -> int:
                 lines.append(json.dumps(entry, sort_keys=True))
         with open(args.transcripts, "w") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
-    if target is not None:
-        t_value, t_kind = target
-        report = compare_to_formula(stats, t_value, kind=t_kind)
+    if row["target"] is not None:
         print(
-            f"estimate {stats.estimate:.6g} +- {stats.std_err:.2g} "
-            f"vs target {t_value:.6g} ({t_kind.value}): "
-            f"{'pass' if report.passed else 'fail'}",
+            f"estimate {row['estimate']:.6g} +- {row['std_err']:.2g} "
+            f"vs target {row['target']:.6g} ({row['target_kind']}): {row['verdict']}",
             file=sys.stderr,
         )
     return 0
@@ -289,7 +286,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _build_spec(args)
-    parse = float if args.axis in ("eps_c_target", "abort_epsilon") else int
+    parse = SWEEP_AXES[args.axis]
     values = []
     for chunk in args.values.split(","):
         chunk = chunk.strip()
@@ -374,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rerun along one parameter axis")
     add_run_options(p_sweep)
-    p_sweep.add_argument("--axis", required=True,
-                         choices=["d", "n", "q", "eps_c_target", "abort_epsilon"])
+    p_sweep.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -34,6 +34,8 @@ from .protocols import (
 from .strategies import AliceKind, AliceStrategy, BobKind, BobStrategy
 
 Z_DEFAULT = 3.0
+# Slack added to a comparison whose standard error vanishes.
+ZERO_SE_ATOL = 1e-9
 _Z95 = 1.959963984540054
 
 
@@ -141,6 +143,9 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         self.params.check(self.protocol)
+        k = self.alice.subspace_dim
+        if k is not None and k > self.params.d:
+            raise ConfigurationError(f"subspace dimension {k} exceeds d={self.params.d}")
         # Only honest Alice aims her measurement at a completeness error.
         if self.params.eps_c_target > 0.0 and self.alice.kind is not AliceKind.HONEST_KNOWING:
             raise ConfigurationError(
@@ -247,18 +252,17 @@ def compare_to_formula(
     target: float,
     z: float = Z_DEFAULT,
     kind: BoundKind = BoundKind.EXACT,
-    atol: float = 1e-9,
 ) -> ComparisonReport:
     """Compare an estimate with a closed-form target.
 
     Exact targets are two-sided: |estimate - target| <= z * std_err
-    (plus ``atol`` when the standard error vanishes). Upper bounds
+    (plus ``ZERO_SE_ATOL`` when the standard error vanishes). Upper bounds
     require estimate <= target + z * std_err, lower bounds the mirror.
     """
     if stats.n_trials == 0 and stats.formula_value is None:
         raise ConfigurationError("cannot compare empty stats")
     estimate, se = stats.estimate, stats.std_err
-    slack = z * se + (atol if se == 0.0 else 0.0)
+    slack = z * se + (ZERO_SE_ATOL if se == 0.0 else 0.0)
     diff = estimate - target
     if kind is BoundKind.EXACT:
         passed = abs(diff) <= slack
@@ -304,18 +308,18 @@ def formula_target(spec: ExperimentSpec) -> tuple[float, BoundKind] | None:
 class SweepRow:
     spec: ExperimentSpec  # the row's parameters and its own derived seed
     stats: TrialStats
-    target: float | None
-    target_kind: BoundKind | None
-    passed: bool | None
 
 
-_SWEEP_AXES = ("d", "n", "q", "eps_c_target", "abort_epsilon")
+# The ProtocolParams fields a sweep may vary, each with the type of its values.
+SWEEP_AXES = {"d": int, "n": int, "q": int, "eps_c_target": float, "abort_epsilon": float}
 
 
 def sweep(base: ExperimentSpec, axis: str, values, jobs: int = 1) -> list[SweepRow]:
     """Rerun the experiment along one parameter axis, each row over ``jobs`` processes."""
-    if axis not in _SWEEP_AXES:
-        raise ConfigurationError(f"unknown sweep axis {axis!r}; pick one of {_SWEEP_AXES}")
+    if axis not in SWEEP_AXES:
+        raise ConfigurationError(
+            f"unknown sweep axis {axis!r}; pick one of {tuple(SWEEP_AXES)}"
+        )
     # Every row's spec is built, and so checked, before any row runs.
     specs = []
     for row_index, value in enumerate(values):
@@ -325,17 +329,7 @@ def sweep(base: ExperimentSpec, axis: str, values, jobs: int = 1) -> list[SweepR
             .generate_state(1)[0]
         )
         specs.append(replace(base, params=params, master_seed=row_seed))
-    rows: list[SweepRow] = []
-    for spec in specs:
-        stats = run_trials(spec, jobs)
-        target = formula_target(spec)
-        if target is None:
-            rows.append(SweepRow(spec, stats, None, None, None))
-        else:
-            t_value, t_kind = target
-            report = compare_to_formula(stats, t_value, kind=t_kind)
-            rows.append(SweepRow(spec, stats, t_value, t_kind, report.passed))
-    return rows
+    return [SweepRow(spec, run_trials(spec, jobs)) for spec in specs]
 
 
 _CSV_COLUMNS = [

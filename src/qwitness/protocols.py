@@ -36,13 +36,7 @@ from .errors import ConfigurationError
 from .estimation import EstimationResult, covariant_estimate
 from .qudit import PureState, haar_random, symmetric_acceptance
 from .qudit import measure_binary  # noqa: F401 - perfbench tests read protocols.measure_binary
-from .spacetime import (
-    AgentId,
-    EventKind,
-    TimingConfig,
-    Transcript,
-    standard_configuration,
-)
+from .spacetime import A1, A2, B1, D, D_SMALL, DELTA, DELTA_PRIME, EventKind, Transcript
 from .strategies import (
     AliceKind,
     AliceStrategy,
@@ -149,6 +143,10 @@ class ProtocolParams:
                 raise ConfigurationError(f"q={q} must not exceed n + 1 = {self.n + 1}")
         if protocol is Protocol.CLASSICAL2 and q > self.d:
             raise ConfigurationError(f"q={q} must not exceed d={self.d}")
+        if protocol is Protocol.CLASSICAL2 and self.eps_c_target > 0.0 and q >= self.d:
+            raise ConfigurationError(
+                "eps_c_target > 0 needs q <= d - 1 so the residual stays uncovered"
+            )
         if protocol is Protocol.CLASSICAL1 and q != 1:
             raise ConfigurationError("classical1 commits exactly one index")
         return q
@@ -263,38 +261,19 @@ def closed_forms(protocol: Protocol, params: ProtocolParams) -> SecurityFigures:
 # ---------------------------------------------------------------------------
 # Shared run scaffolding
 
-# Every run uses the one standard two-pair layout.
-_TIMING = TimingConfig()
-_SITES = standard_configuration(_TIMING)
-_A1, _A2, _B1 = _SITES[AgentId.A1], _SITES[AgentId.A2], _SITES[AgentId.B1]
-
-
-@dataclass
-class _Run:
-    rng: np.random.Generator
-    transcript: Transcript
-    true_state: PureState
-
-
-def _start_run(params: ProtocolParams, rng: np.random.Generator) -> _Run:
-    return _Run(rng, Transcript(), haar_random(params.d, rng))
-
 
 def _bind_subspace(
-    strategy: AliceStrategy, run: _Run
+    strategy: AliceStrategy, eta: PureState, rng: np.random.Generator
 ) -> np.ndarray | None:
     if strategy.kind is AliceKind.SUBSPACE_KNOWLEDGE:
-        return knowledge_subspace(run.true_state, strategy.subspace_dim, run.rng)
+        return knowledge_subspace(eta, strategy.subspace_dim, rng)
     return None
 
 
-def _preshare_event(run: _Run):
+def _preshare_event(tr: Transcript):
     """Alice's agents share commitment data well before the run starts."""
-    return run.transcript.emit(
-        -(_TIMING.D + 2 * _TIMING.d_small),
-        _A1,
-        EventKind.ANNOUNCE,
-        {"step": "pre-shared commitment data"},
+    return tr.emit(
+        -(D + 2 * D_SMALL), A1, EventKind.ANNOUNCE, {"step": "pre-shared commitment data"}
     )
 
 
@@ -310,53 +289,48 @@ def _run_classical(
     rng: np.random.Generator,
 ) -> ProtocolOutcome:
     q = params.resolved_q(protocol)
-    run = _start_run(params, rng)
-    t, tr = _TIMING, run.transcript
-    a1, a2, b1 = _A1, _A2, _B1
+    tr, eta = Transcript(), haar_random(params.d, rng)
 
-    subspace = _bind_subspace(alice, run)
+    subspace = _bind_subspace(alice, eta, rng)
     plan = alice_act(
         alice,
-        MeasurementChoiceContext(
-            params.d, q, params.eps_c_target, run.true_state, subspace, rng
-        ),
+        MeasurementChoiceContext(params.d, q, params.eps_c_target, eta, subspace, rng),
     )
-    shared = _preshare_event(run)
+    shared = _preshare_event(tr)
 
     # t = 0: A1 announces the measurement, A2 commits the predicted indices.
     announce = tr.emit(
-        0.0, a1, EventKind.ANNOUNCE, {"step": "measurement", "outcomes": params.d},
+        0.0, A1, EventKind.ANNOUNCE, {"step": "measurement", "outcomes": params.d},
         depends_on=(shared.event_id,),
     )
     basis_rx = tr.emit(
-        t.d_small, b1, EventKind.RECEIVE, {"step": "measurement"},
+        D_SMALL, B1, EventKind.RECEIVE, {"step": "measurement"},
         depends_on=(announce.event_id,),
     )
     commitments: list[Commitment] = [
-        commit(v, params.d, a2, 0.0, tr, depends_on=(shared.event_id,))
+        commit(v, params.d, A2, 0.0, tr, depends_on=(shared.event_id,))
         for v in plan.commit_values
     ]
     # Second commitment round, run by the near pair from pre-shared data.
     for c in commitments:
-        sustain(c, a1, t.delta, tr, depends_on=(shared.event_id,),
-                window=(t.delta, t.delta))
+        sustain(c, A1, DELTA, tr, depends_on=(shared.event_id,), window=(DELTA, DELTA))
 
     # t = delta: B1 measures and reports.
-    report = bob_act(bob, OutcomeReportContext(plan.basis, run.true_state, rng))
+    report = bob_act(bob, OutcomeReportContext(plan.basis, eta, rng))
     accept = report.reported in plan.commit_values
     if report.reported is None:
-        tr.emit(t.delta, b1, EventKind.ANNOUNCE, {"step": "no-report"})
+        tr.emit(DELTA, B1, EventKind.ANNOUNCE, {"step": "no-report"})
     else:
         measured = tr.emit(
-            t.delta, b1, EventKind.MEASURE, {"outcome": report.reported},
+            DELTA, B1, EventKind.MEASURE, {"outcome": report.reported},
             depends_on=(basis_rx.event_id,),
         )
         sent = tr.emit(
-            t.delta, b1, EventKind.SEND, {"outcome": report.reported},
+            DELTA, B1, EventKind.SEND, {"outcome": report.reported},
             depends_on=(measured.event_id,),
         )
         report_rx = tr.emit(
-            t.delta + t.d_small, a1, EventKind.RECEIVE, {"step": "report"},
+            DELTA + D_SMALL, A1, EventKind.RECEIVE, {"step": "report"},
             depends_on=(sent.event_id,),
         )
         # t = delta': A1 unveils iff the report matches a committed index.
@@ -364,18 +338,18 @@ def _run_classical(
         if accept:
             slot = plan.commit_values.index(report.reported)
             opened = unveil(
-                commitments[slot], a1, t.delta_prime, tr,
+                commitments[slot], A1, DELTA_PRIME, tr,
                 depends_on=(report_rx.event_id, shared.event_id),
             )
             unveil_deps = (opened.event_id,)
         else:
             tr.emit(
-                t.delta_prime, a1, EventKind.ANNOUNCE, {"step": "failure"},
+                DELTA_PRIME, A1, EventKind.ANNOUNCE, {"step": "failure"},
                 depends_on=(report_rx.event_id,),
             )
         # Verdict once B1 can compare notes with B2 across the separation.
         tr.emit(
-            t.D + t.delta_prime, b1, EventKind.ANNOUNCE,
+            D + DELTA_PRIME, B1, EventKind.ANNOUNCE,
             {"step": "verdict", "accept": accept},
             depends_on=(*unveil_deps, commitments[0].phase_events[0].event_id),
         )
@@ -392,7 +366,7 @@ def _run_classical(
     )
     return ProtocolOutcome(
         Verdict.ACCEPT if accept else Verdict.REJECT,
-        tr, record_guess(guess, run.true_state), None, run.true_state,
+        tr, record_guess(guess, eta), None, eta,
     )
 
 
@@ -428,43 +402,39 @@ def run_quantum_a2b(
 ) -> ProtocolOutcome:
     """Alice supplies n systems; Bob projects all n + 1 onto the symmetric subspace."""
     d, n = params.d, params.n
-    run = _start_run(params, rng)
-    t, tr = _TIMING, run.transcript
-    a1, b1 = _A1, _B1
+    tr, eta = Transcript(), haar_random(d, rng)
 
-    subspace = _bind_subspace(alice, run)
+    subspace = _bind_subspace(alice, eta, rng)
     # Every copy-preparing strategy hands over n copies of one state phi.
-    phi = alice_act(alice, CopyPreparationContext(d, run.true_state, subspace, rng))
-    sent = tr.emit(0.0, a1, EventKind.SEND, {"systems": n})
+    phi = alice_act(alice, CopyPreparationContext(d, eta, subspace, rng))
+    sent = tr.emit(0.0, A1, EventKind.SEND, {"systems": n})
     received = tr.emit(
-        t.d_small, b1, EventKind.RECEIVE, {"systems": n}, depends_on=(sent.event_id,)
+        D_SMALL, B1, EventKind.RECEIVE, {"systems": n}, depends_on=(sent.event_id,)
     )
 
     verdict = Verdict.REJECT
     if bob.kind is BobKind.SKIP_PROTOCOL_MEASURE:
-        tr.emit(2 * t.d_small, b1, EventKind.ANNOUNCE, {"step": "no-measurement"})
-        guess = bob_act(bob, FinalGuessContext(retained=run.true_state, rng=rng))
+        tr.emit(2 * D_SMALL, B1, EventKind.ANNOUNCE, {"step": "no-measurement"})
+        guess = bob_act(bob, FinalGuessContext(retained=eta, rng=rng))
     else:
-        own = haar_random(d, rng) if bob.kind is BobKind.SUBSTITUTE_STATE else run.true_state
+        own = haar_random(d, rng) if bob.kind is BobKind.SUBSTITUTE_STATE else eta
         # One uniform is drawn even at n = 0, where the test accepts with certainty.
         accept = bool(rng.random() < symmetric_acceptance(phi, n, own))
         measured = tr.emit(
-            2 * t.d_small, b1, EventKind.MEASURE, {"outcome": int(accept)},
+            2 * D_SMALL, B1, EventKind.MEASURE, {"outcome": int(accept)},
             depends_on=(received.event_id,),
         )
         tr.emit(
-            3 * t.d_small, b1, EventKind.ANNOUNCE,
+            3 * D_SMALL, B1, EventKind.ANNOUNCE,
             {"step": "verdict", "accept": accept},
             depends_on=(measured.event_id,),
         )
         verdict = Verdict.ACCEPT if accept else Verdict.REJECT
         # After an honest run the copies are undisturbed; with honest Alice
         # they are all the unknown state, so Bob may estimate from n + 1 copies.
-        copies = n + 1 if alice.kind is AliceKind.HONEST_KNOWING and own is run.true_state else 1
-        guess = bob_act(bob, FinalGuessContext(retained=run.true_state, copies=copies, rng=rng))
-    return ProtocolOutcome(
-        verdict, tr, record_guess(guess, run.true_state), None, run.true_state
-    )
+        copies = n + 1 if alice.kind is AliceKind.HONEST_KNOWING and own is eta else 1
+        guess = bob_act(bob, FinalGuessContext(retained=eta, copies=copies, rng=rng))
+    return ProtocolOutcome(verdict, tr, record_guess(guess, eta), None, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -481,29 +451,22 @@ def _run_b2a(
     protocol = Protocol.QUANTUM_B2A_ABORT if abort_option else Protocol.QUANTUM_B2A
     q = params.resolved_q(protocol)
     d, n = params.d, params.n
-    run = _start_run(params, rng)
-    t, tr = _TIMING, run.transcript
-    a1, a2, b1 = _A1, _A2, _B1
+    tr, eta = Transcript(), haar_random(d, rng)
 
-    shared = _preshare_event(run)
-    package: Package = bob_act(bob, PackageContext(run.true_state, n, d, rng))
+    shared = _preshare_event(tr)
+    package: Package = bob_act(bob, PackageContext(eta, n, d, rng))
 
-    sent = tr.emit(
-        -2 * t.d_small, b1, EventKind.SEND, {"systems": n + 1}
-    )
+    sent = tr.emit(-2 * D_SMALL, B1, EventKind.SEND, {"systems": n + 1})
     received = tr.emit(
-        -t.d_small, a1, EventKind.RECEIVE, {"systems": n + 1},
+        -D_SMALL, A1, EventKind.RECEIVE, {"systems": n + 1},
         depends_on=(sent.event_id,),
     )
 
-    plan = alice_act(
-        alice,
-        DetectionCommitContext(package.systems, q, run.true_state, abort_option, rng),
-    )
+    plan = alice_act(alice, DetectionCommitContext(package.systems, q, eta, abort_option, rng))
     measure_deps: tuple[int, ...] = (received.event_id,)
     if plan.positives is not None:
         measured = tr.emit(
-            -t.d_small / 2, a1, EventKind.MEASURE,
+            -D_SMALL / 2, A1, EventKind.MEASURE,
             {"systems": n + 1, "positives": plan.positives},
             depends_on=measure_deps,
         )
@@ -512,18 +475,17 @@ def _run_b2a(
     if plan.commit_values is None:
         # Abort announcements reach every agent before any verdict window.
         abort_announce = tr.emit(
-            0.0, a1, EventKind.ANNOUNCE, {"step": "abort"}, depends_on=measure_deps
+            0.0, A1, EventKind.ANNOUNCE, {"step": "abort"}, depends_on=measure_deps
         )
         tr.emit(
-            t.d_small, b1, EventKind.RECEIVE, {"step": "abort"},
+            D_SMALL, B1, EventKind.RECEIVE, {"step": "abort"},
             depends_on=(abort_announce.event_id,),
         )
         tr.emit(
-            t.D + t.d_small, a2, EventKind.RECEIVE, {"step": "abort"},
+            D + D_SMALL, A2, EventKind.RECEIVE, {"step": "abort"},
             depends_on=(abort_announce.event_id,),
         )
-        alice_guess = _steal_estimate(alice, package, run, None)
-        return ProtocolOutcome(Verdict.ABORT, tr, None, alice_guess, run.true_state)
+        return ProtocolOutcome(Verdict.ABORT, tr, true_state=eta)
 
     # The commitment alphabet covers 0..n+1: every label plus the dummy 0.
     order = rng.permutation(len(plan.commit_values))
@@ -531,47 +493,44 @@ def _run_b2a(
     for slot in order:
         value = plan.commit_values[int(slot)]
         c = commit(
-            value, n + 2, a1, 0.0, tr,
+            value, n + 2, A1, 0.0, tr,
             depends_on=(shared.event_id,) + measure_deps,
         )
         commitments.append((value, c))
     for _, c in commitments:
-        sustain(
-            c, a2, t.delta, tr,
-            depends_on=(shared.event_id,), window=(t.delta, t.delta),
-        )
+        sustain(c, A2, DELTA, tr, depends_on=(shared.event_id,), window=(DELTA, DELTA))
 
     announce_x = tr.emit(
-        t.delta_prime, b1, EventKind.ANNOUNCE, {"label": package.announced_label},
+        DELTA_PRIME, B1, EventKind.ANNOUNCE, {"label": package.announced_label},
         depends_on=(sent.event_id,),
     )
     x_received = tr.emit(
-        t.delta_prime + t.d_small, a1, EventKind.RECEIVE, {"step": "label"},
+        DELTA_PRIME + D_SMALL, A1, EventKind.RECEIVE, {"step": "label"},
         depends_on=(announce_x.event_id,),
     )
 
     x = package.announced_label
-    unveil_time = t.delta_prime + 2 * t.d_small
+    unveil_time = DELTA_PRIME + 2 * D_SMALL
     # Alice can unveil, and Bob accepts, iff a commitment holds the label.
     matching = [c for value, c in commitments if value == x]
     accept = bool(matching)
     unveil_deps: tuple[int, ...] = ()
     if accept:
         opened = unveil(
-            matching[0], a1, unveil_time, tr,
+            matching[0], A1, unveil_time, tr,
             depends_on=(x_received.event_id, shared.event_id),
         )
         unveil_deps = (opened.event_id,)
     else:
         tr.emit(
-            unveil_time, a1, EventKind.ANNOUNCE, {"step": "failure"},
+            unveil_time, A1, EventKind.ANNOUNCE, {"step": "failure"},
             depends_on=(x_received.event_id,),
         )
 
     # q >= 1, so the first commitment's sustain event always exists.
     first_sustain = commitments[0][1].phase_events[1]
     tr.emit(
-        t.D + unveil_time, b1, EventKind.ANNOUNCE,
+        D + unveil_time, B1, EventKind.ANNOUNCE,
         {"step": "verdict", "accept": accept},
         depends_on=(*unveil_deps, first_sustain.event_id),
     )
@@ -579,24 +538,28 @@ def _run_b2a(
     bob_guess = None
     if bob.kind is not BobKind.HONEST:
         guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
-        bob_guess = record_guess(guess, run.true_state)
-    alice_guess = _steal_estimate(alice, package, run, x)
+        bob_guess = record_guess(guess, eta)
+    alice_guess = _steal_estimate(alice, package, x, eta, rng)
     return ProtocolOutcome(
         Verdict.ACCEPT if accept else Verdict.REJECT,
-        tr, bob_guess, alice_guess, run.true_state,
+        tr, bob_guess, alice_guess, eta,
     )
 
 
 def _steal_estimate(
-    alice: AliceStrategy, package: Package, run: _Run, label: int | None
+    alice: AliceStrategy,
+    package: Package,
+    label: int,
+    eta: PureState,
+    rng: np.random.Generator,
 ) -> EstimationResult | None:
     """A stealing Alice estimates the system Bob points at, once he points."""
-    if alice.kind is not AliceKind.STEAL_STATE or label is None:
+    if alice.kind is not AliceKind.STEAL_STATE:
         return None
     target = package.systems[label - 1]
-    result = covariant_estimate(target, 1, run.rng)
+    result = covariant_estimate(target, 1, rng)
     # Record fidelity against the actual unknown state.
-    return record_guess(result.guess, run.true_state)
+    return record_guess(result.guess, eta)
 
 
 def run_quantum_b2a(

@@ -39,23 +39,23 @@ class _MaximallyMixed:
 MAXIMALLY_MIXED = _MaximallyMixed()
 
 
-def clamp_probability(p: float, tol: float = PROB_TOL) -> float:
+def clamp_probability(p: float) -> float:
     """Clip a computed probability to [0, 1].
 
-    Values within ``tol`` outside the interval are treated as rounding
+    Values within ``PROB_TOL`` outside the interval are treated as rounding
     noise; larger excursions and non-finite values indicate a bug and raise.
     """
-    if not -tol <= p <= 1.0 + tol:
-        raise ValueError(f"value {p!r} is not a probability (tolerance {tol})")
+    if not -PROB_TOL <= p <= 1.0 + PROB_TOL:
+        raise ValueError(f"value {p!r} is not a probability (tolerance {PROB_TOL})")
     return min(max(p, 0.0), 1.0)
 
 
-def clamp_probabilities(p: np.ndarray, tol: float = PROB_TOL) -> np.ndarray:
+def clamp_probabilities(p: np.ndarray) -> np.ndarray:
     """``clamp_probability`` applied to every entry of an array."""
     lo, hi = float(p.min()), float(p.max())
-    if not (-tol <= lo and hi <= 1.0 + tol):
-        bad = hi if lo >= -tol else lo
-        raise ValueError(f"value {bad!r} is not a probability (tolerance {tol})")
+    if not (-PROB_TOL <= lo and hi <= 1.0 + PROB_TOL):
+        bad = hi if lo >= -PROB_TOL else lo
+        raise ValueError(f"value {bad!r} is not a probability (tolerance {PROB_TOL})")
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
@@ -104,13 +104,13 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_projector(self, tol: float = PROJECTOR_TOL) -> bool:
+    def is_projector(self) -> bool:
         mat = self.matrix
-        return bool(np.max(np.abs(mat @ mat - mat)) <= tol)
+        return bool(np.max(np.abs(mat @ mat - mat)) <= PROJECTOR_TOL)
 
     @cached_property
     def projective(self) -> bool:
-        """``is_projector()`` at the default tolerance, computed once per operator."""
+        """``is_projector()``, computed once per operator."""
         return self.is_projector()
 
     @classmethod

@@ -14,13 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
-from types import MappingProxyType
-
-from .errors import ConfigurationError
 
 # Operationalizes "much smaller than": short distances and step times
 # must not exceed a tenth of the inter-pair separation.
@@ -53,6 +48,20 @@ class AgentSite:
     position: float
 
 
+# The one agreed layout: the intra-pair gap, the inter-pair separation,
+# and the report and unveil step times.
+D_SMALL = 0.01
+D = 1.0
+DELTA = 0.02
+DELTA_PRIME = 0.05
+
+# A1, B1 near the origin; B2, A2 near x = D.
+A1 = AgentSite(AgentId.A1, 0.0)
+B1 = AgentSite(AgentId.B1, D_SMALL)
+B2 = AgentSite(AgentId.B2, D)
+A2 = AgentSite(AgentId.A2, D + D_SMALL)
+
+
 @dataclass(frozen=True)
 class SpacetimeEvent:
     event_id: int
@@ -79,48 +88,6 @@ class SpacetimeEvent:
             "kind": self.kind.value,
             "payload_digest": self.payload_digest(),
         }
-
-
-@dataclass(frozen=True)
-class TimingConfig:
-    """Distances and step times for the standard two-pair layout.
-
-    ``d_small`` is the intra-pair gap, ``D`` the inter-pair separation,
-    ``delta`` and ``delta_prime`` the report and unveil step times.
-    """
-
-    d_small: float = 0.01
-    D: float = 1.0
-    delta: float = 0.02
-    delta_prime: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.d_small <= 0 or self.D <= 0:
-            raise ConfigurationError("distances must be positive")
-        if self.d_small > self.D / SEPARATION_FACTOR:
-            raise ConfigurationError(
-                f"d_small {self.d_small} must be <= D / {SEPARATION_FACTOR}"
-            )
-        if not (0 < self.delta < self.delta_prime):
-            raise ConfigurationError("need 0 < delta < delta_prime")
-        if self.delta_prime > self.D / SEPARATION_FACTOR:
-            raise ConfigurationError(
-                f"delta_prime {self.delta_prime} must be <= D / {SEPARATION_FACTOR}"
-            )
-
-
-@cache
-def standard_configuration(cfg: TimingConfig) -> Mapping[AgentId, AgentSite]:
-    """Place the four agents: A1, B1 near the origin; B2, A2 near x = D.
-
-    Built once per configuration; the read-only mapping is shared by every run.
-    """
-    return MappingProxyType({
-        AgentId.A1: AgentSite(AgentId.A1, 0.0),
-        AgentId.B1: AgentSite(AgentId.B1, cfg.d_small),
-        AgentId.B2: AgentSite(AgentId.B2, cfg.D),
-        AgentId.A2: AgentSite(AgentId.A2, cfg.D + cfg.d_small),
-    })
 
 
 def causally_precedes(e1: SpacetimeEvent, e2: SpacetimeEvent) -> bool:

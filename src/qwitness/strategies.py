@@ -231,10 +231,6 @@ def _alice_measurement_choice(
 ) -> ClassicalPlan:
     d, q, rng = ctx.d, ctx.q, ctx.rng
     if strategy.kind is AliceKind.HONEST_KNOWING:
-        if ctx.eps_c_target > 0.0 and q >= d:
-            raise ConfigurationError(
-                "eps_c_target > 0 needs q <= d - 1 so the residual stays uncovered"
-            )
         # Rotate eta and a Haar direction r orthogonal to it, so the first
         # column has squared overlap exactly 1 - eps_c_target with the state,
         # the second eps_c_target, and the others none.

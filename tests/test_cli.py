@@ -159,6 +159,18 @@ def test_malformed_values_exit_2(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags", [
+    ["--protocol", "classical2", "--d", "3", "--q", "3", "--alice", "honest",
+     "--eps-c-target", "0.1"],
+    ["--protocol", "classical1", "--d", "3", "--alice", "subspace-5"],
+])
+def test_settings_no_trial_can_run_are_rejected_before_trial_0(flags, capsys):
+    assert run_cli(["simulate", *flags, "--trials", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert "trial 0" not in err
+
+
 # Each flag on each protocol either changes the run or is rejected: (protocol,
 # Alice, flag, two values). Rows that change the run differ in the estimate or
 # in the exported transcripts; the CSV itself echoes eps_c_target, so it is

@@ -263,9 +263,10 @@ def test_sweep_sender_soundness_decreases():
         17,
     )
     rows = sweep(base, "n", [1, 2, 4])
-    targets = [row.target for row in rows]
+    table = [result_row(row.spec, row.stats, formula_target(row.spec)) for row in rows]
+    targets = [row["target"] for row in table]
     assert targets == sorted(targets, reverse=True)
-    assert all(row.passed for row in rows)
+    assert all(row["verdict"] == "pass" for row in table)
     estimates = [row.stats.estimate for row in rows]
     assert estimates == sorted(estimates, reverse=True)
 
@@ -281,9 +282,10 @@ def test_sweep_receiver_completeness_decreases():
         19,
     )
     rows = sweep(base, "n", [8, 16, 32])
-    targets = [row.target for row in rows]
+    table = [result_row(row.spec, row.stats, formula_target(row.spec)) for row in rows]
+    targets = [row["target"] for row in table]
     assert targets == sorted(targets)  # acceptance 1 - reject rises with n
-    assert all(row.passed for row in rows)
+    assert all(row["verdict"] == "pass" for row in table)
 
 
 def test_csv_round_trip_and_formatting():

@@ -2,26 +2,27 @@
 
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwitness.errors import ConfigurationError
 from qwitness.spacetime import (
+    A1,
+    A2,
+    B1,
+    B2,
+    D,
+    D_SMALL,
+    DELTA,
+    DELTA_PRIME,
+    SEPARATION_FACTOR,
     AgentId,
     AgentSite,
     EventKind,
     SpacetimeEvent,
-    TimingConfig,
     Transcript,
     causally_precedes,
-    standard_configuration,
     validate_transcript,
 )
-
-A1 = AgentSite(AgentId.A1, 0.0)
-B1 = AgentSite(AgentId.B1, 0.01)
-A2 = AgentSite(AgentId.A2, 1.01)
 
 
 def event(eid, time, site, kind=EventKind.ANNOUNCE, deps=(), window=None):
@@ -32,43 +33,13 @@ def event(eid, time, site, kind=EventKind.ANNOUNCE, deps=(), window=None):
 # configuration
 
 
-def test_standard_configuration_positions():
-    cfg = TimingConfig(d_small=0.001, D=1.0, delta=0.002, delta_prime=0.005)
-    layout = standard_configuration(cfg)
-    assert layout[AgentId.A1].position == 0.0
-    assert layout[AgentId.B1].position == 0.001
-    assert layout[AgentId.B2].position == 1.0
-    assert layout[AgentId.A2].position == 1.001
-    # Near pairs are d_small apart; the cross pairs roughly D apart.
-    assert abs(layout[AgentId.A2].position - layout[AgentId.B2].position) == pytest.approx(0.001)
-    assert abs(layout[AgentId.A1].position - layout[AgentId.B2].position) == pytest.approx(1.0)
-
-
-def test_standard_configuration_rejects_wide_pairs():
-    with pytest.raises(ConfigurationError):
-        TimingConfig(d_small=0.2, D=1.0)
-
-
-def test_standard_configuration_large_separation():
-    cfg = TimingConfig(d_small=0.01, D=100.0, delta=0.02, delta_prime=0.05)
-    layout = standard_configuration(cfg)
-    assert layout[AgentId.B2].position == 100.0
-
-
-def test_standard_configuration_is_shared_and_read_only():
-    cfg = TimingConfig()
-    layout = standard_configuration(cfg)
-    assert standard_configuration(TimingConfig()) is layout
-    with pytest.raises(TypeError):
-        layout[AgentId.A1] = AgentSite(AgentId.A1, 0.5)
-    assert layout[AgentId.A1].position == 0.0
-
-
-def test_timing_rejects_bad_step_order():
-    with pytest.raises(ConfigurationError):
-        TimingConfig(delta=0.05, delta_prime=0.02)
-    with pytest.raises(ConfigurationError):
-        TimingConfig(delta=0.02, delta_prime=0.5)  # delta_prime > D / 10
+def test_layout_constants():
+    # A1, B1 near the origin; B2, A2 the same short gap apart near x = D.
+    assert [(s.agent_id, s.position) for s in (A1, B1, B2, A2)] == [
+        (AgentId.A1, 0.0), (AgentId.B1, 0.01), (AgentId.B2, 1.0), (AgentId.A2, 1.01),
+    ]
+    assert D_SMALL <= D / SEPARATION_FACTOR
+    assert 0 < DELTA < DELTA_PRIME <= D / SEPARATION_FACTOR
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +122,9 @@ def test_superluminal_receive_flagged():
 def test_sustain_depending_on_distant_announce_flagged():
     # A2's sustain at the same coordinate time cannot depend on B1's
     # announcement across the large separation.
-    cfg = TimingConfig()
-    layout = standard_configuration(cfg)
     events = [
-        event(0, cfg.delta, layout[AgentId.B1], EventKind.ANNOUNCE),
-        event(
-            1,
-            cfg.delta,
-            layout[AgentId.A2],
-            EventKind.COMMIT_SUSTAIN,
-            deps=(0,),
-        ),
+        event(0, DELTA, B1, EventKind.ANNOUNCE),
+        event(1, DELTA, A2, EventKind.COMMIT_SUSTAIN, deps=(0,)),
     ]
     report = validate_transcript(events)
     assert any(v.kind == "causality" and v.event_id == 1 for v in report.violations)

@@ -4,10 +4,13 @@ Each experiment is a ``qwitness simulate`` command line, so the table
 stays valid however the library spells its parameters. A refactor that
 claims to keep the random stream must leave every pinned value equal:
 the trial and success counts, the exact bits of both fidelity sums, and
-a digest of the first transcripts' JSONL.
+a digest of the first transcripts' JSONL. The JSONL leaves out each
+event's declared dependencies and time window, so a second table pins
+the event graph of the same transcripts.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -127,6 +130,31 @@ PINNED = {
     ),
 }
 
+# name -> sha256 of each event's (event_id, depends_on, window), first transcripts
+GRAPH_PINNED = {
+    'a2b-honest-retain-guess': '82f4ab54fa6e876f55f13f973d5b08ec8c951d127d960d42ce66bfb060808681',
+    'a2b-ignorant': '82f4ab54fa6e876f55f13f973d5b08ec8c951d127d960d42ce66bfb060808681',
+    'a2b-ignorant-retain-guess': '82f4ab54fa6e876f55f13f973d5b08ec8c951d127d960d42ce66bfb060808681',
+    'a2b-n0': '82f4ab54fa6e876f55f13f973d5b08ec8c951d127d960d42ce66bfb060808681',
+    'a2b-skip': 'ac550a6a1786c498d1cf5526ac922519ca051fc79269dcdb1e0af7863e95c2df',
+    'a2b-subspace-2': '82f4ab54fa6e876f55f13f973d5b08ec8c951d127d960d42ce66bfb060808681',
+    'a2b-substitute': '82f4ab54fa6e876f55f13f973d5b08ec8c951d127d960d42ce66bfb060808681',
+    'b2a-abort-always-abort': '041d43f8516a3b77699eb027f03aa1af4ab103ae415451d0d8f4b0e008dd534d',
+    'b2a-abort-honest': 'ccd6aaf264b4b3cfacb93ccd4d400ff6e1f93cea4f9d424f17a1eb191d16c5e1',
+    'b2a-honest': 'cc34dbc7ca88aa0b8410b4416d124732e54f8fa3f956501b336fae730bbb7982',
+    'b2a-ignorant': '4780b74a0169f373de7fe8bd1e0e311d76377138ba2a874bd6122b3030e70847',
+    'b2a-random-distinct-retain-guess': '7babaa9906490d29b652024ea48409979d4737f67bf64e523b9ed9be53cd134a',
+    'b2a-steal': '1e6ad195933e4b35f99e29de36f0b9c6db96f857d9a83d4bc26ade8e04cb62ab',
+    'b2a-substitute': '602e062394baddf495a414e7a649d02b47863e0573cadc7539880144f09e947f',
+    'classical1-honest': 'b7183e64cb4670616e0274797f7720967189b25c8d1a2b807280966fb192f858',
+    'classical1-ignorant': 'f1b3508810f54069442e908768315226fb3011fc687373c2e8ef14a271ef4ac2',
+    'classical1-retain-guess': '631395a06d17f2e4137fd568116ad34f3fb947557b97c3b696c5dd1b5b649108',
+    'classical1-subspace-2': '344700dbbd60c8f545405b00a3a44183173f663784020711fb6ad7a69931c5bf',
+    'classical1-substitute': '6249667469bed2cc0f9e2939a7757d5a225beb5c7b8ea29b609872a97fb865a4',
+    'classical2-ignorant': '6b6843b526e7f5cea7646f9353f169052bdeb48cad401bf91dcb75a3fcee4c99',
+    'classical2-skip': 'b0b80400d23a4ce8c50a61ed594d89e5236330a8a1052fe47219e39f15fee2a7',
+}
+
 
 def build_spec(flags: str):
     argv = ["simulate", *flags.split(), "--trials", str(TRIALS), "--seed", str(SEED)]
@@ -148,3 +176,13 @@ def fingerprint(spec) -> tuple:
 def test_random_stream_is_pinned(name):
     flags, *pinned = PINNED[name]
     assert fingerprint(build_spec(flags)) == tuple(pinned)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_event_graph_is_pinned(name):
+    spec = build_spec(PINNED[name][0])
+    digest = hashlib.sha256()
+    for i in range(TRANSCRIPTS):
+        for e in run_trial(spec, i).transcript.events:
+            digest.update(json.dumps([e.event_id, e.depends_on, e.window]).encode() + b"\n")
+    assert digest.hexdigest() == GRAPH_PINNED[name]
