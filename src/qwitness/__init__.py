@@ -13,6 +13,8 @@ from .harness import (
     sweep,
 )
 from .protocols import (
+    ALICE_PLAYS,
+    BOB_PLAYS,
     AuditResult,
     BoundKind,
     Protocol,
@@ -21,15 +23,11 @@ from .protocols import (
     SecurityFigures,
     Verdict,
     a2b_soundness,
+    check_players,
     closed_forms,
     eps_c_b2a_exact,
     hoeffding_bound,
-    run_classical1,
-    run_classical2,
     run_protocol,
-    run_quantum_a2b,
-    run_quantum_b2a,
-    run_quantum_b2a_abort,
     soundness_floor_audit,
 )
 from .qudit import (
@@ -44,7 +42,6 @@ from .qudit import (
     sym_dim,
     sym_outcome_probability,
     sym_projector,
-    tensor_power,
 )
 from .spacetime import (
     AgentId,

@@ -8,6 +8,8 @@ reproduce identical files byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -23,8 +25,6 @@ from .harness import (
     Metric,
     formula_target,
     result_row,
-    rows_to_csv,
-    rows_to_json,
     run_trial,
     run_trials,
     sweep,
@@ -239,11 +239,34 @@ def _build_spec(args) -> ExperimentSpec:
     )
 
 
+_CSV_COLUMNS = [
+    "protocol", "alice", "bob", "metric", "d", "n", "q", "eps_c_target",
+    "n_trials", "seed", "estimate", "std_err", "target", "target_kind", "verdict",
+]
+
+
+def _fmt(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return str(x)
+
+
+def rows_to_csv(rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _fmt(row.get(k)) for k in _CSV_COLUMNS})
+    return buf.getvalue()
+
+
 def _format_rows(rows: list[dict], fmt: str) -> str:
     if fmt == "csv":
         return rows_to_csv(rows)
     if fmt == "json":
-        return rows_to_json(rows)
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
     return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 

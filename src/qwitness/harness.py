@@ -10,9 +10,6 @@ across ``jobs``.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import os
 from array import array
@@ -28,6 +25,7 @@ from .protocols import (
     ProtocolOutcome,
     ProtocolParams,
     Verdict,
+    check_players,
     closed_forms,
     run_protocol,
 )
@@ -143,6 +141,15 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         self.params.check(self.protocol)
+        check_players(self.protocol, self.alice, self.bob)
+        # A metric the chosen protocol and strategies never produce.
+        metric, protocol = self.metric, self.protocol
+        if metric is Metric.ABORT_RATE and protocol is not Protocol.QUANTUM_B2A_ABORT:
+            raise ConfigurationError(f"abort-rate needs b2a-abort: {protocol.value} never aborts")
+        if metric is Metric.MEAN_FSQ and self.bob.kind is BobKind.HONEST:
+            raise ConfigurationError("mean-fsq metric needs a Bob strategy that guesses")
+        if metric is Metric.ALICE_MEAN_FSQ and self.alice.kind is not AliceKind.STEAL_STATE:
+            raise ConfigurationError("alice-mean-fsq metric needs a stealing Alice")
         k = self.alice.subspace_dim
         if k is not None and k > self.params.d:
             raise ConfigurationError(f"subspace dimension {k} exceeds d={self.params.d}")
@@ -164,11 +171,7 @@ def _metric_value(outcome: ProtocolOutcome, metric: Metric) -> float:
     if metric is Metric.ABORT_RATE:
         return 1.0 if outcome.verdict is Verdict.ABORT else 0.0
     if metric is Metric.MEAN_FSQ:
-        if outcome.bob_guess is None:
-            raise ConfigurationError("mean-fsq metric needs a Bob strategy that guesses")
         return outcome.bob_guess.achieved_fsq
-    if outcome.alice_guess is None:
-        raise ConfigurationError("alice-mean-fsq metric needs a stealing Alice")
     return outcome.alice_guess.achieved_fsq
 
 
@@ -182,11 +185,8 @@ def _trial_values(spec: ExperimentSpec, start: int, stop: int) -> array:
     """The metric value of each trial in [start, stop), in trial order."""
     values = array("d")
     for i in range(start, stop):
-        try:
-            outcome = run_trial(spec, i)
-            value = _metric_value(outcome, spec.metric)
-        except ConfigurationError as e:
-            raise ConfigurationError(f"trial {i}: {e}") from e
+        outcome = run_trial(spec, i)
+        value = _metric_value(outcome, spec.metric)
         if spec.validate_transcripts:
             report = outcome.transcript.validate()
             if not report.ok:
@@ -292,7 +292,7 @@ def formula_target(spec: ExperimentSpec) -> tuple[float, BoundKind] | None:
         if bob is BobKind.MEASURE_RETAIN_GUESS and alice is AliceKind.HONEST_KNOWING:
             return figures.concealment, figures.concealment_kind
         return None
-    if metric is Metric.ALICE_MEAN_FSQ and alice is AliceKind.STEAL_STATE:
+    if metric is Metric.ALICE_MEAN_FSQ:  # stealing Alice, the only one who guesses
         return figures.baseline_fsq, BoundKind.EXACT
     if metric is Metric.ABORT_RATE and alice is AliceKind.HONEST_KNOWING:
         if figures.abort_bound is not None:
@@ -301,7 +301,7 @@ def formula_target(spec: ExperimentSpec) -> tuple[float, BoundKind] | None:
 
 
 # ---------------------------------------------------------------------------
-# Sweeps and export
+# Sweeps and result rows
 
 
 @dataclass(frozen=True)
@@ -330,20 +330,6 @@ def sweep(base: ExperimentSpec, axis: str, values, jobs: int = 1) -> list[SweepR
         )
         specs.append(replace(base, params=params, master_seed=row_seed))
     return [SweepRow(spec, run_trials(spec, jobs)) for spec in specs]
-
-
-_CSV_COLUMNS = [
-    "protocol", "alice", "bob", "metric", "d", "n", "q", "eps_c_target",
-    "n_trials", "seed", "estimate", "std_err", "target", "target_kind", "verdict",
-]
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
 
 
 def _spec_fields(spec: ExperimentSpec) -> dict:
@@ -383,16 +369,3 @@ def result_row(
             "verdict": "pass" if report.passed else "fail",
         })
     return row
-
-
-def rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(row.get(k)) for k in _CSV_COLUMNS})
-    return buf.getvalue()
-
-
-def rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"

@@ -17,6 +17,10 @@ over the standard two-pair agent layout:
   b2a (abort)  As b2a, but Alice aborts when she detects more than q
                candidates, instead of dropping some at random.
 
+``run_protocol`` is the one entry point. ``ALICE_PLAYS`` and
+``BOB_PLAYS`` say which strategies have a move in which protocol, and
+``check_players`` rejects any other pairing before a run starts.
+
 ``closed_forms`` evaluates the exact completeness, soundness and
 concealment figures for each protocol, and ``soundness_floor_audit``
 checks Monte Carlo estimates against the universal floor
@@ -64,6 +68,38 @@ class Protocol(Enum):
     QUANTUM_B2A_ABORT = "b2a-abort"
 
 
+_CLASSICAL = frozenset({Protocol.CLASSICAL1, Protocol.CLASSICAL2})
+_RECEIVER = frozenset({Protocol.QUANTUM_B2A, Protocol.QUANTUM_B2A_ABORT})
+
+# Which protocols each strategy kind plays.
+ALICE_PLAYS = {
+    AliceKind.HONEST_KNOWING: frozenset(Protocol),
+    AliceKind.IGNORANT: frozenset(Protocol),
+    AliceKind.SUBSPACE_KNOWLEDGE: _CLASSICAL | {Protocol.QUANTUM_A2B},
+    AliceKind.STEAL_STATE: _RECEIVER,
+    AliceKind.RANDOM_DISTINCT_COMMIT: _RECEIVER,
+    AliceKind.ALWAYS_ABORT: frozenset({Protocol.QUANTUM_B2A_ABORT}),
+}
+BOB_PLAYS = {
+    BobKind.HONEST: frozenset(Protocol),
+    BobKind.SUBSTITUTE_STATE: frozenset(Protocol),
+    BobKind.MEASURE_RETAIN_GUESS: frozenset(Protocol),
+    BobKind.SKIP_PROTOCOL_MEASURE: _CLASSICAL | {Protocol.QUANTUM_A2B},
+}
+
+
+def check_players(protocol: Protocol, alice: AliceStrategy, bob: BobStrategy) -> None:
+    """Reject a strategy that has no move in ``protocol``."""
+    if protocol not in ALICE_PLAYS[alice.kind]:
+        raise ConfigurationError(
+            f"alice strategy {alice.kind.value!r} does not play {protocol.value}"
+        )
+    if protocol not in BOB_PLAYS[bob.kind]:
+        raise ConfigurationError(
+            f"bob strategy {bob.kind.value!r} does not play {protocol.value}"
+        )
+
+
 class Verdict(Enum):
     ACCEPT = "accept"
     REJECT = "reject"
@@ -109,7 +145,7 @@ class ProtocolParams:
 
     def check(self, protocol: Protocol) -> None:
         """Reject a setting that ``protocol`` would accept and then ignore."""
-        classical = protocol in (Protocol.CLASSICAL1, Protocol.CLASSICAL2)
+        classical = protocol in _CLASSICAL
         if protocol is Protocol.QUANTUM_A2B and self.q is not None:
             raise ConfigurationError("a2b commits nothing, so q does not apply")
         if classical and self.n > 0:
@@ -138,7 +174,7 @@ class ProtocolParams:
             q = max(1, math.ceil(self.n / self.d + eps * self.n))
         else:
             q = 1
-        if protocol in (Protocol.QUANTUM_B2A, Protocol.QUANTUM_B2A_ABORT):
+        if protocol in _RECEIVER:
             if q > self.n + 1:
                 raise ConfigurationError(f"q={q} must not exceed n + 1 = {self.n + 1}")
         if protocol is Protocol.CLASSICAL2 and q > self.d:
@@ -224,7 +260,7 @@ def closed_forms(protocol: Protocol, params: ProtocolParams) -> SecurityFigures:
             concealment_kind=BoundKind.EXACT,
             baseline_fsq=baseline,
         )
-    if protocol in (Protocol.QUANTUM_B2A, Protocol.QUANTUM_B2A_ABORT):
+    if protocol in _RECEIVER:
         q = params.resolved_q(protocol)
         if protocol is Protocol.QUANTUM_B2A:
             eps_c = eps_c_b2a_exact(n, d, q)
@@ -244,7 +280,7 @@ def closed_forms(protocol: Protocol, params: ProtocolParams) -> SecurityFigures:
             baseline_fsq=baseline,
             abort_bound=abort_bound,
         )
-    if protocol in (Protocol.CLASSICAL1, Protocol.CLASSICAL2):
+    if protocol in _CLASSICAL:
         q = params.resolved_q(protocol)
         eps_c = params.eps_c_target
         return SecurityFigures(
@@ -370,31 +406,11 @@ def _run_classical(
     )
 
 
-def run_classical1(
-    params: ProtocolParams,
-    alice: AliceStrategy,
-    bob: BobStrategy,
-    rng: np.random.Generator,
-) -> ProtocolOutcome:
-    """Single-prediction classical protocol; soundness 1/d."""
-    return _run_classical(Protocol.CLASSICAL1, params, alice, bob, rng)
-
-
-def run_classical2(
-    params: ProtocolParams,
-    alice: AliceStrategy,
-    bob: BobStrategy,
-    rng: np.random.Generator,
-) -> ProtocolOutcome:
-    """q-prediction classical protocol; soundness q/d."""
-    return _run_classical(Protocol.CLASSICAL2, params, alice, bob, rng)
-
-
 # ---------------------------------------------------------------------------
 # Quantum sender protocol (Alice hands over copies)
 
 
-def run_quantum_a2b(
+def _run_a2b(
     params: ProtocolParams,
     alice: AliceStrategy,
     bob: BobStrategy,
@@ -442,13 +458,16 @@ def run_quantum_a2b(
 
 
 def _run_b2a(
+    protocol: Protocol,
     params: ProtocolParams,
     alice: AliceStrategy,
     bob: BobStrategy,
     rng: np.random.Generator,
-    abort_option: bool,
 ) -> ProtocolOutcome:
-    protocol = Protocol.QUANTUM_B2A_ABORT if abort_option else Protocol.QUANTUM_B2A
+    """Receiver protocol: decoys, detection commitments, one unveiling.
+
+    In the abort variant honest Alice aborts rather than drop detections.
+    """
     q = params.resolved_q(protocol)
     d, n = params.d, params.n
     tr, eta = Transcript(), haar_random(d, rng)
@@ -462,7 +481,8 @@ def _run_b2a(
         depends_on=(sent.event_id,),
     )
 
-    plan = alice_act(alice, DetectionCommitContext(package.systems, q, eta, abort_option, rng))
+    abort_allowed = protocol is Protocol.QUANTUM_B2A_ABORT
+    plan = alice_act(alice, DetectionCommitContext(package.systems, q, eta, abort_allowed, rng))
     measure_deps: tuple[int, ...] = (received.event_id,)
     if plan.positives is not None:
         measured = tr.emit(
@@ -485,7 +505,8 @@ def _run_b2a(
             D + D_SMALL, A2, EventKind.RECEIVE, {"step": "abort"},
             depends_on=(abort_announce.event_id,),
         )
-        return ProtocolOutcome(Verdict.ABORT, tr, true_state=eta)
+        bob_guess = _b2a_bob_guess(bob, package, eta, rng)
+        return ProtocolOutcome(Verdict.ABORT, tr, bob_guess, None, eta)
 
     # The commitment alphabet covers 0..n+1: every label plus the dummy 0.
     order = rng.permutation(len(plan.commit_values))
@@ -535,15 +556,22 @@ def _run_b2a(
         depends_on=(*unveil_deps, first_sustain.event_id),
     )
 
-    bob_guess = None
-    if bob.kind is not BobKind.HONEST:
-        guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
-        bob_guess = record_guess(guess, eta)
+    bob_guess = _b2a_bob_guess(bob, package, eta, rng)
     alice_guess = _steal_estimate(alice, package, x, eta, rng)
     return ProtocolOutcome(
         Verdict.ACCEPT if accept else Verdict.REJECT,
         tr, bob_guess, alice_guess, eta,
     )
+
+
+def _b2a_bob_guess(
+    bob: BobStrategy, package: Package, eta: PureState, rng: np.random.Generator
+) -> EstimationResult | None:
+    """Bob estimates from what he kept; honest Bob keeps nothing and draws nothing."""
+    if bob.kind is BobKind.HONEST:
+        return None
+    guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
+    return record_guess(guess, eta)
 
 
 def _steal_estimate(
@@ -562,35 +590,6 @@ def _steal_estimate(
     return record_guess(result.guess, eta)
 
 
-def run_quantum_b2a(
-    params: ProtocolParams,
-    alice: AliceStrategy,
-    bob: BobStrategy,
-    rng: np.random.Generator,
-) -> ProtocolOutcome:
-    """Receiver protocol: decoys, detection commitments, one unveiling."""
-    return _run_b2a(params, alice, bob, rng, abort_option=False)
-
-
-def run_quantum_b2a_abort(
-    params: ProtocolParams,
-    alice: AliceStrategy,
-    bob: BobStrategy,
-    rng: np.random.Generator,
-) -> ProtocolOutcome:
-    """Abort variant: honest Alice aborts rather than drop detections."""
-    return _run_b2a(params, alice, bob, rng, abort_option=True)
-
-
-_RUNNERS = {
-    Protocol.CLASSICAL1: run_classical1,
-    Protocol.CLASSICAL2: run_classical2,
-    Protocol.QUANTUM_A2B: run_quantum_a2b,
-    Protocol.QUANTUM_B2A: run_quantum_b2a,
-    Protocol.QUANTUM_B2A_ABORT: run_quantum_b2a_abort,
-}
-
-
 def run_protocol(
     protocol: Protocol,
     params: ProtocolParams,
@@ -598,7 +597,13 @@ def run_protocol(
     bob: BobStrategy,
     rng: np.random.Generator,
 ) -> ProtocolOutcome:
-    return _RUNNERS[protocol](params, alice, bob, rng)
+    """Run one trial of ``protocol`` between the two strategies."""
+    check_players(protocol, alice, bob)
+    if protocol is Protocol.QUANTUM_A2B:
+        return _run_a2b(params, alice, bob, rng)
+    if protocol in _RECEIVER:
+        return _run_b2a(protocol, params, alice, bob, rng)
+    return _run_classical(protocol, params, alice, bob, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -186,16 +186,6 @@ def fidelity_sq(a: PureState, b: PureState) -> float:
     return clamp_probability(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def tensor_power(s: PureState, n: int) -> PureState:
-    """n-fold tensor product of ``s`` with itself."""
-    if n < 1:
-        raise ValueError("tensor power needs n >= 1")
-    if s.dim**n > SIZE_CAP:
-        raise ResourceCapError(f"dimension {s.dim}**{n} exceeds cap {SIZE_CAP}")
-    amps = reduce(np.kron, [s.amplitudes] * n)
-    return PureState(amps)
-
-
 def tensor_states(states: list[PureState] | tuple[PureState, ...]) -> PureState:
     """Tensor product of a sequence of pure states (left to right)."""
     if not states:

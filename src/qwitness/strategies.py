@@ -4,7 +4,10 @@ Each strategy is a stateless factory; all per-run randomness comes
 from the run's generator and any per-run knowledge (the true state, a
 subspace known to contain it) is bound by the protocol engine through
 the stage contexts below. ``alice_act`` and ``bob_act`` dispatch one
-decision per protocol stage.
+decision per protocol stage. They make no protocol checks:
+``protocols.ALICE_PLAYS`` and ``BOB_PLAYS`` admit a strategy only to the
+protocols it has a move in, so each stage function handles exactly the
+kinds that reach it.
 
 Alice kinds
     honest          knows the exact classical description and follows the protocol
@@ -13,7 +16,7 @@ Alice kinds
     steal           commits blind and keeps the received systems unmeasured
     random-distinct commits to q random distinct indices (the ignorant
                     optimum for the quantum receiver protocol)
-    always-abort    aborts unconditionally (abort variant only)
+    always-abort    aborts unconditionally
 
 Bob kinds
     honest          follows the protocol and records no guess
@@ -252,20 +255,15 @@ def _alice_measurement_choice(
         basis = _haar_unitary(d, rng)
         commit_values = tuple(int(j) for j in rng.choice(d, size=q, replace=False))
         return ClassicalPlan(basis, commit_values)
-    if strategy.kind is AliceKind.SUBSPACE_KNOWLEDGE:
-        if ctx.subspace is None:
-            raise ConfigurationError("subspace knowledge was not bound for this run")
-        k = ctx.subspace.shape[1]
-        rotated = ctx.subspace @ _haar_unitary(k, rng)
-        basis = np.column_stack([rotated, haar_complement(rotated, d - k, rng)])
-        # The state lies in the first k columns; commit as many of those as fit.
-        in_subspace = list(range(min(q, k)))
-        filler = rng.choice(np.arange(k, d), size=q - len(in_subspace), replace=False)
-        commit_values = tuple(sorted(in_subspace + [int(j) for j in filler]))
-        return ClassicalPlan(basis, commit_values)
-    raise ConfigurationError(
-        f"alice strategy {strategy.kind.value!r} does not play classical protocols"
-    )
+    # Subspace knowledge.
+    k = ctx.subspace.shape[1]
+    rotated = ctx.subspace @ _haar_unitary(k, rng)
+    basis = np.column_stack([rotated, haar_complement(rotated, d - k, rng)])
+    # The state lies in the first k columns; commit as many of those as fit.
+    in_subspace = list(range(min(q, k)))
+    filler = rng.choice(np.arange(k, d), size=q - len(in_subspace), replace=False)
+    commit_values = tuple(sorted(in_subspace + [int(j) for j in filler]))
+    return ClassicalPlan(basis, commit_values)
 
 
 def _alice_prepare_copies(
@@ -276,14 +274,9 @@ def _alice_prepare_copies(
     if strategy.kind is AliceKind.IGNORANT:
         # Best blind strategy: a single random state, repeated.
         return haar_random(ctx.d, ctx.rng)
-    if strategy.kind is AliceKind.SUBSPACE_KNOWLEDGE:
-        if ctx.subspace is None:
-            raise ConfigurationError("subspace knowledge was not bound for this run")
-        k = ctx.subspace.shape[1]
-        return PureState(ctx.subspace @ haar_random(k, ctx.rng).amplitudes)
-    raise ConfigurationError(
-        f"alice strategy {strategy.kind.value!r} does not play the sender protocol"
-    )
+    # Subspace knowledge: a random state inside the known subspace.
+    k = ctx.subspace.shape[1]
+    return PureState(ctx.subspace @ haar_random(k, ctx.rng).amplitudes)
 
 
 def _alice_detection_commits(
@@ -292,8 +285,6 @@ def _alice_detection_commits(
     n_plus_1 = len(ctx.systems)
     q, rng = ctx.q, ctx.rng
     if strategy.kind is AliceKind.ALWAYS_ABORT:
-        if not ctx.abort_allowed:
-            raise ConfigurationError("always-abort requires the abort variant")
         return DetectionCommitPlan(None, None)
     if strategy.kind is AliceKind.HONEST_KNOWING:
         # Projective test onto the known state: label j is detected with Born
@@ -310,19 +301,10 @@ def _alice_detection_commits(
         else:
             values = tuple(detected) + (0,) * (q - positives)
         return DetectionCommitPlan(values, positives)
-    if strategy.kind in (
-        AliceKind.IGNORANT,
-        AliceKind.RANDOM_DISTINCT_COMMIT,
-        AliceKind.STEAL_STATE,
-    ):
-        # Blind optimum: q random distinct labels. Stealing Alice commits the
-        # same way but keeps every received system unmeasured.
-        chosen = rng.choice(np.arange(1, n_plus_1 + 1), size=q, replace=False)
-        values = tuple(int(v) for v in chosen)
-        return DetectionCommitPlan(values, None)
-    raise ConfigurationError(
-        f"alice strategy {strategy.kind.value!r} does not play the receiver protocol"
-    )
+    # Ignorant, random-distinct and steal: the blind optimum, q random distinct
+    # labels. Stealing Alice keeps every received system unmeasured.
+    chosen = rng.choice(np.arange(1, n_plus_1 + 1), size=q, replace=False)
+    return DetectionCommitPlan(tuple(int(v) for v in chosen), None)
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +335,10 @@ def _bob_package(strategy: BobStrategy, ctx: PackageContext) -> Package:
                 label = slot + 1
         assert label is not None
         return Package(tuple(systems), label, None)
-    if strategy.kind in (BobKind.MEASURE_RETAIN_GUESS, BobKind.SUBSTITUTE_STATE):
-        # Keep the unknown state; send freshly drawn substitutes instead.
-        systems = tuple(haar_random(d, rng) for _ in range(n + 1))
-        label = int(rng.integers(1, n + 2))
-        return Package(systems, label, ctx.qb_state)
-    raise ConfigurationError(
-        f"bob strategy {strategy.kind.value!r} does not play the receiver protocol"
-    )
+    # Retain-guess and substitute: keep the unknown state, send fresh substitutes.
+    systems = tuple(haar_random(d, rng) for _ in range(n + 1))
+    label = int(rng.integers(1, n + 2))
+    return Package(systems, label, ctx.qb_state)
 
 
 def _bob_outcome_report(strategy: BobStrategy, ctx: OutcomeReportContext) -> OutcomeReport:
@@ -372,41 +350,28 @@ def _bob_outcome_report(strategy: BobStrategy, ctx: OutcomeReportContext) -> Out
         probe = haar_random(ctx.qb_state.dim, rng)
         rotated = PureState(basis.conj().T @ probe.amplitudes)
         return OutcomeReport(measure_basis(rotated, rng), ctx.qb_state)
-    if strategy.kind is BobKind.SKIP_PROTOCOL_MEASURE:
-        return OutcomeReport(None, ctx.qb_state)
-    raise ConfigurationError(
-        f"bob strategy {strategy.kind.value!r} does not play classical protocols"
-    )
+    # Skip: no report, and the state stays with him.
+    return OutcomeReport(None, ctx.qb_state)
 
 
 def _bob_final_guess(strategy: BobStrategy, ctx: FinalGuessContext) -> PureState | None:
     rng = ctx.rng
     if strategy.kind is BobKind.HONEST:
         return None
-    if strategy.kind is BobKind.SKIP_PROTOCOL_MEASURE:
-        if ctx.retained is None:
-            raise ConfigurationError("skip strategy holds no state to estimate")
-        return covariant_estimate(ctx.retained, 1, rng).guess
-    if strategy.kind is BobKind.SUBSTITUTE_STATE:
-        if ctx.basis is not None and ctx.retained is not None:
-            # Classical protocols: the unveiled index pins the projector down;
-            # otherwise measure the kept state in the announced basis.
-            if ctx.unveiled:
-                return PureState(ctx.basis[:, ctx.reported])
-            rotated = PureState(ctx.basis.conj().T @ ctx.retained.amplitudes)
-            outcome = measure_basis(rotated, rng)
-            return PureState(ctx.basis[:, outcome])
-        if ctx.retained is not None:
-            return covariant_estimate(ctx.retained, 1, rng).guess
-        raise ConfigurationError("substitute strategy holds nothing to estimate")
-    if strategy.kind is BobKind.MEASURE_RETAIN_GUESS:
-        if ctx.retained is not None:
-            return covariant_estimate(ctx.retained, ctx.copies, rng).guess
-        if ctx.basis is not None:
-            # Classical protocols: any unveiling opens his own report.
+    if strategy.kind is BobKind.SUBSTITUTE_STATE and ctx.basis is not None:
+        # Classical protocols: the unveiled index pins the projector down;
+        # otherwise measure the kept state in the announced basis.
+        if ctx.unveiled:
             return PureState(ctx.basis[:, ctx.reported])
-        return None
-    raise ConfigurationError(f"unsupported bob strategy {strategy.kind.value!r}")
+        rotated = PureState(ctx.basis.conj().T @ ctx.retained.amplitudes)
+        outcome = measure_basis(rotated, rng)
+        return PureState(ctx.basis[:, outcome])
+    if ctx.retained is None:
+        # Retain-guess Bob in the classical protocols, who measured the state:
+        # any unveiling opens his own report.
+        return PureState(ctx.basis[:, ctx.reported])
+    # Skip Bob, and every Bob who kept the unknown state, estimates from it.
+    return covariant_estimate(ctx.retained, ctx.copies, rng).guess
 
 
 def record_guess(guess: PureState | None, true_state: PureState) -> EstimationResult | None:

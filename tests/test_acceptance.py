@@ -22,9 +22,7 @@ from qwitness.protocols import (
     a2b_soundness,
     eps_c_b2a_exact,
     hoeffding_bound,
-    run_classical1,
     run_protocol,
-    run_quantum_b2a,
     soundness_floor_audit,
 )
 from qwitness.qudit import (
@@ -231,8 +229,8 @@ def test_criterion_7_receiver_concealment_bound():
     rng = np.random.default_rng(799)
     zero_information = True
     for _ in range(200):
-        out = run_quantum_b2a(
-            ProtocolParams(d=2, n=4, q=2), HONEST_A, HONEST_B, rng
+        out = run_protocol(
+            Protocol.QUANTUM_B2A, ProtocolParams(d=2, n=4, q=2), HONEST_A, HONEST_B, rng
         )
         bob_measures = [
             e for e in out.transcript.events
@@ -298,7 +296,7 @@ def test_criterion_10_substitute_bob_knowledge_gain():
     trials = 10_000
     values = np.empty(trials)
     for i in range(trials):
-        out = run_classical1(ProtocolParams(d=2), HONEST_A, sub, rng)
+        out = run_protocol(Protocol.CLASSICAL1, ProtocolParams(d=2), HONEST_A, sub, rng)
         values[i] = out.bob_guess.achieved_fsq
     baseline = 2 / 3
     se = values.std(ddof=1) / math.sqrt(trials)

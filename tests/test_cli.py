@@ -163,12 +163,30 @@ def test_malformed_values_exit_2(argv, capsys):
     ["--protocol", "classical2", "--d", "3", "--q", "3", "--alice", "honest",
      "--eps-c-target", "0.1"],
     ["--protocol", "classical1", "--d", "3", "--alice", "subspace-5"],
+    ["--protocol", "classical1", "--d", "3", "--alice", "always-abort"],
+    ["--protocol", "a2b", "--d", "2", "--n", "2", "--alice", "steal"],
+    ["--protocol", "b2a", "--d", "2", "--n", "4", "--alice", "always-abort"],
+    ["--protocol", "b2a", "--d", "2", "--n", "4", "--alice", "ignorant", "--metric", "mean-fsq"],
+    ["--protocol", "classical1", "--d", "3", "--alice", "honest", "--metric", "alice-mean-fsq"],
+    ["--protocol", "classical1", "--d", "3", "--alice", "honest", "--metric", "abort-rate"],
 ])
 def test_settings_no_trial_can_run_are_rejected_before_trial_0(flags, capsys):
     assert run_cli(["simulate", *flags, "--trials", "5"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
     assert "trial 0" not in err
+
+
+def test_bob_guesses_after_an_abort(capsys):
+    # Honest Alice aborts in some trials; retain-guess Bob guesses in every one.
+    code = run_cli([
+        "simulate", "--protocol", "b2a-abort", "--d", "2", "--n", "20", "--alice", "honest",
+        "--bob", "retain-guess", "--metric", "mean-fsq", "--trials", "2000", "--seed", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines()[1].endswith(",upper,pass")
+    assert captured.err.rstrip().endswith(": pass")
 
 
 # Each flag on each protocol either changes the run or is rejected: (protocol,

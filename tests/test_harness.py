@@ -9,6 +9,7 @@ import pytest
 
 from qwitness import harness
 from qwitness.errors import ConfigurationError
+from qwitness.cli import rows_to_csv
 from qwitness.harness import (
     ExperimentSpec,
     Metric,
@@ -16,7 +17,6 @@ from qwitness.harness import (
     compare_to_formula,
     formula_target,
     result_row,
-    rows_to_csv,
     run_trial,
     run_trials,
     run_trials_range,
@@ -28,6 +28,8 @@ from qwitness.strategies import AliceKind, AliceStrategy, BobKind, BobStrategy
 HONEST_A = AliceStrategy(AliceKind.HONEST_KNOWING)
 IGNORANT = AliceStrategy(AliceKind.IGNORANT)
 HONEST_B = BobStrategy(BobKind.HONEST)
+ALWAYS_ABORT = AliceStrategy(AliceKind.ALWAYS_ABORT)
+SKIP = BobStrategy(BobKind.SKIP_PROTOCOL_MEASURE)
 
 
 def spec_b2a(n_trials=500, seed=11, **params):
@@ -114,17 +116,58 @@ def test_honest_sender_protocol_degenerate_stats():
 
 
 def test_metric_requires_matching_strategy():
+    # Each is rejected when the spec is built, before any trial runs.
+    for protocol, params, alice, bob, metric in [
+        (Protocol.QUANTUM_B2A, ProtocolParams(d=2, n=4, q=2), IGNORANT, HONEST_B, Metric.MEAN_FSQ),
+        (Protocol.CLASSICAL1, ProtocolParams(d=3), HONEST_A, HONEST_B, Metric.ALICE_MEAN_FSQ),
+        (Protocol.CLASSICAL1, ProtocolParams(d=3), HONEST_A, HONEST_B, Metric.ABORT_RATE),
+        (Protocol.CLASSICAL1, ProtocolParams(d=3), ALWAYS_ABORT, HONEST_B, Metric.ACCEPTANCE),
+        (Protocol.QUANTUM_B2A, ProtocolParams(d=2, n=4), HONEST_A, SKIP, Metric.ACCEPTANCE),
+    ]:
+        with pytest.raises(ConfigurationError):
+            ExperimentSpec(protocol, params, alice, bob, metric, 10, 0)
+
+
+ALICE_NAMES = ("honest", "ignorant", "subspace-2", "steal", "random-distinct", "always-abort")
+
+
+def test_every_pairing_runs_or_is_rejected_when_built():
+    # Every protocol x Alice x Bob x metric spec either fails to build or runs
+    # to the end: no strategy or metric fails inside a trial.
+    clean = 0
+    for protocol in Protocol:
+        classical = protocol in (Protocol.CLASSICAL1, Protocol.CLASSICAL2)
+        q = 2 if protocol in (Protocol.CLASSICAL2, Protocol.QUANTUM_B2A_ABORT) else None
+        params = ProtocolParams(d=3, n=0 if classical else 6, q=q)
+        for name in ALICE_NAMES:
+            for bob in BobKind:
+                for metric in Metric:
+                    try:
+                        spec = ExperimentSpec(
+                            protocol, params, AliceStrategy.from_name(name),
+                            BobStrategy(bob), metric, 40, 7,
+                        )
+                    except ConfigurationError:
+                        continue
+                    run_trials(spec)
+                    clean += 1
+    # The table admits every pairing the paper's figures need, and no more.
+    assert clean == 129
+
+
+def test_always_abort_leaves_retain_guess_bob_at_the_no_protocol_optimum():
+    # Bob still guesses after an abort, from the one copy he kept: 2/(d+1).
     spec = ExperimentSpec(
-        Protocol.QUANTUM_B2A,
-        ProtocolParams(d=2, n=4, q=2),
-        IGNORANT,
-        HONEST_B,
+        Protocol.QUANTUM_B2A_ABORT,
+        ProtocolParams(d=3, n=4, q=2),
+        ALWAYS_ABORT,
+        BobStrategy(BobKind.MEASURE_RETAIN_GUESS),
         Metric.MEAN_FSQ,
-        10,
-        0,
+        20_000,
+        23,
     )
-    with pytest.raises(ConfigurationError, match="trial 0"):
-        run_trials(spec)
+    report = compare_to_formula(run_trials(spec), 2 / 4, z=4.0)
+    assert report.passed, report
 
 
 def test_validate_transcripts_flag():

@@ -16,12 +16,7 @@ from qwitness.protocols import (
     closed_forms,
     eps_c_b2a_exact,
     hoeffding_bound,
-    run_classical1,
-    run_classical2,
     run_protocol,
-    run_quantum_a2b,
-    run_quantum_b2a,
-    run_quantum_b2a_abort,
     soundness_floor_audit,
 )
 from qwitness.qudit import sym_dim
@@ -194,7 +189,7 @@ def test_classical1_honest_always_accepts_at_zero_target():
     rng = np.random.default_rng(1)
     for d in (2, 3, 5):
         for _ in range(100):
-            out = run_classical1(ProtocolParams(d=d), HONEST_A, HONEST_B, rng)
+            out = run_protocol(Protocol.CLASSICAL1, ProtocolParams(d=d), HONEST_A, HONEST_B, rng)
             assert out.verdict is Verdict.ACCEPT
 
 
@@ -202,7 +197,7 @@ def test_classical1_ignorant_acceptance_quarter():
     rng = np.random.default_rng(2)
     trials = 20_000
     accepted = sum(
-        run_classical1(ProtocolParams(d=4), IGNORANT, HONEST_B, rng).verdict
+        run_protocol(Protocol.CLASSICAL1, ProtocolParams(d=4), IGNORANT, HONEST_B, rng).verdict
         is Verdict.ACCEPT
         for _ in range(trials)
     )
@@ -214,7 +209,8 @@ def test_classical1_honest_with_completeness_slack():
     trials = 10_000
     params = ProtocolParams(d=3, eps_c_target=0.2)
     accepted = sum(
-        run_classical1(params, HONEST_A, HONEST_B, rng).verdict is Verdict.ACCEPT
+        run_protocol(Protocol.CLASSICAL1, params, HONEST_A, HONEST_B, rng).verdict
+        is Verdict.ACCEPT
         for _ in range(trials)
     )
     assert abs(accepted / trials - 0.8) <= 4 * bernoulli_se(0.8, trials)
@@ -225,7 +221,8 @@ def test_classical2_ignorant_acceptance():
     trials = 20_000
     params = ProtocolParams(d=6, q=3)
     accepted = sum(
-        run_classical2(params, IGNORANT, HONEST_B, rng).verdict is Verdict.ACCEPT
+        run_protocol(Protocol.CLASSICAL2, params, IGNORANT, HONEST_B, rng).verdict
+        is Verdict.ACCEPT
         for _ in range(trials)
     )
     assert abs(accepted / trials - 0.5) <= 4 * bernoulli_se(0.5, trials)
@@ -235,21 +232,23 @@ def test_classical2_with_q1_reduces_to_classical1():
     rng = np.random.default_rng(5)
     params = ProtocolParams(d=3, q=1)
     for _ in range(100):
-        assert run_classical2(params, HONEST_A, HONEST_B, rng).verdict is Verdict.ACCEPT
+        out = run_protocol(Protocol.CLASSICAL2, params, HONEST_A, HONEST_B, rng)
+        assert out.verdict is Verdict.ACCEPT
 
 
 def test_classical2_full_cover_accepts_ignorant_always():
     rng = np.random.default_rng(6)
     params = ProtocolParams(d=3, q=3)
     for _ in range(200):
-        assert run_classical2(params, IGNORANT, HONEST_B, rng).verdict is Verdict.ACCEPT
+        out = run_protocol(Protocol.CLASSICAL2, params, IGNORANT, HONEST_B, rng)
+        assert out.verdict is Verdict.ACCEPT
 
 
 def test_classical2_rejects_positive_target_at_full_cover():
     rng = np.random.default_rng(7)
     params = ProtocolParams(d=3, q=3, eps_c_target=0.1)
     with pytest.raises(ConfigurationError):
-        run_classical2(params, HONEST_A, HONEST_B, rng)
+        run_protocol(Protocol.CLASSICAL2, params, HONEST_A, HONEST_B, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +258,9 @@ def test_classical2_rejects_positive_target_at_full_cover():
 def test_sender_ignorant_acceptance_n1():
     rng = np.random.default_rng(8)
     trials = 30_000
+    params = ProtocolParams(d=2, n=1)
     accepted = sum(
-        run_quantum_a2b(ProtocolParams(d=2, n=1), IGNORANT, HONEST_B, rng).verdict
+        run_protocol(Protocol.QUANTUM_A2B, params, IGNORANT, HONEST_B, rng).verdict
         is Verdict.ACCEPT
         for _ in range(trials)
     )
@@ -272,8 +272,9 @@ def test_sender_ignorant_acceptance_grid(n, d):
     rng = np.random.default_rng(80 + 10 * n + d)
     trials = 30_000
     target = sym_dim(n + 1, d) / (sym_dim(n, d) * d)
+    params = ProtocolParams(d=d, n=n)
     accepted = sum(
-        run_quantum_a2b(ProtocolParams(d=d, n=n), IGNORANT, HONEST_B, rng).verdict
+        run_protocol(Protocol.QUANTUM_A2B, params, IGNORANT, HONEST_B, rng).verdict
         is Verdict.ACCEPT
         for _ in range(trials)
     )
@@ -288,7 +289,8 @@ def test_receiver_degenerate_single_system():
     rng = np.random.default_rng(9)
     params = ProtocolParams(d=3, n=0, q=1)
     for _ in range(100):
-        assert run_quantum_b2a(params, HONEST_A, HONEST_B, rng).verdict is Verdict.ACCEPT
+        out = run_protocol(Protocol.QUANTUM_B2A, params, HONEST_A, HONEST_B, rng)
+        assert out.verdict is Verdict.ACCEPT
 
 
 @pytest.mark.parametrize("n,d,q", [(4, 2, 2), (6, 3, 2)])
@@ -297,7 +299,8 @@ def test_receiver_honest_rejection_matches_exact(n, d, q):
     trials = 10_000
     params = ProtocolParams(d=d, n=n, q=q)
     rejected = sum(
-        run_quantum_b2a(params, HONEST_A, HONEST_B, rng).verdict is Verdict.REJECT
+        run_protocol(Protocol.QUANTUM_B2A, params, HONEST_A, HONEST_B, rng).verdict
+        is Verdict.REJECT
         for _ in range(trials)
     )
     target = eps_c_b2a_exact(n, d, q)
@@ -312,7 +315,7 @@ def test_receiver_concealment_bound_for_retaining_bob():
         params = ProtocolParams(d=d, n=4, q=2)
         values = np.empty(trials)
         for i in range(trials):
-            out = run_quantum_b2a(params, HONEST_A, retain, rng)
+            out = run_protocol(Protocol.QUANTUM_B2A, params, HONEST_A, retain, rng)
             values[i] = out.bob_guess.achieved_fsq
         bound = 4 / (d + 1)
         se = values.std(ddof=1) / math.sqrt(trials)
@@ -328,7 +331,7 @@ def test_classical_concealment_lower_bound_achieved():
     trials = 5000
     values = np.empty(trials)
     for i in range(trials):
-        out = run_classical2(params, HONEST_A, retain, rng)
+        out = run_protocol(Protocol.CLASSICAL2, params, HONEST_A, retain, rng)
         values[i] = out.bob_guess.achieved_fsq
     bound = (1 - 0.2) ** 2 / 2
     se = values.std(ddof=1) / math.sqrt(trials)
@@ -339,7 +342,7 @@ def test_receiver_honest_bob_learns_nothing():
     rng = np.random.default_rng(11)
     params = ProtocolParams(d=2, n=4, q=2)
     for _ in range(50):
-        out = run_quantum_b2a(params, HONEST_A, HONEST_B, rng)
+        out = run_protocol(Protocol.QUANTUM_B2A, params, HONEST_A, HONEST_B, rng)
         assert out.bob_guess is None
         bob_measures = [
             e
@@ -358,7 +361,7 @@ def test_abort_never_triggers_at_full_budget():
     rng = np.random.default_rng(12)
     params = ProtocolParams(d=2, n=4, q=5)  # q = n + 1
     for _ in range(200):
-        out = run_quantum_b2a_abort(params, HONEST_A, HONEST_B, rng)
+        out = run_protocol(Protocol.QUANTUM_B2A_ABORT, params, HONEST_A, HONEST_B, rng)
         assert out.verdict is not Verdict.ABORT
 
 
@@ -368,7 +371,8 @@ def test_abort_frequency_within_tail_bound():
     params = ProtocolParams(d=2, n=n, q=int(n / 2 + eps * n))
     trials = 2000
     aborts = sum(
-        run_quantum_b2a_abort(params, HONEST_A, HONEST_B, rng).verdict is Verdict.ABORT
+        run_protocol(Protocol.QUANTUM_B2A_ABORT, params, HONEST_A, HONEST_B, rng).verdict
+        is Verdict.ABORT
         for _ in range(trials)
     )
     bound = hoeffding_bound(n, eps)
@@ -380,7 +384,7 @@ def test_always_abort_yields_abort_every_time():
     params = ProtocolParams(d=2, n=4, q=2)
     alice = AliceStrategy(AliceKind.ALWAYS_ABORT)
     for _ in range(50):
-        out = run_quantum_b2a_abort(params, alice, HONEST_B, rng)
+        out = run_protocol(Protocol.QUANTUM_B2A_ABORT, params, alice, HONEST_B, rng)
         assert out.verdict is Verdict.ABORT
         # No verdict announcement once the abort is on the wire.
         verdicts = [

@@ -24,7 +24,6 @@ from qwitness.qudit import (
     sym_outcome_probability,
     sym_projector,
     symmetric_acceptance,
-    tensor_power,
     tensor_states,
 )
 
@@ -199,27 +198,6 @@ def test_fidelity_half():
 def test_fidelity_dimension_mismatch():
     with pytest.raises(DimensionError):
         fidelity_sq(basis_state(2, 0), basis_state(3, 0))
-
-
-def test_tensor_power_identity_case():
-    rng = np.random.default_rng(3)
-    s = haar_random(3, rng)
-    assert fidelity_sq(tensor_power(s, 1), s) == pytest.approx(1.0)
-
-
-def test_tensor_power_basis_state():
-    out = tensor_power(basis_state(2, 0), 2)
-    assert np.allclose(out.amplitudes, [1, 0, 0, 0])
-
-
-def test_tensor_power_uniform_qubit():
-    out = tensor_power(PureState([2**-0.5, 2**-0.5]), 2)
-    assert np.allclose(out.amplitudes, [0.5] * 4)
-
-
-def test_tensor_power_cap():
-    with pytest.raises(ResourceCapError):
-        tensor_power(basis_state(2, 0), 13)  # 2**13 > 4096
 
 
 def test_tensor_states_cap():

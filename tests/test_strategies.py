@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from qwitness.errors import ConfigurationError
-from qwitness.protocols import (
-    ProtocolParams,
-    Verdict,
-    run_classical1,
-    run_quantum_a2b,
-    run_quantum_b2a,
-)
+from qwitness.protocols import Protocol, ProtocolParams, Verdict, run_protocol
 from qwitness.strategies import (
     AliceKind,
     AliceStrategy,
@@ -161,7 +155,7 @@ def test_honest_pair_always_accepted_in_sender_protocol():
     rng = rng_for("a2b-honest")
     params = ProtocolParams(d=2, n=2)
     for _ in range(400):
-        out = run_quantum_a2b(params, HONEST_A, HONEST_B, rng)
+        out = run_protocol(Protocol.QUANTUM_A2B, params, HONEST_A, HONEST_B, rng)
         assert out.verdict is Verdict.ACCEPT
 
 
@@ -175,7 +169,7 @@ def test_steal_state_alice_statistics():
     accepted = 0
     fsq = np.empty(trials)
     for i in range(trials):
-        out = run_quantum_b2a(params, steal, HONEST_B, rng)
+        out = run_protocol(Protocol.QUANTUM_B2A, params, steal, HONEST_B, rng)
         accepted += out.verdict is Verdict.ACCEPT
         fsq[i] = out.alice_guess.achieved_fsq
     p_target = 2 / 10
@@ -195,7 +189,7 @@ def test_substitute_bob_gains_knowledge_on_classical1():
     trials = 10_000
     fsq = np.empty(trials)
     for i in range(trials):
-        out = run_classical1(params, HONEST_A, sub, rng)
+        out = run_protocol(Protocol.CLASSICAL1, params, HONEST_A, sub, rng)
         fsq[i] = out.bob_guess.achieved_fsq
     se = fsq.std(ddof=1) / math.sqrt(trials)
     assert fsq.mean() - 2 / 3 >= 4 * se
@@ -207,7 +201,8 @@ def test_subspace_alice_half_success():
     alice = AliceStrategy.from_name("subspace-2")
     trials = 30_000
     accepted = sum(
-        run_classical1(params, alice, HONEST_B, rng).verdict is Verdict.ACCEPT
+        run_protocol(Protocol.CLASSICAL1, params, alice, HONEST_B, rng).verdict
+        is Verdict.ACCEPT
         for _ in range(trials)
     )
     assert abs(accepted / trials - 0.5) <= 4 * bernoulli_se(0.5, trials)
@@ -218,7 +213,8 @@ def test_ignorant_alice_b2a_acceptance():
     params = ProtocolParams(d=2, n=9, q=2)
     trials = 20_000
     accepted = sum(
-        run_quantum_b2a(params, IGNORANT, HONEST_B, rng).verdict is Verdict.ACCEPT
+        run_protocol(Protocol.QUANTUM_B2A, params, IGNORANT, HONEST_B, rng).verdict
+        is Verdict.ACCEPT
         for _ in range(trials)
     )
     assert abs(accepted / trials - 0.2) <= 4 * bernoulli_se(0.2, trials)
@@ -230,7 +226,8 @@ def test_random_distinct_commit_matches_ignorant():
     alice = AliceStrategy(AliceKind.RANDOM_DISTINCT_COMMIT)
     trials = 10_000
     accepted = sum(
-        run_quantum_b2a(params, alice, HONEST_B, rng).verdict is Verdict.ACCEPT
+        run_protocol(Protocol.QUANTUM_B2A, params, alice, HONEST_B, rng).verdict
+        is Verdict.ACCEPT
         for _ in range(trials)
     )
     target = 3 / 6
@@ -244,7 +241,7 @@ def test_skip_bob_reaches_no_protocol_optimum():
     trials = 30_000
     fsq = np.empty(trials)
     for i in range(trials):
-        out = run_quantum_a2b(params, HONEST_A, skip, rng)
+        out = run_protocol(Protocol.QUANTUM_A2B, params, HONEST_A, skip, rng)
         assert out.verdict is Verdict.REJECT
         fsq[i] = out.bob_guess.achieved_fsq
     se = fsq.std(ddof=1) / math.sqrt(trials)
@@ -255,17 +252,20 @@ def test_strategy_protocol_mismatches_rejected():
     rng = np.random.default_rng(5)
     steal = AliceStrategy(AliceKind.STEAL_STATE)
     with pytest.raises(ConfigurationError):
-        run_classical1(ProtocolParams(d=2), steal, HONEST_B, rng)
+        run_protocol(Protocol.CLASSICAL1, ProtocolParams(d=2), steal, HONEST_B, rng)
     always_abort = AliceStrategy(AliceKind.ALWAYS_ABORT)
     with pytest.raises(ConfigurationError):
-        run_quantum_b2a(ProtocolParams(d=2, n=3, q=1), always_abort, HONEST_B, rng)
+        run_protocol(
+            Protocol.QUANTUM_B2A, ProtocolParams(d=2, n=3, q=1), always_abort, HONEST_B, rng
+        )
     with pytest.raises(ConfigurationError):
-        run_quantum_a2b(ProtocolParams(d=2, n=1), steal, HONEST_B, rng)
+        run_protocol(Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=1), steal, HONEST_B, rng)
 
 
 def test_substitute_outcome_records_guess_fidelity():
     rng = np.random.default_rng(6)
-    out = run_classical1(ProtocolParams(d=2), HONEST_A, BobStrategy(BobKind.SUBSTITUTE_STATE), rng)
+    sub = BobStrategy(BobKind.SUBSTITUTE_STATE)
+    out = run_protocol(Protocol.CLASSICAL1, ProtocolParams(d=2), HONEST_A, sub, rng)
     assert out.bob_guess is not None
     assert out.bob_guess.achieved_fsq == pytest.approx(
         fidelity_sq(out.bob_guess.guess, out.true_state)
