@@ -38,6 +38,7 @@ from .protocols import (
 from .qudit import (
     MAXIMALLY_MIXED,
     HermitianOperator,
+    fidelity_sq,
     haar_random,
     measure_binary,
     sym_dim,
@@ -59,12 +60,12 @@ def _grid(max_dim: int, cap: int):
             n += 1
 
 
-def _check_projector_traces(max_dim: int, dim_fn) -> list[tuple[str, bool, str]]:
+def _check_projector_traces(max_dim: int) -> list[tuple[str, bool, str]]:
     rows = []
     for n, d in _grid(max_dim, 256):
         proj = sym_projector(n, d).matrix
         trace = float(np.trace(proj).real)
-        expected = dim_fn(n, d)
+        expected = sym_dim(n, d)
         idem = float(np.max(np.abs(proj @ proj - proj)))
         herm = float(np.max(np.abs(proj - proj.conj().T)))
         ok = abs(trace - expected) < 1e-8 and idem < 1e-10 and herm < 1e-10
@@ -74,12 +75,12 @@ def _check_projector_traces(max_dim: int, dim_fn) -> list[tuple[str, bool, str]]
     return rows
 
 
-def _check_mixed_outcome(max_dim: int, dim_fn, rng) -> list[tuple[str, bool, str]]:
+def _check_mixed_outcome(max_dim: int, rng) -> list[tuple[str, bool, str]]:
     rows = []
     for d in range(2, min(max_dim, 6) + 1):
         phi = haar_random(d, rng)
         got = sym_outcome_probability([phi, MAXIMALLY_MIXED], d)
-        expected = dim_fn(2, d) / (dim_fn(1, d) * d)
+        expected = sym_dim(2, d) / (sym_dim(1, d) * d)
         rows.append(
             (f"pure+mixed d={d}", abs(got - expected) < 1e-10,
              f"{got:.12f} vs {expected:.12f}")
@@ -89,7 +90,7 @@ def _check_mixed_outcome(max_dim: int, dim_fn, rng) -> list[tuple[str, bool, str
             continue
         phi = haar_random(d, rng)
         got = sym_outcome_probability([phi] * n_copies + [MAXIMALLY_MIXED], d)
-        expected = dim_fn(n_copies + 1, d) / (dim_fn(n_copies, d) * d)
+        expected = sym_dim(n_copies + 1, d) / (sym_dim(n_copies, d) * d)
         rows.append(
             (f"copies+mixed n={n_copies} d={d}", abs(got - expected) < 1e-10,
              f"{got:.12f} vs {expected:.12f}")
@@ -97,11 +98,11 @@ def _check_mixed_outcome(max_dim: int, dim_fn, rng) -> list[tuple[str, bool, str
     return rows
 
 
-def _check_blind_acceptance_form(max_dim: int, dim_fn) -> list[tuple[str, bool, str]]:
+def _check_blind_acceptance_form(max_dim: int) -> list[tuple[str, bool, str]]:
     worst = 0.0
     for n in range(0, 51):
         for d in range(2, min(max_dim, 50) + 1):
-            lhs = dim_fn(n + 1, d) / (dim_fn(n, d) * d)
+            lhs = sym_dim(n + 1, d) / (sym_dim(n, d) * d)
             rhs = a2b_soundness(n, d)
             worst = max(worst, abs(lhs - rhs))
     return [("blind-acceptance closed form", worst < 1e-12, f"max |diff| {worst:.2e}")]
@@ -181,7 +182,7 @@ def _check_estimation_law(rng) -> list[tuple[str, bool, str]]:
     values = np.empty(trials)
     for i in range(trials):
         eta = haar_random(d, rng)
-        values[i] = covariant_estimate(eta, m, rng).achieved_fsq
+        values[i] = fidelity_sq(covariant_estimate(eta, m, rng), eta)
     target = mean_estimation_fsq(m, d)
     se = values.std(ddof=1) / math.sqrt(trials)
     ok = abs(values.mean() - target) <= 4.0 * se
@@ -195,13 +196,10 @@ def cmd_verify(args) -> int:
     if args.max_dim < 2:
         raise ConfigurationError(f"--max-dim must be at least 2, got {args.max_dim}")
     rng = np.random.default_rng(args.seed)
-    dim_fn = sym_dim
-    if args.inject_fault:
-        dim_fn = lambda n, d: sym_dim(n, d) + 1  # noqa: E731 - test hook
     checks: list[tuple[str, bool, str]] = []
-    checks += _check_projector_traces(args.max_dim, dim_fn)
-    checks += _check_mixed_outcome(args.max_dim, dim_fn, rng)
-    checks += _check_blind_acceptance_form(args.max_dim, dim_fn)
+    checks += _check_projector_traces(args.max_dim)
+    checks += _check_mixed_outcome(args.max_dim, rng)
+    checks += _check_blind_acceptance_form(args.max_dim)
     checks += _check_reject_probability(args.max_dim)
     checks += _check_haar_moments(args.max_dim, args.trials, rng)
     checks += _check_born_frequencies(args.max_dim, max(args.trials // 10, 1000), rng)
@@ -360,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-dim", type=int, default=6)
     p_verify.add_argument("--trials", type=int, default=100_000)
     p_verify.add_argument("--seed", type=int, default=2024)
-    p_verify.add_argument("--inject-fault", action="store_true",
-                          help="test hook: perturb the symmetric dimension")
     p_verify.set_defaults(func=cmd_verify)
 
     def add_run_options(p: argparse.ArgumentParser) -> None:

@@ -5,26 +5,19 @@ unknown Haar-random qudit is (m + 1) / (m + d). The covariant
 estimator below realizes it by sampling a guess from the exact
 posterior, whose fidelity law is Beta(m + 1, d - 1); the single-copy
 basis estimator reproduces the m = 1 value 2 / (d + 1) on
-Haar-averaged inputs.
+Haar-averaged inputs. Both return the guess as a ``PureState`` and
+score nothing: whoever knows the unknown state scores the guess
+against it with ``fidelity_sq``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
-from .qudit import PureState, fidelity_sq, haar_complement, measure_basis
-
-
-@dataclass(frozen=True)
-class EstimationResult:
-    """A guess for an unknown state and its recorded squared fidelity."""
-
-    guess: PureState
-    achieved_fsq: float
+from .qudit import PureState, haar_complement, measure_basis
 
 
 def mean_estimation_fsq(m: int, d: int) -> float:
@@ -42,7 +35,7 @@ def mean_estimation_fsq(m: int, d: int) -> float:
 
 def covariant_estimate(
     eta: PureState, m: int, rng: np.random.Generator
-) -> EstimationResult:
+) -> PureState:
     """Simulate the optimal covariant estimate from m copies of ``eta``.
 
     The guess phi has density proportional to |<phi|eta>|^(2m) over the
@@ -61,11 +54,10 @@ def covariant_estimate(
     phi = math.sqrt(f) * amps + math.sqrt(1.0 - f) * r
     # Renormalize: a draw lying nearly along eta leaves r a small rounding
     # overlap with eta that would break the norm tolerance.
-    guess = PureState(phi / np.linalg.norm(phi))
-    return EstimationResult(guess, fidelity_sq(guess, eta))
+    return PureState(phi / np.linalg.norm(phi))
 
 
-def basis_measure_guess(eta: PureState, rng: np.random.Generator) -> EstimationResult:
+def basis_measure_guess(eta: PureState, rng: np.random.Generator) -> PureState:
     """Measure ``eta`` in the computational basis and guess the outcome vector.
 
     Averaged over Haar-random inputs the mean squared fidelity of this
@@ -74,5 +66,4 @@ def basis_measure_guess(eta: PureState, rng: np.random.Generator) -> EstimationR
     index = measure_basis(eta, rng)
     amps = np.zeros(eta.dim, dtype=np.complex128)
     amps[index] = 1.0
-    guess = PureState(amps)
-    return EstimationResult(guess, fidelity_sq(guess, eta))
+    return PureState(amps)

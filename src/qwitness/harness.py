@@ -1,11 +1,12 @@
 """Monte Carlo experiment runner.
 
 One experiment is a fully specified, seeded batch of independent
-protocol runs aggregated into a single metric. Per-trial generators
-are derived counter-style from (master_seed, trial index), and the
-per-trial values are summed in trial order however the range is split
-across processes, so results are bit-identical across executions and
-across ``jobs``.
+protocol runs aggregated into a single metric. A fidelity metric scores
+the trial's guess against the trial's unknown state, here and nowhere
+else. Per-trial generators are derived counter-style from (master_seed,
+trial index), and the per-trial values are summed in trial order however
+the range is split across processes, so results are bit-identical across
+executions and across ``jobs``.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from .protocols import (
     closed_forms,
     run_protocol,
 )
+from .qudit import fidelity_sq
 from .strategies import AliceKind, AliceStrategy, BobKind, BobStrategy
 
 Z_DEFAULT = 3.0
 # Slack added to a comparison whose standard error vanishes.
 ZERO_SE_ATOL = 1e-9
-_Z95 = 1.959963984540054
 
 
 class Metric(Enum):
@@ -78,15 +79,6 @@ class TrialStats:
             return self.successes / self.n_trials
         return self.value_sum / self.n_trials
 
-    # Aliases matching the two metric families.
-    @property
-    def p_hat(self) -> float:
-        return self.estimate
-
-    @property
-    def mean(self) -> float:
-        return self.estimate
-
     @property
     def std_err(self) -> float:
         if self.formula_value is not None:
@@ -102,11 +94,6 @@ class TrialStats:
         mean = self.value_sum / n
         var = max(0.0, (self.value_sumsq - n * mean * mean) / (n - 1))
         return math.sqrt(var / n)
-
-    @property
-    def ci95(self) -> tuple[float, float]:
-        e, se = self.estimate, self.std_err
-        return (e - _Z95 * se, e + _Z95 * se)
 
     def merge(self, other: "TrialStats") -> "TrialStats":
         if self.metric is not other.metric:
@@ -170,9 +157,8 @@ def _metric_value(outcome: ProtocolOutcome, metric: Metric) -> float:
         return 1.0 if outcome.verdict is Verdict.ACCEPT else 0.0
     if metric is Metric.ABORT_RATE:
         return 1.0 if outcome.verdict is Verdict.ABORT else 0.0
-    if metric is Metric.MEAN_FSQ:
-        return outcome.bob_guess.achieved_fsq
-    return outcome.alice_guess.achieved_fsq
+    guess = outcome.bob_guess if metric is Metric.MEAN_FSQ else outcome.alice_guess
+    return fidelity_sq(guess, outcome.true_state)
 
 
 def run_trial(spec: ExperimentSpec, index: int) -> ProtocolOutcome:
@@ -293,7 +279,11 @@ def formula_target(spec: ExperimentSpec) -> tuple[float, BoundKind] | None:
             return figures.concealment, figures.concealment_kind
         return None
     if metric is Metric.ALICE_MEAN_FSQ:  # stealing Alice, the only one who guesses
-        return figures.baseline_fsq, BoundKind.EXACT
+        # Honest Bob points her at the unknown state itself; any other Bob
+        # points at a Haar substitute, leaving her guess independent of it.
+        if bob is BobKind.HONEST:
+            return figures.baseline_fsq, BoundKind.EXACT
+        return None
     if metric is Metric.ABORT_RATE and alice is AliceKind.HONEST_KNOWING:
         if figures.abort_bound is not None:
             return figures.abort_bound, BoundKind.UPPER

@@ -37,7 +37,7 @@ import numpy as np
 
 from .commitment import Commitment, commit, sustain, unveil
 from .errors import ConfigurationError
-from .estimation import EstimationResult, covariant_estimate
+from .estimation import covariant_estimate
 from .qudit import PureState, haar_random, symmetric_acceptance
 from .qudit import measure_binary  # noqa: F401 - perfbench tests read protocols.measure_binary
 from .spacetime import A1, A2, B1, D, D_SMALL, DELTA, DELTA_PRIME, EventKind, Transcript
@@ -56,7 +56,6 @@ from .strategies import (
     alice_act,
     bob_act,
     knowledge_subspace,
-    record_guess,
 )
 
 
@@ -190,11 +189,18 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
+    """One run: the verdict, its event log, the unknown state and any guesses.
+
+    ``true_state`` is the state eta the run drew for Bob. A party who tries
+    to learn it leaves a guess, a ``PureState`` scored by nothing here;
+    honest Bob, and every Alice but a stealing one, leave None.
+    """
+
     verdict: Verdict
     transcript: Transcript
-    bob_guess: EstimationResult | None = None
-    alice_guess: EstimationResult | None = None
-    true_state: PureState | None = None
+    true_state: PureState
+    bob_guess: PureState | None = None
+    alice_guess: PureState | None = None
 
 
 @dataclass(frozen=True)
@@ -203,7 +209,6 @@ class SecurityFigures:
 
     completeness_err: float
     soundness: float
-    soundness_kind: BoundKind
     concealment: float
     concealment_kind: BoundKind
     baseline_fsq: float
@@ -255,7 +260,6 @@ def closed_forms(protocol: Protocol, params: ProtocolParams) -> SecurityFigures:
         return SecurityFigures(
             completeness_err=0.0,
             soundness=a2b_soundness(n, d),
-            soundness_kind=BoundKind.EXACT,
             concealment=(n + 2) / (n + 1 + d),
             concealment_kind=BoundKind.EXACT,
             baseline_fsq=baseline,
@@ -274,7 +278,6 @@ def closed_forms(protocol: Protocol, params: ProtocolParams) -> SecurityFigures:
         return SecurityFigures(
             completeness_err=eps_c,
             soundness=q / (n + 1),
-            soundness_kind=BoundKind.EXACT,
             concealment=4.0 / (d + 1),
             concealment_kind=BoundKind.UPPER,
             baseline_fsq=baseline,
@@ -286,7 +289,6 @@ def closed_forms(protocol: Protocol, params: ProtocolParams) -> SecurityFigures:
         return SecurityFigures(
             completeness_err=eps_c,
             soundness=q / d,
-            soundness_kind=BoundKind.EXACT,
             concealment=(1.0 - eps_c) ** 2 / q,
             concealment_kind=BoundKind.LOWER,
             baseline_fsq=baseline,
@@ -400,10 +402,7 @@ def _run_classical(
             rng=rng,
         ),
     )
-    return ProtocolOutcome(
-        Verdict.ACCEPT if accept else Verdict.REJECT,
-        tr, record_guess(guess, eta), None, eta,
-    )
+    return ProtocolOutcome(Verdict.ACCEPT if accept else Verdict.REJECT, tr, eta, guess)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +449,7 @@ def _run_a2b(
         # they are all the unknown state, so Bob may estimate from n + 1 copies.
         copies = n + 1 if alice.kind is AliceKind.HONEST_KNOWING and own is eta else 1
         guess = bob_act(bob, FinalGuessContext(retained=eta, copies=copies, rng=rng))
-    return ProtocolOutcome(verdict, tr, record_guess(guess, eta), None, eta)
+    return ProtocolOutcome(verdict, tr, eta, guess)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +504,7 @@ def _run_b2a(
             D + D_SMALL, A2, EventKind.RECEIVE, {"step": "abort"},
             depends_on=(abort_announce.event_id,),
         )
-        bob_guess = _b2a_bob_guess(bob, package, eta, rng)
-        return ProtocolOutcome(Verdict.ABORT, tr, bob_guess, None, eta)
+        return ProtocolOutcome(Verdict.ABORT, tr, eta, _b2a_bob_guess(bob, package, rng))
 
     # The commitment alphabet covers 0..n+1: every label plus the dummy 0.
     order = rng.permutation(len(plan.commit_values))
@@ -556,38 +554,29 @@ def _run_b2a(
         depends_on=(*unveil_deps, first_sustain.event_id),
     )
 
-    bob_guess = _b2a_bob_guess(bob, package, eta, rng)
-    alice_guess = _steal_estimate(alice, package, x, eta, rng)
+    bob_guess = _b2a_bob_guess(bob, package, rng)
+    alice_guess = _steal_estimate(alice, package, x, rng)
     return ProtocolOutcome(
-        Verdict.ACCEPT if accept else Verdict.REJECT,
-        tr, bob_guess, alice_guess, eta,
+        Verdict.ACCEPT if accept else Verdict.REJECT, tr, eta, bob_guess, alice_guess
     )
 
 
 def _b2a_bob_guess(
-    bob: BobStrategy, package: Package, eta: PureState, rng: np.random.Generator
-) -> EstimationResult | None:
+    bob: BobStrategy, package: Package, rng: np.random.Generator
+) -> PureState | None:
     """Bob estimates from what he kept; honest Bob keeps nothing and draws nothing."""
     if bob.kind is BobKind.HONEST:
         return None
-    guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
-    return record_guess(guess, eta)
+    return bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
 
 
 def _steal_estimate(
-    alice: AliceStrategy,
-    package: Package,
-    label: int,
-    eta: PureState,
-    rng: np.random.Generator,
-) -> EstimationResult | None:
+    alice: AliceStrategy, package: Package, label: int, rng: np.random.Generator
+) -> PureState | None:
     """A stealing Alice estimates the system Bob points at, once he points."""
     if alice.kind is not AliceKind.STEAL_STATE:
         return None
-    target = package.systems[label - 1]
-    result = covariant_estimate(target, 1, rng)
-    # Record fidelity against the actual unknown state.
-    return record_guess(result.guess, eta)
+    return covariant_estimate(package.systems[label - 1], 1, rng)
 
 
 def run_protocol(

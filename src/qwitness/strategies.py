@@ -19,7 +19,7 @@ Alice kinds
     always-abort    aborts unconditionally
 
 Bob kinds
-    honest          follows the protocol and records no guess
+    honest          follows the protocol and makes no guess
     substitute      swaps in a probe state, keeps the original unmeasured
     retain-guess    participates, then estimates from whatever he holds
     skip            ignores the protocol and estimates from his single copy
@@ -33,11 +33,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimation import EstimationResult, covariant_estimate
+from .estimation import covariant_estimate
 from .qudit import (
     PureState,
     clamp_probabilities,
-    fidelity_sq,
     haar_complement,
     haar_random,
     measure_basis,
@@ -371,11 +370,4 @@ def _bob_final_guess(strategy: BobStrategy, ctx: FinalGuessContext) -> PureState
         # any unveiling opens his own report.
         return PureState(ctx.basis[:, ctx.reported])
     # Skip Bob, and every Bob who kept the unknown state, estimates from it.
-    return covariant_estimate(ctx.retained, ctx.copies, rng).guess
-
-
-def record_guess(guess: PureState | None, true_state: PureState) -> EstimationResult | None:
-    """Attach the achieved squared fidelity to a strategy's guess."""
-    if guess is None:
-        return None
-    return EstimationResult(guess, fidelity_sq(guess, true_state))
+    return covariant_estimate(ctx.retained, ctx.copies, rng)

@@ -27,6 +27,7 @@ from qwitness.protocols import (
 )
 from qwitness.qudit import (
     MAXIMALLY_MIXED,
+    fidelity_sq,
     haar_random,
     sym_dim,
     sym_outcome_probability,
@@ -130,9 +131,9 @@ def test_criterion_2_sender_soundness(sender_soundness_estimates):
     details = []
     for (n, d), target in [((1, 2), 0.75), ((2, 2), 2 / 3)]:
         stats = sender_soundness_estimates[(n, d)]
-        ok = abs(stats.p_hat - target) <= 3 * stats.std_err
+        ok = abs(stats.estimate - target) <= 3 * stats.std_err
         all_ok &= ok
-        details.append(f"(N={n},d={d}): {stats.p_hat:.4f} vs {target:.4f}")
+        details.append(f"(N={n},d={d}): {stats.estimate:.4f} vs {target:.4f}")
     assert report(2, all_ok, "; ".join(details))
 
 
@@ -144,7 +145,8 @@ def test_criterion_3_no_protocol_estimation():
         trials = 100_000
         values = np.empty(trials)
         for i in range(trials):
-            values[i] = basis_measure_guess(haar_random(d, rng), rng).achieved_fsq
+            eta = haar_random(d, rng)
+            values[i] = fidelity_sq(basis_measure_guess(eta, rng), eta)
         target = 2 / (d + 1)
         se = values.std(ddof=1) / math.sqrt(trials)
         ok = abs(values.mean() - target) <= 3 * se
@@ -163,7 +165,7 @@ def test_criterion_4_sender_concealment():
         values = np.empty(trials)
         for i in range(trials):
             eta = haar_random(d, rng)
-            values[i] = covariant_estimate(eta, m, rng).achieved_fsq
+            values[i] = fidelity_sq(covariant_estimate(eta, m, rng), eta)
         target = (n + 2) / (n + 1 + d)
         se = values.std(ddof=1) / math.sqrt(trials)
         ok = abs(values.mean() - target) <= 3 * se
@@ -181,7 +183,7 @@ def test_criterion_5_receiver_completeness():
             HONEST_A, HONEST_B, 10_000, 500 + n + d + q,
         )
         stats = run_trials(spec)
-        rejection = 1.0 - stats.p_hat
+        rejection = 1.0 - stats.estimate
         target = eps_c_b2a_exact(n, d, q)
         ok = abs(rejection - target) <= 3 * stats.std_err
         all_ok &= ok
@@ -204,9 +206,9 @@ def test_criterion_6_receiver_soundness(receiver_soundness_estimates):
     for n, q in [(9, 2), (19, 4)]:
         stats = receiver_soundness_estimates[(n, q)]
         target = q / (n + 1)
-        ok = abs(stats.p_hat - target) <= 3 * stats.std_err
+        ok = abs(stats.estimate - target) <= 3 * stats.std_err
         all_ok &= ok
-        details.append(f"(N={n},q={q}): {stats.p_hat:.4f} vs {target:.4f}")
+        details.append(f"(N={n},q={q}): {stats.estimate:.4f} vs {target:.4f}")
     assert report(6, all_ok, "; ".join(details))
 
 
@@ -222,9 +224,9 @@ def test_criterion_7_receiver_concealment_bound():
         )
         stats = run_trials(spec)
         bound = 4 / (d + 1)
-        ok = stats.mean <= bound + 3 * stats.std_err
+        ok = stats.estimate <= bound + 3 * stats.std_err
         all_ok &= ok
-        details.append(f"d={d}: {stats.mean:.4f} <= {bound:.4f}")
+        details.append(f"d={d}: {stats.estimate:.4f} <= {bound:.4f}")
     # Honest Bob ends with no guess and no measurement at his sites.
     rng = np.random.default_rng(799)
     zero_information = True
@@ -269,9 +271,9 @@ def test_criterion_8_soundness_floor_audit(
         IGNORANT, HONEST_B, 30_000, 880,
     )
     stats = run_trials(spec)
-    tight = abs(stats.p_hat - 0.5) <= 3 * stats.std_err
+    tight = abs(stats.estimate - 0.5) <= 3 * stats.std_err
     all_ok &= tight
-    details.append(f"classical1 tightness: {stats.p_hat:.4f} vs 0.5")
+    details.append(f"classical1 tightness: {stats.estimate:.4f} vs 0.5")
     assert report(8, all_ok, "; ".join(details))
 
 
@@ -284,9 +286,9 @@ def test_criterion_9_abort_frequency():
     )
     stats = run_trials(spec)
     bound = hoeffding_bound(n, eps)
-    ok = stats.p_hat <= bound + 3 * bernoulli_se(bound, spec.n_trials)
+    ok = stats.estimate <= bound + 3 * bernoulli_se(bound, spec.n_trials)
     assert report(
-        9, ok, f"abort rate {stats.p_hat:.4f} <= exp(-2 eps^2 N) = {bound:.4f}"
+        9, ok, f"abort rate {stats.estimate:.4f} <= exp(-2 eps^2 N) = {bound:.4f}"
     )
 
 
@@ -297,7 +299,7 @@ def test_criterion_10_substitute_bob_knowledge_gain():
     values = np.empty(trials)
     for i in range(trials):
         out = run_protocol(Protocol.CLASSICAL1, ProtocolParams(d=2), HONEST_A, sub, rng)
-        values[i] = out.bob_guess.achieved_fsq
+        values[i] = fidelity_sq(out.bob_guess, out.true_state)
     baseline = 2 / 3
     se = values.std(ddof=1) / math.sqrt(trials)
     ok = values.mean() - baseline >= 4 * se

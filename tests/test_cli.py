@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import qwitness.cli
 from qwitness.cli import main
 
 
@@ -19,8 +20,10 @@ def test_verify_passes(capsys):
     assert "checks passed" in out
 
 
-def test_verify_fault_injection_fails(capsys):
-    code = run_cli(["verify", "--max-dim", "3", "--trials", "2000", "--inject-fault"])
+def test_verify_fault_injection_fails(capsys, monkeypatch):
+    true_dim = qwitness.cli.sym_dim
+    monkeypatch.setattr(qwitness.cli, "sym_dim", lambda n, d: true_dim(n, d) + 1)
+    code = run_cli(["verify", "--max-dim", "3", "--trials", "2000"])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out

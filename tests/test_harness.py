@@ -111,7 +111,7 @@ def test_honest_sender_protocol_degenerate_stats():
         3,
     )
     stats = run_trials(spec)
-    assert stats.p_hat == 1.0
+    assert stats.estimate == 1.0
     assert stats.std_err == 0.0
 
 
@@ -131,10 +131,8 @@ def test_metric_requires_matching_strategy():
 ALICE_NAMES = ("honest", "ignorant", "subspace-2", "steal", "random-distinct", "always-abort")
 
 
-def test_every_pairing_runs_or_is_rejected_when_built():
-    # Every protocol x Alice x Bob x metric spec either fails to build or runs
-    # to the end: no strategy or metric fails inside a trial.
-    clean = 0
+def built_pairings(n_trials, seed):
+    """Every protocol x Alice x Bob x metric spec at d = 3 that builds."""
     for protocol in Protocol:
         classical = protocol in (Protocol.CLASSICAL1, Protocol.CLASSICAL2)
         q = 2 if protocol in (Protocol.CLASSICAL2, Protocol.QUANTUM_B2A_ABORT) else None
@@ -145,14 +143,38 @@ def test_every_pairing_runs_or_is_rejected_when_built():
                     try:
                         spec = ExperimentSpec(
                             protocol, params, AliceStrategy.from_name(name),
-                            BobStrategy(bob), metric, 40, 7,
+                            BobStrategy(bob), metric, n_trials, seed,
                         )
                     except ConfigurationError:
                         continue
-                    run_trials(spec)
-                    clean += 1
+                    yield spec
+
+
+def test_every_pairing_runs_or_is_rejected_when_built():
+    # Every spec either fails to build or runs to the end: no strategy or
+    # metric fails inside a trial.
+    clean = 0
+    for spec in built_pairings(40, 7):
+        run_trials(spec)
+        clean += 1
     # The table admits every pairing the paper's figures need, and no more.
     assert clean == 129
+
+
+def test_every_pairing_with_a_target_meets_it():
+    # A closed-form target must hold for the pairing it is given to; each is
+    # gated at 5 standard errors.
+    targeted, failed = 0, []
+    for spec in built_pairings(2000, 91):
+        target = formula_target(spec)
+        if target is None:
+            continue
+        targeted += 1
+        report = compare_to_formula(run_trials(spec), target[0], z=5.0, kind=target[1])
+        if not report.passed:
+            failed.append((spec.protocol.value, spec.alice.kind.value, spec.bob.kind.value))
+    assert failed == []
+    assert targeted == 27
 
 
 def test_always_abort_leaves_retain_guess_bob_at_the_no_protocol_optimum():
@@ -190,10 +212,8 @@ def test_validate_transcripts_flag():
 
 def test_bernoulli_stats_fields():
     stats = TrialStats(Metric.ACCEPTANCE, 400, successes=100)
-    assert stats.p_hat == pytest.approx(0.25)
+    assert stats.estimate == pytest.approx(0.25)
     assert stats.std_err == pytest.approx((0.25 * 0.75 / 400) ** 0.5)
-    lo, hi = stats.ci95
-    assert lo < 0.25 < hi
 
 
 def test_mean_stats_fields():
@@ -204,7 +224,7 @@ def test_mean_stats_fields():
         value_sum=float(values.sum()),
         value_sumsq=float((values**2).sum()),
     )
-    assert stats.mean == pytest.approx(values.mean())
+    assert stats.estimate == pytest.approx(values.mean())
     assert stats.std_err == pytest.approx(values.std(ddof=1) / 2)
 
 
@@ -270,6 +290,15 @@ def test_formula_targets():
     )
     assert formula_target(classical_retain) is None
     assert formula_target(replace(classical_retain, alice=HONEST_A)) == (1.0, BoundKind.LOWER)
+    # A stealing Alice estimates the system Bob points at: the unknown state
+    # only when Bob is honest, a Haar substitute otherwise.
+    steal = ExperimentSpec(
+        Protocol.QUANTUM_B2A, ProtocolParams(d=3, n=4, q=2),
+        AliceStrategy(AliceKind.STEAL_STATE), HONEST_B, Metric.ALICE_MEAN_FSQ, 10, 0,
+    )
+    assert formula_target(steal) == (2 / 4, BoundKind.EXACT)
+    for bob in (BobKind.SUBSTITUTE_STATE, BobKind.MEASURE_RETAIN_GUESS):
+        assert formula_target(replace(steal, bob=BobStrategy(bob))) is None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from qwitness.protocols import (
     run_protocol,
     soundness_floor_audit,
 )
-from qwitness.qudit import sym_dim
+from qwitness.qudit import fidelity_sq, sym_dim
 from qwitness.spacetime import AgentId, EventKind
 from qwitness.strategies import AliceKind, AliceStrategy, BobKind, BobStrategy
 
@@ -316,7 +316,7 @@ def test_receiver_concealment_bound_for_retaining_bob():
         values = np.empty(trials)
         for i in range(trials):
             out = run_protocol(Protocol.QUANTUM_B2A, params, HONEST_A, retain, rng)
-            values[i] = out.bob_guess.achieved_fsq
+            values[i] = fidelity_sq(out.bob_guess, out.true_state)
         bound = 4 / (d + 1)
         se = values.std(ddof=1) / math.sqrt(trials)
         assert values.mean() <= bound + 4 * se
@@ -332,7 +332,7 @@ def test_classical_concealment_lower_bound_achieved():
     values = np.empty(trials)
     for i in range(trials):
         out = run_protocol(Protocol.CLASSICAL2, params, HONEST_A, retain, rng)
-        values[i] = out.bob_guess.achieved_fsq
+        values[i] = fidelity_sq(out.bob_guess, out.true_state)
     bound = (1 - 0.2) ** 2 / 2
     se = values.std(ddof=1) / math.sqrt(trials)
     assert values.mean() >= bound - 3 * se

@@ -171,7 +171,7 @@ def test_steal_state_alice_statistics():
     for i in range(trials):
         out = run_protocol(Protocol.QUANTUM_B2A, params, steal, HONEST_B, rng)
         accepted += out.verdict is Verdict.ACCEPT
-        fsq[i] = out.alice_guess.achieved_fsq
+        fsq[i] = fidelity_sq(out.alice_guess, out.true_state)
     p_target = 2 / 10
     assert abs(accepted / trials - p_target) <= 4 * bernoulli_se(p_target, trials)
     f_target = 2 / 3
@@ -190,7 +190,7 @@ def test_substitute_bob_gains_knowledge_on_classical1():
     fsq = np.empty(trials)
     for i in range(trials):
         out = run_protocol(Protocol.CLASSICAL1, params, HONEST_A, sub, rng)
-        fsq[i] = out.bob_guess.achieved_fsq
+        fsq[i] = fidelity_sq(out.bob_guess, out.true_state)
     se = fsq.std(ddof=1) / math.sqrt(trials)
     assert fsq.mean() - 2 / 3 >= 4 * se
 
@@ -243,7 +243,7 @@ def test_skip_bob_reaches_no_protocol_optimum():
     for i in range(trials):
         out = run_protocol(Protocol.QUANTUM_A2B, params, HONEST_A, skip, rng)
         assert out.verdict is Verdict.REJECT
-        fsq[i] = out.bob_guess.achieved_fsq
+        fsq[i] = fidelity_sq(out.bob_guess, out.true_state)
     se = fsq.std(ddof=1) / math.sqrt(trials)
     assert abs(fsq.mean() - 2 / 5) <= 3 * se
 
@@ -262,11 +262,10 @@ def test_strategy_protocol_mismatches_rejected():
         run_protocol(Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=1), steal, HONEST_B, rng)
 
 
-def test_substitute_outcome_records_guess_fidelity():
+def test_substitute_outcome_guess_is_a_state():
     rng = np.random.default_rng(6)
     sub = BobStrategy(BobKind.SUBSTITUTE_STATE)
     out = run_protocol(Protocol.CLASSICAL1, ProtocolParams(d=2), HONEST_A, sub, rng)
-    assert out.bob_guess is not None
-    assert out.bob_guess.achieved_fsq == pytest.approx(
-        fidelity_sq(out.bob_guess.guess, out.true_state)
-    )
+    assert isinstance(out.bob_guess, PureState)
+    assert out.bob_guess.dim == out.true_state.dim
+    assert out.alice_guess is None
