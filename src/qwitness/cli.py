@@ -1,8 +1,8 @@
 """Command-line front end: verify, simulate, sweep.
 
-Exit codes: 0 success, 1 check failure, 2 usage error. Outputs carry
-no timestamps or hostnames, so identical invocations (same seed)
-reproduce identical files byte for byte.
+Exit codes: 0 success, 1 check failure, 2 usage error or unwritable
+output path. Outputs carry no timestamps or hostnames, so identical
+invocations (same seed) reproduce identical files byte for byte.
 """
 
 from __future__ import annotations
@@ -195,6 +195,8 @@ def cmd_verify(args) -> int:
         raise ConfigurationError(f"--trials must be at least 2, got {args.trials}")
     if args.max_dim < 2:
         raise ConfigurationError(f"--max-dim must be at least 2, got {args.max_dim}")
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     checks: list[tuple[str, bool, str]] = []
     checks += _check_projector_traces(args.max_dim)
@@ -425,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv, parser)
     try:
         return args.func(args)
-    except ConfigurationError as e:
+    except (ConfigurationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -127,6 +127,8 @@ class ExperimentSpec:
     validate_transcripts: bool = False
 
     def __post_init__(self) -> None:
+        if self.master_seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.master_seed}")
         self.params.check(self.protocol)
         check_players(self.protocol, self.alice, self.bob)
         # A metric the chosen protocol and strategies never produce.
@@ -268,7 +270,7 @@ def formula_target(spec: ExperimentSpec) -> tuple[float, BoundKind] | None:
             if spec.protocol is Protocol.QUANTUM_B2A_ABORT:
                 return None  # acceptance splits between reject and abort
             return 1.0 - figures.completeness_err, BoundKind.EXACT
-        if alice in (AliceKind.IGNORANT, AliceKind.RANDOM_DISTINCT_COMMIT):
+        if alice is AliceKind.IGNORANT:
             return figures.soundness, BoundKind.EXACT
         return None
     if metric is Metric.MEAN_FSQ:

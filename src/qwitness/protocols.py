@@ -37,7 +37,6 @@ import numpy as np
 
 from .commitment import Commitment, commit, sustain, unveil
 from .errors import ConfigurationError
-from .estimation import covariant_estimate
 from .qudit import PureState, haar_random, symmetric_acceptance
 from .qudit import measure_binary  # noqa: F401 - perfbench tests read protocols.measure_binary
 from .spacetime import A1, A2, B1, D, D_SMALL, DELTA, DELTA_PRIME, EventKind, Transcript
@@ -55,7 +54,6 @@ from .strategies import (
     PackageContext,
     alice_act,
     bob_act,
-    knowledge_subspace,
 )
 
 
@@ -76,12 +74,11 @@ ALICE_PLAYS = {
     AliceKind.IGNORANT: frozenset(Protocol),
     AliceKind.SUBSPACE_KNOWLEDGE: _CLASSICAL | {Protocol.QUANTUM_A2B},
     AliceKind.STEAL_STATE: _RECEIVER,
-    AliceKind.RANDOM_DISTINCT_COMMIT: _RECEIVER,
     AliceKind.ALWAYS_ABORT: frozenset({Protocol.QUANTUM_B2A_ABORT}),
 }
 BOB_PLAYS = {
     BobKind.HONEST: frozenset(Protocol),
-    BobKind.SUBSTITUTE_STATE: frozenset(Protocol),
+    BobKind.SUBSTITUTE_STATE: _CLASSICAL | {Protocol.QUANTUM_A2B},
     BobKind.MEASURE_RETAIN_GUESS: frozenset(Protocol),
     BobKind.SKIP_PROTOCOL_MEASURE: _CLASSICAL | {Protocol.QUANTUM_A2B},
 }
@@ -300,14 +297,6 @@ def closed_forms(protocol: Protocol, params: ProtocolParams) -> SecurityFigures:
 # Shared run scaffolding
 
 
-def _bind_subspace(
-    strategy: AliceStrategy, eta: PureState, rng: np.random.Generator
-) -> np.ndarray | None:
-    if strategy.kind is AliceKind.SUBSPACE_KNOWLEDGE:
-        return knowledge_subspace(eta, strategy.subspace_dim, rng)
-    return None
-
-
 def _preshare_event(tr: Transcript):
     """Alice's agents share commitment data well before the run starts."""
     return tr.emit(
@@ -329,11 +318,7 @@ def _run_classical(
     q = params.resolved_q(protocol)
     tr, eta = Transcript(), haar_random(params.d, rng)
 
-    subspace = _bind_subspace(alice, eta, rng)
-    plan = alice_act(
-        alice,
-        MeasurementChoiceContext(params.d, q, params.eps_c_target, eta, subspace, rng),
-    )
+    plan = alice_act(alice, MeasurementChoiceContext(params.d, q, params.eps_c_target, eta, rng))
     shared = _preshare_event(tr)
 
     # t = 0: A1 announces the measurement, A2 commits the predicted indices.
@@ -419,9 +404,8 @@ def _run_a2b(
     d, n = params.d, params.n
     tr, eta = Transcript(), haar_random(d, rng)
 
-    subspace = _bind_subspace(alice, eta, rng)
     # Every copy-preparing strategy hands over n copies of one state phi.
-    phi = alice_act(alice, CopyPreparationContext(d, eta, subspace, rng))
+    phi = alice_act(alice, CopyPreparationContext(d, eta, rng))
     sent = tr.emit(0.0, A1, EventKind.SEND, {"systems": n})
     received = tr.emit(
         D_SMALL, B1, EventKind.RECEIVE, {"systems": n}, depends_on=(sent.event_id,)
@@ -445,9 +429,9 @@ def _run_a2b(
             depends_on=(measured.event_id,),
         )
         verdict = Verdict.ACCEPT if accept else Verdict.REJECT
-        # After an honest run the copies are undisturbed; with honest Alice
-        # they are all the unknown state, so Bob may estimate from n + 1 copies.
-        copies = n + 1 if alice.kind is AliceKind.HONEST_KNOWING and own is eta else 1
+        # After an honest run the copies are undisturbed; when Alice sent the
+        # unknown state itself, Bob may estimate from all n + 1 copies.
+        copies = n + 1 if phi is eta and own is eta else 1
         guess = bob_act(bob, FinalGuessContext(retained=eta, copies=copies, rng=rng))
     return ProtocolOutcome(verdict, tr, eta, guess)
 
@@ -504,19 +488,19 @@ def _run_b2a(
             D + D_SMALL, A2, EventKind.RECEIVE, {"step": "abort"},
             depends_on=(abort_announce.event_id,),
         )
-        return ProtocolOutcome(Verdict.ABORT, tr, eta, _b2a_bob_guess(bob, package, rng))
+        bob_guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
+        return ProtocolOutcome(Verdict.ABORT, tr, eta, bob_guess)
 
     # The commitment alphabet covers 0..n+1: every label plus the dummy 0.
     order = rng.permutation(len(plan.commit_values))
-    commitments: list[tuple[int, Commitment]] = []
-    for slot in order:
-        value = plan.commit_values[int(slot)]
-        c = commit(
-            value, n + 2, A1, 0.0, tr,
+    commitments: list[Commitment] = [
+        commit(
+            plan.commit_values[int(slot)], n + 2, A1, 0.0, tr,
             depends_on=(shared.event_id,) + measure_deps,
         )
-        commitments.append((value, c))
-    for _, c in commitments:
+        for slot in order
+    ]
+    for c in commitments:
         sustain(c, A2, DELTA, tr, depends_on=(shared.event_id,), window=(DELTA, DELTA))
 
     announce_x = tr.emit(
@@ -531,7 +515,7 @@ def _run_b2a(
     x = package.announced_label
     unveil_time = DELTA_PRIME + 2 * D_SMALL
     # Alice can unveil, and Bob accepts, iff a commitment holds the label.
-    matching = [c for value, c in commitments if value == x]
+    matching = [c for c in commitments if c.committed_value == x]
     accept = bool(matching)
     unveil_deps: tuple[int, ...] = ()
     if accept:
@@ -547,36 +531,19 @@ def _run_b2a(
         )
 
     # q >= 1, so the first commitment's sustain event always exists.
-    first_sustain = commitments[0][1].phase_events[1]
+    first_sustain = commitments[0].phase_events[1]
     tr.emit(
         D + unveil_time, B1, EventKind.ANNOUNCE,
         {"step": "verdict", "accept": accept},
         depends_on=(*unveil_deps, first_sustain.event_id),
     )
 
-    bob_guess = _b2a_bob_guess(bob, package, rng)
-    alice_guess = _steal_estimate(alice, package, x, rng)
+    # Bob guesses from what he kept, then Alice from the system he points at.
+    bob_guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
+    alice_guess = alice_act(alice, FinalGuessContext(retained=package.systems[x - 1], rng=rng))
     return ProtocolOutcome(
         Verdict.ACCEPT if accept else Verdict.REJECT, tr, eta, bob_guess, alice_guess
     )
-
-
-def _b2a_bob_guess(
-    bob: BobStrategy, package: Package, rng: np.random.Generator
-) -> PureState | None:
-    """Bob estimates from what he kept; honest Bob keeps nothing and draws nothing."""
-    if bob.kind is BobKind.HONEST:
-        return None
-    return bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
-
-
-def _steal_estimate(
-    alice: AliceStrategy, package: Package, label: int, rng: np.random.Generator
-) -> PureState | None:
-    """A stealing Alice estimates the system Bob points at, once he points."""
-    if alice.kind is not AliceKind.STEAL_STATE:
-        return None
-    return covariant_estimate(package.systems[label - 1], 1, rng)
 
 
 def run_protocol(

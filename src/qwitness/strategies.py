@@ -1,26 +1,26 @@
 """Pluggable honest and adversarial behaviors for Alice and Bob.
 
 Each strategy is a stateless factory; all per-run randomness comes
-from the run's generator and any per-run knowledge (the true state, a
-subspace known to contain it) is bound by the protocol engine through
-the stage contexts below. ``alice_act`` and ``bob_act`` dispatch one
-decision per protocol stage. They make no protocol checks:
-``protocols.ALICE_PLAYS`` and ``BOB_PLAYS`` admit a strategy only to the
-protocols it has a move in, so each stage function handles exactly the
-kinds that reach it.
+from the run's generator. The protocol engine hands each stage what a
+party holds through the stage contexts below, and the strategy draws
+the rest itself: a subspace known to contain the state, a probe, a
+guess. ``alice_act`` and ``bob_act`` dispatch one decision per
+protocol stage. They make no protocol checks: ``protocols.ALICE_PLAYS``
+and ``BOB_PLAYS`` admit a strategy only to the protocols it has a move
+in, so each stage function handles exactly the kinds that reach it.
 
 Alice kinds
     honest          knows the exact classical description and follows the protocol
     ignorant        no classical or quantum information about the state
     subspace-k      knows only a k-dimensional subspace containing the state
-    steal           commits blind and keeps the received systems unmeasured
-    random-distinct commits to q random distinct indices (the ignorant
-                    optimum for the quantum receiver protocol)
+    steal           commits blind, keeps the received systems unmeasured and
+                    estimates the one Bob points at
     always-abort    aborts unconditionally
 
 Bob kinds
     honest          follows the protocol and makes no guess
-    substitute      swaps in a probe state, keeps the original unmeasured
+    substitute      measures a probe state in place of his own, keeps the
+                    original unmeasured (classical and a2b only)
     retain-guess    participates, then estimates from whatever he holds
     skip            ignores the protocol and estimates from his single copy
 """
@@ -48,7 +48,6 @@ class AliceKind(Enum):
     IGNORANT = "ignorant"
     SUBSPACE_KNOWLEDGE = "subspace"
     STEAL_STATE = "steal"
-    RANDOM_DISTINCT_COMMIT = "random-distinct"
     ALWAYS_ABORT = "always-abort"
 
 
@@ -127,7 +126,6 @@ class MeasurementChoiceContext:
     q: int
     eps_c_target: float
     true_state: PureState
-    subspace: np.ndarray | None
     rng: np.random.Generator
 
 
@@ -143,7 +141,6 @@ class CopyPreparationContext:
 
     d: int
     true_state: PureState
-    subspace: np.ndarray | None
     rng: np.random.Generator
 
 
@@ -198,11 +195,13 @@ class OutcomeReport:
 
 @dataclass(frozen=True)
 class FinalGuessContext:
-    """Close-out: Bob turns whatever he holds into a guess, or nothing.
+    """Close-out: a party turns what it holds into a guess, or nothing.
 
-    ``copies`` counts the copies of ``retained`` that retain-guess Bob
-    estimates from; ``unveiled`` says Alice opened a commitment to
-    ``reported``, which binding makes the only value she can open.
+    ``retained`` is what the party holds: Bob's kept state, or the
+    system Bob's label points Alice at. ``copies`` counts the copies of
+    it retain-guess Bob estimates from; ``unveiled`` says Alice opened a
+    commitment to ``reported``, which binding makes the only value she
+    can open.
     """
 
     rng: np.random.Generator
@@ -225,6 +224,8 @@ def alice_act(strategy: AliceStrategy, ctx) -> object:
         return _alice_prepare_copies(strategy, ctx)
     if isinstance(ctx, DetectionCommitContext):
         return _alice_detection_commits(strategy, ctx)
+    if isinstance(ctx, FinalGuessContext):
+        return _alice_final_guess(strategy, ctx)
     raise ConfigurationError(f"unsupported alice stage {type(ctx).__name__}")
 
 
@@ -255,8 +256,9 @@ def _alice_measurement_choice(
         commit_values = tuple(int(j) for j in rng.choice(d, size=q, replace=False))
         return ClassicalPlan(basis, commit_values)
     # Subspace knowledge.
-    k = ctx.subspace.shape[1]
-    rotated = ctx.subspace @ _haar_unitary(k, rng)
+    k = strategy.subspace_dim
+    subspace = knowledge_subspace(ctx.true_state, k, rng)
+    rotated = subspace @ _haar_unitary(k, rng)
     basis = np.column_stack([rotated, haar_complement(rotated, d - k, rng)])
     # The state lies in the first k columns; commit as many of those as fit.
     in_subspace = list(range(min(q, k)))
@@ -274,8 +276,9 @@ def _alice_prepare_copies(
         # Best blind strategy: a single random state, repeated.
         return haar_random(ctx.d, ctx.rng)
     # Subspace knowledge: a random state inside the known subspace.
-    k = ctx.subspace.shape[1]
-    return PureState(ctx.subspace @ haar_random(k, ctx.rng).amplitudes)
+    k = strategy.subspace_dim
+    subspace = knowledge_subspace(ctx.true_state, k, ctx.rng)
+    return PureState(subspace @ haar_random(k, ctx.rng).amplitudes)
 
 
 def _alice_detection_commits(
@@ -300,10 +303,17 @@ def _alice_detection_commits(
         else:
             values = tuple(detected) + (0,) * (q - positives)
         return DetectionCommitPlan(values, positives)
-    # Ignorant, random-distinct and steal: the blind optimum, q random distinct
-    # labels. Stealing Alice keeps every received system unmeasured.
+    # Ignorant and steal: the blind optimum, q random distinct labels.
+    # Stealing Alice keeps every received system unmeasured.
     chosen = rng.choice(np.arange(1, n_plus_1 + 1), size=q, replace=False)
     return DetectionCommitPlan(tuple(int(v) for v in chosen), None)
+
+
+def _alice_final_guess(strategy: AliceStrategy, ctx: FinalGuessContext) -> PureState | None:
+    """A stealing Alice estimates the system Bob points at; no other Alice guesses."""
+    if strategy.kind is AliceKind.STEAL_STATE:
+        return covariant_estimate(ctx.retained, 1, ctx.rng)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +344,7 @@ def _bob_package(strategy: BobStrategy, ctx: PackageContext) -> Package:
                 label = slot + 1
         assert label is not None
         return Package(tuple(systems), label, None)
-    # Retain-guess and substitute: keep the unknown state, send fresh substitutes.
+    # Retain-guess: keep the unknown state, send fresh substitutes.
     systems = tuple(haar_random(d, rng) for _ in range(n + 1))
     label = int(rng.integers(1, n + 2))
     return Package(systems, label, ctx.qb_state)

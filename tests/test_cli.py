@@ -162,22 +162,50 @@ def test_malformed_values_exit_2(argv, capsys):
     assert captured.out == ""
 
 
+_SIMULATE = ["simulate", "--trials", "5"]
+
+
 @pytest.mark.parametrize("flags", [
-    ["--protocol", "classical2", "--d", "3", "--q", "3", "--alice", "honest",
+    [*_SIMULATE, "--protocol", "classical2", "--d", "3", "--q", "3", "--alice", "honest",
      "--eps-c-target", "0.1"],
-    ["--protocol", "classical1", "--d", "3", "--alice", "subspace-5"],
-    ["--protocol", "classical1", "--d", "3", "--alice", "always-abort"],
-    ["--protocol", "a2b", "--d", "2", "--n", "2", "--alice", "steal"],
-    ["--protocol", "b2a", "--d", "2", "--n", "4", "--alice", "always-abort"],
-    ["--protocol", "b2a", "--d", "2", "--n", "4", "--alice", "ignorant", "--metric", "mean-fsq"],
-    ["--protocol", "classical1", "--d", "3", "--alice", "honest", "--metric", "alice-mean-fsq"],
-    ["--protocol", "classical1", "--d", "3", "--alice", "honest", "--metric", "abort-rate"],
+    [*_SIMULATE, "--protocol", "classical1", "--d", "3", "--alice", "subspace-5"],
+    [*_SIMULATE, "--protocol", "classical1", "--d", "3", "--alice", "always-abort"],
+    [*_SIMULATE, "--protocol", "a2b", "--d", "2", "--n", "2", "--alice", "steal"],
+    [*_SIMULATE, "--protocol", "b2a", "--d", "2", "--n", "4", "--alice", "always-abort"],
+    [*_SIMULATE, "--protocol", "b2a", "--d", "2", "--n", "4", "--alice", "ignorant",
+     "--metric", "mean-fsq"],
+    [*_SIMULATE, "--protocol", "classical1", "--d", "3", "--alice", "honest",
+     "--metric", "alice-mean-fsq"],
+    [*_SIMULATE, "--protocol", "classical1", "--d", "3", "--alice", "honest",
+     "--metric", "abort-rate"],
+    [*_SIMULATE, "--protocol", "b2a", "--d", "2", "--n", "4", "--alice", "random-distinct"],
+    [*_SIMULATE, "--protocol", "b2a", "--d", "2", "--n", "4", "--alice", "honest",
+     "--bob", "substitute"],
+    [*_SIMULATE, "--protocol", "b2a-abort", "--d", "2", "--n", "4", "--alice", "honest",
+     "--bob", "substitute"],
+    [*_SIMULATE, "--protocol", "classical1", "--d", "3", "--alice", "honest", "--seed", "-1"],
+    ["sweep", "--protocol", "classical1", "--d", "3", "--alice", "ignorant", "--trials", "5",
+     "--seed", "-1", "--axis", "d", "--values", "2,3"],
+    ["verify", "--max-dim", "2", "--trials", "2000", "--seed", "-1"],
 ])
 def test_settings_no_trial_can_run_are_rejected_before_trial_0(flags, capsys):
-    assert run_cli(["simulate", *flags, "--trials", "5"]) == 2
+    assert run_cli(flags) == 2
     err = capsys.readouterr().err
     assert "error" in err
     assert "trial 0" not in err
+
+
+@pytest.mark.parametrize("option", ["--out", "--transcripts"])
+def test_unwritable_output_path_exits_2(option, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code = run_cli([
+        "simulate", "--protocol", "classical1", "--d", "2", "--alice", "honest",
+        "--trials", "5", option, str(path),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not path.exists()
 
 
 def test_bob_guesses_after_an_abort(capsys):

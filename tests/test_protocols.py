@@ -1,13 +1,23 @@
 """Protocol state machines against the exact security figures."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from qwitness.errors import ConfigurationError
-from qwitness.harness import ExperimentSpec, Metric, TrialStats, compare_to_formula, run_trials
+from qwitness.harness import (
+    ExperimentSpec,
+    Metric,
+    TrialStats,
+    compare_to_formula,
+    run_trials,
+    trial_rng,
+)
 from qwitness.protocols import (
+    ALICE_PLAYS,
+    BOB_PLAYS,
     BoundKind,
     Protocol,
     ProtocolParams,
@@ -392,6 +402,57 @@ def test_always_abort_yields_abort_every_time():
             if e.kind is EventKind.ANNOUNCE and e.payload.get("step") == "verdict"
         ]
         assert not verdicts
+
+
+# ---------------------------------------------------------------------------
+# one strategy per attack
+
+
+_PAIRING_PARAMS = {
+    Protocol.CLASSICAL1: ProtocolParams(d=3),
+    Protocol.CLASSICAL2: ProtocolParams(d=3, q=2),
+    Protocol.QUANTUM_A2B: ProtocolParams(d=3, n=2),
+    Protocol.QUANTUM_B2A: ProtocolParams(d=3, n=4, q=2),
+    Protocol.QUANTUM_B2A_ABORT: ProtocolParams(d=3, n=4, q=2),
+}
+
+
+def _replay(protocol, alice, bob):
+    """Verdict, JSONL and the bytes of both guesses of 20 seeded trials."""
+    runs = []
+    for i in range(20):
+        out = run_protocol(protocol, _PAIRING_PARAMS[protocol], alice, bob, trial_rng(3, i))
+        guesses = (out.bob_guess, out.alice_guess)
+        runs.append((
+            out.verdict, out.transcript.to_jsonl(),
+            *(None if g is None else g.amplitudes.tobytes() for g in guesses),
+        ))
+    return runs
+
+
+def test_no_two_strategy_kinds_replay_each_other():
+    # Two kinds that give the same trials draw for draw are one attack under
+    # two names: each Alice kind is played against honest Bob, each Bob kind
+    # against honest Alice, and every pair on one side must differ.
+    aliases = []
+    for protocol in Protocol:
+        alices = {
+            kind.value: _replay(
+                protocol,
+                AliceStrategy(kind, 2 if kind is AliceKind.SUBSPACE_KNOWLEDGE else None),
+                HONEST_B,
+            )
+            for kind in AliceKind if protocol in ALICE_PLAYS[kind]
+        }
+        bobs = {
+            kind.value: _replay(protocol, HONEST_A, BobStrategy(kind))
+            for kind in BobKind if protocol in BOB_PLAYS[kind]
+        }
+        for runs in (alices, bobs):
+            aliases += [
+                (protocol.value, a, b) for a, b in combinations(runs, 2) if runs[a] == runs[b]
+            ]
+    assert aliases == []
 
 
 # ---------------------------------------------------------------------------

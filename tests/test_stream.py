@@ -103,13 +103,13 @@ PINNED = {
         200, 0, '0x1.133af312875eap+7', '0x1.a91fdf79fa97cp+6',
         '501ead058608fde17ada1226a80668e1a309da88b1a776a75c9e745ad09ce856',
     ),
-    'b2a-random-distinct-retain-guess': (
-        '--protocol b2a --d 4 --n 4 --q 2 --alice random-distinct --bob retain-guess --metric mean-fsq',
+    'b2a-ignorant-retain-guess': (
+        '--protocol b2a --d 4 --n 4 --q 2 --alice ignorant --bob retain-guess --metric mean-fsq',
         200, 0, '0x1.419c5260f8933p+6', '0x1.466f44d223690p+5',
         'cb5d4edc5a155eccc6776b8d106aa8d64baae7aea09701441faa542bef44aa0b',
     ),
-    'b2a-substitute': (
-        '--protocol b2a --d 3 --n 4 --q 2 --alice honest --bob substitute --metric mean-fsq',
+    'b2a-honest-retain-guess': (
+        '--protocol b2a --d 3 --n 4 --q 2 --alice honest --bob retain-guess --metric mean-fsq',
         200, 0, '0x1.876efe3ff442dp+6', '0x1.d21ecfad1438ep+5',
         'fa6c3cd9127f7336c3e5032101261547a27411258e66307ce387ff478b5383c1',
     ),
@@ -142,10 +142,10 @@ GRAPH_PINNED = {
     'b2a-abort-always-abort': '041d43f8516a3b77699eb027f03aa1af4ab103ae415451d0d8f4b0e008dd534d',
     'b2a-abort-honest': 'ccd6aaf264b4b3cfacb93ccd4d400ff6e1f93cea4f9d424f17a1eb191d16c5e1',
     'b2a-honest': 'cc34dbc7ca88aa0b8410b4416d124732e54f8fa3f956501b336fae730bbb7982',
+    'b2a-honest-retain-guess': '602e062394baddf495a414e7a649d02b47863e0573cadc7539880144f09e947f',
     'b2a-ignorant': '4780b74a0169f373de7fe8bd1e0e311d76377138ba2a874bd6122b3030e70847',
-    'b2a-random-distinct-retain-guess': '7babaa9906490d29b652024ea48409979d4737f67bf64e523b9ed9be53cd134a',
+    'b2a-ignorant-retain-guess': '7babaa9906490d29b652024ea48409979d4737f67bf64e523b9ed9be53cd134a',
     'b2a-steal': '1e6ad195933e4b35f99e29de36f0b9c6db96f857d9a83d4bc26ade8e04cb62ab',
-    'b2a-substitute': '602e062394baddf495a414e7a649d02b47863e0573cadc7539880144f09e947f',
     'classical1-honest': 'b7183e64cb4670616e0274797f7720967189b25c8d1a2b807280966fb192f858',
     'classical1-ignorant': 'f1b3508810f54069442e908768315226fb3011fc687373c2e8ef14a271ef4ac2',
     'classical1-retain-guess': '631395a06d17f2e4137fd568116ad34f3fb947557b97c3b696c5dd1b5b649108',
