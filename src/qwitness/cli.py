@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from itertools import combinations
 
@@ -221,13 +222,7 @@ def cmd_verify(args) -> int:
 
 
 def _build_spec(args) -> ExperimentSpec:
-    params = ProtocolParams(
-        d=args.d,
-        n=args.n,
-        q=args.q,
-        eps_c_target=args.eps_c_target,
-        abort_epsilon=args.abort_epsilon,
-    )
+    params = ProtocolParams(d=args.d, n=args.n, q=args.q, eps_c_target=args.eps_c_target)
     return ExperimentSpec(
         protocol=Protocol(args.protocol),
         params=params,
@@ -270,6 +265,19 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
     return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
+def _check_writable(path: str | None) -> None:
+    """Fail before any trial runs if ``path`` lies in no writable directory.
+
+    None and "-" mean stdout. Creates nothing, so a run stopped by a later
+    usage error leaves no file behind.
+    """
+    if path is None or path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise ConfigurationError(f"cannot write {path}: {parent} is not a writable directory")
+
+
 def _write_output(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -285,6 +293,8 @@ def cmd_simulate(args) -> int:
     if limit < 0:
         raise ConfigurationError(f"--transcript-limit must be nonnegative, got {limit}")
     spec = _build_spec(args)
+    _check_writable(args.out)
+    _check_writable(args.transcripts)
     stats = run_trials(spec, jobs=args.jobs)
     row = result_row(spec, stats, formula_target(spec))
     _write_output(args.out, _format_rows([row], args.format))
@@ -321,6 +331,7 @@ def cmd_sweep(args) -> int:
             raise ConfigurationError(f"--values: {chunk!r} is not a valid {args.axis}") from None
     if not values:
         raise ConfigurationError("--values names no value to sweep")
+    _check_writable(args.out)
     rows = sweep(spec, args.axis, values, jobs=args.jobs)
     table = [result_row(row.spec, row.stats, formula_target(row.spec)) for row in rows]
     _write_output(args.out, _format_rows(table, args.format))
@@ -370,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=0)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--eps-c-target", type=float, default=0.0)
-        p.add_argument("--abort-epsilon", type=float, default=None,
-                       help="b2a-abort without --q only (default 0.1)")
         p.add_argument("--alice", help="required, here or in the config file")
         p.add_argument("--bob", default="honest")
         p.add_argument("--metric", default="acceptance",

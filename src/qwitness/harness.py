@@ -54,8 +54,7 @@ class TrialStats:
 
     Bernoulli metrics track a success count; fidelity metrics track
     value sums. ``merge`` adds counts exactly, but its float sums depend
-    on how trials were grouped, in the last digits. A closed-form value
-    can be wrapped via ``from_formula`` (zero error).
+    on how trials were grouped, in the last digits.
     """
 
     metric: Metric
@@ -63,7 +62,6 @@ class TrialStats:
     successes: int = 0
     value_sum: float = 0.0
     value_sumsq: float = 0.0
-    formula_value: float | None = None
 
     @property
     def is_bernoulli(self) -> bool:
@@ -71,8 +69,6 @@ class TrialStats:
 
     @property
     def estimate(self) -> float:
-        if self.formula_value is not None:
-            return self.formula_value
         if self.n_trials == 0:
             raise ConfigurationError("no trials to estimate from")
         if self.is_bernoulli:
@@ -81,8 +77,6 @@ class TrialStats:
 
     @property
     def std_err(self) -> float:
-        if self.formula_value is not None:
-            return 0.0
         n = self.n_trials
         if n == 0:
             raise ConfigurationError("no trials to estimate from")
@@ -98,8 +92,6 @@ class TrialStats:
     def merge(self, other: "TrialStats") -> "TrialStats":
         if self.metric is not other.metric:
             raise ConfigurationError("cannot merge stats for different metrics")
-        if self.formula_value is not None or other.formula_value is not None:
-            raise ConfigurationError("formula stats are not mergeable")
         return TrialStats(
             self.metric,
             self.n_trials + other.n_trials,
@@ -107,10 +99,6 @@ class TrialStats:
             self.value_sum + other.value_sum,
             self.value_sumsq + other.value_sumsq,
         )
-
-    @classmethod
-    def from_formula(cls, metric: Metric, value: float) -> "TrialStats":
-        return cls(metric, 0, formula_value=value)
 
 
 @dataclass(frozen=True)
@@ -127,26 +115,43 @@ class ExperimentSpec:
     validate_transcripts: bool = False
 
     def __post_init__(self) -> None:
+        """Reject, before any trial, a setting the run would ignore or could not play."""
         if self.master_seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.master_seed}")
-        self.params.check(self.protocol)
-        check_players(self.protocol, self.alice, self.bob)
+        protocol, params, alice = self.protocol, self.params, self.alice.kind
+        classical = protocol in (Protocol.CLASSICAL1, Protocol.CLASSICAL2)
+        if protocol is Protocol.QUANTUM_A2B and params.q is not None:
+            raise ConfigurationError("a2b commits nothing, so q does not apply")
+        if classical and params.n > 0:
+            raise ConfigurationError(f"{protocol.value} sends no extra systems, so n must be 0")
+        q = params.resolved_q(protocol)
+        # Only honest Alice in a classical protocol aims at a completeness
+        # error, and only while a residual outcome stays uncovered.
+        if params.eps_c_target > 0.0:
+            if not classical:
+                raise ConfigurationError(
+                    f"eps_c_target applies to the classical protocols only, not {protocol.value}"
+                )
+            if alice is not AliceKind.HONEST_KNOWING:
+                raise ConfigurationError(
+                    f"eps_c_target applies to honest Alice only, not {alice.value}"
+                )
+            if q >= params.d:
+                raise ConfigurationError(
+                    "eps_c_target > 0 needs q <= d - 1 so the residual stays uncovered"
+                )
+        check_players(protocol, self.alice, self.bob)
+        k = self.alice.subspace_dim
+        if k is not None and k > params.d:
+            raise ConfigurationError(f"subspace dimension {k} exceeds d={params.d}")
         # A metric the chosen protocol and strategies never produce.
-        metric, protocol = self.metric, self.protocol
+        metric = self.metric
         if metric is Metric.ABORT_RATE and protocol is not Protocol.QUANTUM_B2A_ABORT:
             raise ConfigurationError(f"abort-rate needs b2a-abort: {protocol.value} never aborts")
         if metric is Metric.MEAN_FSQ and self.bob.kind is BobKind.HONEST:
             raise ConfigurationError("mean-fsq metric needs a Bob strategy that guesses")
-        if metric is Metric.ALICE_MEAN_FSQ and self.alice.kind is not AliceKind.STEAL_STATE:
+        if metric is Metric.ALICE_MEAN_FSQ and alice is not AliceKind.STEAL_STATE:
             raise ConfigurationError("alice-mean-fsq metric needs a stealing Alice")
-        k = self.alice.subspace_dim
-        if k is not None and k > self.params.d:
-            raise ConfigurationError(f"subspace dimension {k} exceeds d={self.params.d}")
-        # Only honest Alice aims her measurement at a completeness error.
-        if self.params.eps_c_target > 0.0 and self.alice.kind is not AliceKind.HONEST_KNOWING:
-            raise ConfigurationError(
-                f"eps_c_target applies to honest Alice only, not {self.alice.kind.value}"
-            )
 
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -247,8 +252,6 @@ def compare_to_formula(
     (plus ``ZERO_SE_ATOL`` when the standard error vanishes). Upper bounds
     require estimate <= target + z * std_err, lower bounds the mirror.
     """
-    if stats.n_trials == 0 and stats.formula_value is None:
-        raise ConfigurationError("cannot compare empty stats")
     estimate, se = stats.estimate, stats.std_err
     slack = z * se + (ZERO_SE_ATOL if se == 0.0 else 0.0)
     diff = estimate - target
@@ -303,7 +306,7 @@ class SweepRow:
 
 
 # The ProtocolParams fields a sweep may vary, each with the type of its values.
-SWEEP_AXES = {"d": int, "n": int, "q": int, "eps_c_target": float, "abort_epsilon": float}
+SWEEP_AXES = {"d": int, "n": int, "q": int, "eps_c_target": float}
 
 
 def sweep(base: ExperimentSpec, axis: str, values, jobs: int = 1) -> list[SweepRow]:

@@ -108,24 +108,26 @@ class BoundKind(Enum):
     LOWER = "lower"
 
 
+# Detection headroom of the abort variant's default q, ceil(n/d + 0.1 n), so
+# that its abort rate stays tail-bounded.
+ABORT_HEADROOM = 0.1
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Security parameters shared by all protocols.
 
     ``d`` is the qudit dimension, ``n`` the decoy or copy count, ``q``
     the commitment-list length (None resolves to the protocol default:
-    ceil((n + 1) / d) for the receiver protocol, ceil(n/d + abort_epsilon n)
-    for its abort variant and 1 otherwise), ``eps_c_target`` honest
-    Alice's completeness error in the classical protocols, and
-    ``abort_epsilon`` the abort variant's detection headroom (None means
-    0.1), read only when that variant derives its own q.
+    ceil((n + 1) / d) for the receiver protocol, ceil(n/d + ABORT_HEADROOM n)
+    for its abort variant and 1 otherwise), and ``eps_c_target`` honest
+    Alice's completeness error in the classical protocols.
     """
 
     d: int
     n: int = 0
     q: int | None = None
     eps_c_target: float = 0.0
-    abort_epsilon: float | None = None
 
     def __post_init__(self) -> None:
         if self.d < 2:
@@ -136,28 +138,6 @@ class ProtocolParams:
             raise ConfigurationError("commitment-list length q must be >= 1")
         if not 0.0 <= self.eps_c_target < 1.0:
             raise ConfigurationError("eps_c_target must lie in [0, 1)")
-        if self.abort_epsilon is not None and not 0.0 < self.abort_epsilon < math.inf:
-            raise ConfigurationError("abort_epsilon must be positive and finite")
-
-    def check(self, protocol: Protocol) -> None:
-        """Reject a setting that ``protocol`` would accept and then ignore."""
-        classical = protocol in _CLASSICAL
-        if protocol is Protocol.QUANTUM_A2B and self.q is not None:
-            raise ConfigurationError("a2b commits nothing, so q does not apply")
-        if classical and self.n > 0:
-            raise ConfigurationError(f"{protocol.value} sends no extra systems, so n must be 0")
-        if not classical and self.eps_c_target > 0.0:
-            raise ConfigurationError(
-                f"eps_c_target applies to the classical protocols only, not {protocol.value}"
-            )
-        if self.abort_epsilon is not None and (
-            protocol is not Protocol.QUANTUM_B2A_ABORT or self.q is not None
-        ):
-            raise ConfigurationError(
-                "abort_epsilon only sets the default q of b2a-abort, so it needs "
-                "b2a-abort without an explicit q"
-            )
-        self.resolved_q(protocol)
 
     def resolved_q(self, protocol: Protocol) -> int:
         if self.q is not None:
@@ -165,20 +145,13 @@ class ProtocolParams:
         elif protocol is Protocol.QUANTUM_B2A:
             q = math.ceil((self.n + 1) / self.d)
         elif protocol is Protocol.QUANTUM_B2A_ABORT:
-            # Detection budget with headroom so the abort rate is tail-bounded.
-            eps = 0.1 if self.abort_epsilon is None else self.abort_epsilon
-            q = max(1, math.ceil(self.n / self.d + eps * self.n))
+            q = max(1, math.ceil(self.n / self.d + ABORT_HEADROOM * self.n))
         else:
             q = 1
-        if protocol in _RECEIVER:
-            if q > self.n + 1:
-                raise ConfigurationError(f"q={q} must not exceed n + 1 = {self.n + 1}")
+        if protocol in _RECEIVER and q > self.n + 1:
+            raise ConfigurationError(f"q={q} must not exceed n + 1 = {self.n + 1}")
         if protocol is Protocol.CLASSICAL2 and q > self.d:
             raise ConfigurationError(f"q={q} must not exceed d={self.d}")
-        if protocol is Protocol.CLASSICAL2 and self.eps_c_target > 0.0 and q >= self.d:
-            raise ConfigurationError(
-                "eps_c_target > 0 needs q <= d - 1 so the residual stays uncovered"
-            )
         if protocol is Protocol.CLASSICAL1 and q != 1:
             raise ConfigurationError("classical1 commits exactly one index")
         return q
@@ -574,19 +547,20 @@ class AuditResult:
     slack: float
 
 
-def soundness_floor_audit(eps_s_est, eps_c_est, d: int, z: float = 3.0) -> AuditResult:
+def soundness_floor_audit(
+    s_hat: float, se_s: float, c_hat: float, se_c: float, d: int, z: float = 3.0
+) -> AuditResult:
     """Check estimated soundness against the universal 1/d floor.
 
-    Passes iff (s_hat + z se_s) / (1 - c_hat + z se_c) >= 1/d, i.e. the
-    bound holds within the stated standard-error slack.
+    ``s_hat`` and ``c_hat`` estimate the soundness and the completeness
+    error, ``se_s`` and ``se_c`` are their standard errors (0 for an exact
+    value). Passes iff (s_hat + z se_s) / (1 - c_hat + z se_c) >= 1/d, i.e.
+    the bound holds within the stated standard-error slack.
     """
     if d < 2:
         raise ConfigurationError("floor audit needs d >= 2")
-    c_hat = eps_c_est.estimate
     if c_hat >= 1.0:
         raise ValueError("completeness-error estimate >= 1 leaves the ratio undefined")
-    numerator = eps_s_est.estimate + z * eps_s_est.std_err
-    denominator = 1.0 - c_hat + z * eps_c_est.std_err
-    ratio = numerator / denominator
+    ratio = (s_hat + z * se_s) / (1.0 - c_hat + z * se_c)
     floor = 1.0 / d
     return AuditResult(ratio >= floor, ratio, floor, ratio - floor)

@@ -86,17 +86,21 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Dense Hermitian operator; also used for projectors."""
+    """Dense Hermitian operator; also used for projectors.
+
+    A real matrix is stored as float64, any other as complex128.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=np.complex128)
+        mat = np.asarray(self.matrix)
+        # astype copies, so the stored matrix is the operator's own.
+        mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise DimensionError("operator matrix must be square and non-empty")
         if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL}")
-        mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -104,25 +108,16 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_projector(self) -> bool:
-        mat = self.matrix
-        return bool(np.max(np.abs(mat @ mat - mat)) <= PROJECTOR_TOL)
-
     @cached_property
     def projective(self) -> bool:
-        """``is_projector()``, computed once per operator."""
-        return self.is_projector()
+        """Whether the operator is idempotent within ``PROJECTOR_TOL``, computed once."""
+        mat = self.matrix
+        return bool(np.max(np.abs(mat @ mat - mat)) <= PROJECTOR_TOL)
 
     @classmethod
     def from_state(cls, state: PureState) -> "HermitianOperator":
         """Rank-1 projector onto ``state``."""
         return cls(state.density_matrix())
-
-    @classmethod
-    def identity(cls, d: int) -> "HermitianOperator":
-        if d < 1:
-            raise DimensionError("identity needs dimension >= 1")
-        return cls(np.eye(d, dtype=np.complex128))
 
 
 @dataclass(frozen=True)

@@ -334,16 +334,10 @@ def bob_act(strategy: BobStrategy, ctx) -> object:
 def _bob_package(strategy: BobStrategy, ctx: PackageContext) -> Package:
     n, d, rng = ctx.n, ctx.d, ctx.rng
     if strategy.kind is BobKind.HONEST:
-        decoys = [haar_random(d, rng) for _ in range(n)]
-        order = rng.permutation(n + 1)
-        systems: list[PureState] = [None] * (n + 1)  # type: ignore[list-item]
-        label = None
-        for slot, source in enumerate(order):
-            systems[slot] = ctx.qb_state if source == 0 else decoys[source - 1]
-            if source == 0:
-                label = slot + 1
-        assert label is not None
-        return Package(tuple(systems), label, None)
+        # Source 0 is the unknown state, source i > 0 decoy i; slot j sends order[j].
+        sources = [ctx.qb_state] + [haar_random(d, rng) for _ in range(n)]
+        order = rng.permutation(n + 1).tolist()
+        return Package(tuple(sources[i] for i in order), order.index(0) + 1, None)
     # Retain-guess: keep the unknown state, send fresh substitutes.
     systems = tuple(haar_random(d, rng) for _ in range(n + 1))
     label = int(rng.integers(1, n + 2))

@@ -13,7 +13,6 @@ from qwitness.cli import main as cli_main
 from qwitness.harness import (
     ExperimentSpec,
     Metric,
-    TrialStats,
     run_trials,
 )
 from qwitness.protocols import (
@@ -252,17 +251,14 @@ def test_criterion_8_soundness_floor_audit(
     all_ok = True
     details = []
     # Sender protocol: completeness error is exactly zero.
-    zero = TrialStats.from_formula(Metric.ACCEPTANCE, 0.0)
     for (n, d), stats in sender_soundness_estimates.items():
-        result = soundness_floor_audit(stats, zero, d)
+        result = soundness_floor_audit(stats.estimate, stats.std_err, 0.0, 0.0, d)
         all_ok &= result.passed
         details.append(f"a2b(N={n},d={d}): ratio {result.ratio:.4f} >= {result.floor}")
     # Receiver protocol: pair with the exact completeness error.
     for (n, q), stats in receiver_soundness_estimates.items():
-        eps_c = TrialStats.from_formula(
-            Metric.ACCEPTANCE, eps_c_b2a_exact(n, 2, q)
-        )
-        result = soundness_floor_audit(stats, eps_c, 2)
+        eps_c = eps_c_b2a_exact(n, 2, q)
+        result = soundness_floor_audit(stats.estimate, stats.std_err, eps_c, 0.0, 2)
         all_ok &= result.passed
         details.append(f"b2a(N={n},q={q}): ratio {result.ratio:.4f} >= {result.floor}")
     # The single-prediction classical protocol attains the floor.

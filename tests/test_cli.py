@@ -1,15 +1,26 @@
 """CLI contract: exit codes, reproducible outputs, config handling."""
 
+import dataclasses
 import json
 
 import pytest
 
 import qwitness.cli
-from qwitness.cli import main
+from qwitness.cli import build_parser, main
+from qwitness.harness import SWEEP_AXES
+from qwitness.protocols import ProtocolParams
 
 
 def run_cli(args):
     return main(args)
+
+
+def exit_code(args):
+    """The CLI's exit code, whether it returns it or argparse exits with it."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_verify_passes(capsys):
@@ -130,18 +141,20 @@ def test_simulate_negative_transcript_limit_exit_2(tmp_path, capsys):
     ["--protocol", "b2a-abort", "--d", "2", "--n", "4", "--q", "2", "--abort-epsilon", "0.3"],
 ])
 def test_ignored_flags_exit_2(flags, tmp_path, capsys):
+    # The removed --abort-epsilon flag is an argparse usage error, exit 2 too.
     out = tmp_path / "o.csv"
-    code = run_cli(["simulate", *flags, "--alice", "ignorant", "--trials", "5",
+    code = exit_code(["simulate", *flags, "--alice", "ignorant", "--trials", "5",
                     "--out", str(out)])
     assert code == 2
     assert "error" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_removed_cheat_epsilon_flag_is_usage_error():
+@pytest.mark.parametrize("flag", ["--cheat-epsilon", "--abort-epsilon"])
+def test_removed_flag_is_usage_error(flag):
     with pytest.raises(SystemExit) as exc:
-        run_cli(["simulate", "--protocol", "b2a", "--d", "2", "--n", "4",
-                 "--alice", "ignorant", "--cheat-epsilon", "0.1"])
+        run_cli(["simulate", "--protocol", "b2a-abort", "--d", "2", "--n", "4",
+                 "--alice", "ignorant", flag, "0.1"])
     assert exc.value.code == 2
 
 
@@ -156,7 +169,8 @@ _B2A_RUN = ["--protocol", "b2a", "--d", "2", "--n", "4", "--trials", "5"]
     ["sweep", *_B2A_RUN, "--alice", "ignorant", "--axis", "abort_epsilon", "--values", "0.1,0.2"],
 ])
 def test_malformed_values_exit_2(argv, capsys):
-    assert run_cli(argv) == 2
+    # abort_epsilon is no sweep axis: argparse rejects the choice, exit 2 too.
+    assert exit_code(argv) == 2
     captured = capsys.readouterr()
     assert "error" in captured.err
     assert captured.out == ""
@@ -195,16 +209,36 @@ def test_settings_no_trial_can_run_are_rejected_before_trial_0(flags, capsys):
     assert "trial 0" not in err
 
 
+def _no_trials(*args, **kwargs):
+    raise AssertionError("a trial ran before the output path was checked")
+
+
 @pytest.mark.parametrize("option", ["--out", "--transcripts"])
-def test_unwritable_output_path_exits_2(option, tmp_path, capsys):
+def test_unwritable_output_path_exits_2(option, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(qwitness.cli, "run_trials", _no_trials)
     path = tmp_path / "missing" / "x.csv"
     code = run_cli([
         "simulate", "--protocol", "classical1", "--d", "2", "--alice", "honest",
         "--trials", "5", option, str(path),
     ])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 2
-    assert err.startswith("error: ")
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not path.exists()
+
+
+def test_sweep_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(qwitness.cli, "sweep", _no_trials)
+    path = tmp_path / "missing" / "x.csv"
+    code = run_cli([
+        "sweep", "--protocol", "classical1", "--d", "2", "--alice", "honest",
+        "--trials", "5", "--axis", "d", "--values", "2,3", "--out", str(path),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
     assert not path.exists()
 
 
@@ -223,7 +257,8 @@ def test_bob_guesses_after_an_abort(capsys):
 # Each flag on each protocol either changes the run or is rejected: (protocol,
 # Alice, flag, two values). Rows that change the run differ in the estimate or
 # in the exported transcripts; the CSV itself echoes eps_c_target, so it is
-# not compared whole.
+# not compared whole. The --abort-epsilon flag is gone, so its rows are
+# rejected on every protocol.
 _BASE = {
     "classical1": ["--d", "3"],
     "classical2": ["--d", "4", "--q", "2"],
@@ -262,7 +297,8 @@ def test_no_flag_is_silently_ignored(protocol, alice, flag, first, second, tmp_p
     results = []
     for value in (first, second):
         out, transcripts = tmp_path / f"{value}.csv", tmp_path / f"{value}.jsonl"
-        code = run_cli([
+        # The removed --abort-epsilon flag is rejected by argparse itself.
+        code = exit_code([
             "simulate", "--protocol", protocol, *_BASE[protocol], "--alice", alice,
             flag, value, "--trials", "100", "--seed", "3",
             "--out", str(out), "--transcripts", str(transcripts),
@@ -279,6 +315,14 @@ def test_no_flag_is_silently_ignored(protocol, alice, flag, first, second, tmp_p
     else:
         (est1, tr1), (est2, tr2) = results
         assert est1 != est2 or tr1 != tr2
+
+
+def test_every_setting_has_one_sweep_axis_and_one_flag():
+    fields = [field.name for field in dataclasses.fields(ProtocolParams)]
+    assert list(SWEEP_AXES) == fields
+    for name, parse in SWEEP_AXES.items():
+        args = build_parser().parse_args(["simulate", f"--{name.replace('_', '-')}", "2"])
+        assert getattr(args, name) == parse("2")
 
 
 def test_sweep_single_value(tmp_path, capsys):

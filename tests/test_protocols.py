@@ -10,7 +10,6 @@ from qwitness.errors import ConfigurationError
 from qwitness.harness import (
     ExperimentSpec,
     Metric,
-    TrialStats,
     compare_to_formula,
     run_trials,
     trial_rng,
@@ -131,11 +130,10 @@ def test_default_q_resolution():
     params = ProtocolParams(d=2, n=9)
     assert params.resolved_q(Protocol.QUANTUM_B2A) == 5  # ceil(10 / 2)
     assert params.resolved_q(Protocol.CLASSICAL1) == 1
-    # q = ceil(n/d + abort_epsilon n), with abort_epsilon 0.1 by default.
-    for abort_params in (ProtocolParams(d=2, n=100), ProtocolParams(d=2, n=100, abort_epsilon=0.1)):
-        assert abort_params.resolved_q(Protocol.QUANTUM_B2A_ABORT) == 60
-    assert ProtocolParams(d=2, n=100, abort_epsilon=0.3).resolved_q(
-        Protocol.QUANTUM_B2A_ABORT) == 80
+    # q = ceil(n/d + n/10), with at least one commitment.
+    assert ProtocolParams(d=2, n=100).resolved_q(Protocol.QUANTUM_B2A_ABORT) == 60
+    assert ProtocolParams(d=3, n=12).resolved_q(Protocol.QUANTUM_B2A_ABORT) == 6
+    assert ProtocolParams(d=2, n=0).resolved_q(Protocol.QUANTUM_B2A_ABORT) == 1
 
 
 def test_parameter_validation():
@@ -147,13 +145,10 @@ def test_parameter_validation():
         ProtocolParams(d=2, n=3, q=9).resolved_q(Protocol.QUANTUM_B2A)
     with pytest.raises(ConfigurationError):
         ProtocolParams(d=3, q=4).resolved_q(Protocol.CLASSICAL2)
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ConfigurationError):
-            ProtocolParams(d=2, n=10, abort_epsilon=bad)
     for bad in (math.nan, -0.1, 1.0):
         with pytest.raises(ConfigurationError):
             ProtocolParams(d=2, eps_c_target=bad)
-    # Settings a protocol would ignore are rejected for it.
+    # Settings a protocol would ignore are rejected when the experiment is built.
     ignored = [
         (Protocol.QUANTUM_A2B, ProtocolParams(d=3, n=2, q=5)),
         (Protocol.CLASSICAL1, ProtocolParams(d=2, n=7)),
@@ -161,16 +156,14 @@ def test_parameter_validation():
         (Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=2, eps_c_target=0.5)),
         (Protocol.QUANTUM_B2A, ProtocolParams(d=2, n=4, eps_c_target=0.5)),
         (Protocol.QUANTUM_B2A_ABORT, ProtocolParams(d=2, n=4, eps_c_target=0.5)),
-        (Protocol.CLASSICAL1, ProtocolParams(d=2, abort_epsilon=0.3)),
-        (Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=2, abort_epsilon=0.3)),
-        (Protocol.QUANTUM_B2A, ProtocolParams(d=2, n=4, abort_epsilon=0.3)),
-        (Protocol.QUANTUM_B2A_ABORT, ProtocolParams(d=2, n=4, q=2, abort_epsilon=0.3)),
     ]
     for protocol, params in ignored:
         with pytest.raises(ConfigurationError):
-            params.check(protocol)
-    ProtocolParams(d=4, q=2, eps_c_target=0.1).check(Protocol.CLASSICAL2)
-    ProtocolParams(d=2, n=4, abort_epsilon=0.3).check(Protocol.QUANTUM_B2A_ABORT)
+            ExperimentSpec(protocol, params, HONEST_A, HONEST_B, Metric.ACCEPTANCE, 10, 0)
+    ExperimentSpec(
+        Protocol.CLASSICAL2, ProtocolParams(d=4, q=2, eps_c_target=0.1),
+        HONEST_A, HONEST_B, Metric.ACCEPTANCE, 10, 0,
+    )
     # Only honest Alice reads eps_c_target, so the experiment rejects it for others.
     for alice in (IGNORANT, AliceStrategy(AliceKind.SUBSPACE_KNOWLEDGE, 2)):
         with pytest.raises(ConfigurationError):
@@ -255,10 +248,12 @@ def test_classical2_full_cover_accepts_ignorant_always():
 
 
 def test_classical2_rejects_positive_target_at_full_cover():
-    rng = np.random.default_rng(7)
+    # At q = d every outcome is committed, so no completeness error is left to aim at.
     params = ProtocolParams(d=3, q=3, eps_c_target=0.1)
-    with pytest.raises(ConfigurationError):
-        run_protocol(Protocol.CLASSICAL2, params, HONEST_A, HONEST_B, rng)
+    with pytest.raises(ConfigurationError, match="q <= d - 1"):
+        ExperimentSpec(
+            Protocol.CLASSICAL2, params, HONEST_A, HONEST_B, Metric.ACCEPTANCE, 10, 0
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -514,27 +509,23 @@ def test_verdict_accept_is_a_python_bool(protocol, params):
 # audit
 
 
-def exact_stats(value):
-    return TrialStats.from_formula(Metric.ACCEPTANCE, value)
-
-
 def test_audit_tight_bound_passes_with_zero_slack():
-    result = soundness_floor_audit(exact_stats(0.25), exact_stats(0.0), d=4)
+    result = soundness_floor_audit(0.25, 0.0, 0.0, 0.0, d=4)
     assert result.passed
     assert result.slack == pytest.approx(0.0, abs=1e-12)
 
 
 def test_audit_large_slack_for_sender_protocol():
-    result = soundness_floor_audit(exact_stats(0.75), exact_stats(0.0), d=2)
+    result = soundness_floor_audit(0.75, 0.0, 0.0, 0.0, d=2)
     assert result.passed
     assert result.slack == pytest.approx(0.25)
 
 
 def test_audit_fabricated_violation_fails():
-    result = soundness_floor_audit(exact_stats(0.125), exact_stats(0.0), d=4)
+    result = soundness_floor_audit(0.125, 0.0, 0.0, 0.0, d=4)
     assert not result.passed
 
 
 def test_audit_rejects_degenerate_completeness():
     with pytest.raises(ValueError):
-        soundness_floor_audit(exact_stats(0.5), exact_stats(1.0), d=2)
+        soundness_floor_audit(0.5, 0.0, 1.0, 0.0, d=2)

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -365,13 +366,15 @@ def test_measure_binary_rejects_non_projector():
 
 def test_measure_binary_checks_each_operator_once(monkeypatch):
     checks = []
-    original = HermitianOperator.is_projector
+    original = HermitianOperator.__dict__["projective"].func
 
-    def counted(self, *args, **kwargs):
+    def counted(self):
         checks.append(self)
-        return original(self, *args, **kwargs)
+        return original(self)
 
-    monkeypatch.setattr(HermitianOperator, "is_projector", counted)
+    projective = cached_property(counted)
+    projective.__set_name__(HermitianOperator, "projective")
+    monkeypatch.setattr(HermitianOperator, "projective", projective)
     rng = np.random.default_rng(14)
     p = HermitianOperator.from_state(basis_state(3, 1))
     for _ in range(5):
@@ -397,7 +400,7 @@ def test_clamp_probabilities_matches_scalar_clamp():
 def test_measure_binary_dimension_mismatch():
     rng = np.random.default_rng(12)
     with pytest.raises(DimensionError):
-        measure_binary(basis_state(3, 0), HermitianOperator.identity(2), rng)
+        measure_binary(basis_state(3, 0), HermitianOperator(np.eye(2)), rng)
 
 
 def test_measure_basis_deterministic_on_basis_states():
@@ -437,8 +440,16 @@ def test_hermitian_operator_rejects_non_hermitian():
 
 
 def test_projector_check():
-    assert HermitianOperator.identity(3).is_projector()
-    assert not HermitianOperator(np.diag([0.5, 0.5])).is_projector()
+    assert HermitianOperator(np.eye(3)).projective
+    assert not HermitianOperator(np.diag([0.5, 0.5])).projective
+
+
+def test_operator_keeps_a_real_matrix_real():
+    assert HermitianOperator(np.eye(3)).matrix.dtype == np.float64
+    assert sym_projector(3, 2).matrix.dtype == np.float64
+    projector = HermitianOperator.from_state(basis_state(3, 1))
+    assert projector.matrix.dtype == np.complex128
+    assert projector.projective and not projector.matrix.flags.writeable
 
 
 def test_clamp_probability():
