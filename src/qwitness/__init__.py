@@ -3,6 +3,7 @@
 from .commitment import Commitment, CommitmentPhase, commit, sustain, unveil
 from .estimation import basis_measure_guess, covariant_estimate, mean_estimation_fsq
 from .harness import (
+    BoundKind,
     ComparisonReport,
     ExperimentSpec,
     Metric,
@@ -16,15 +17,12 @@ from .protocols import (
     ALICE_PLAYS,
     BOB_PLAYS,
     AuditResult,
-    BoundKind,
     Protocol,
     ProtocolOutcome,
     ProtocolParams,
-    SecurityFigures,
     Verdict,
     a2b_soundness,
     check_players,
-    closed_forms,
     eps_c_b2a_exact,
     hoeffding_bound,
     run_protocol,

@@ -24,7 +24,6 @@ from .harness import (
     SWEEP_AXES,
     ExperimentSpec,
     Metric,
-    formula_target,
     result_row,
     run_trial,
     run_trials,
@@ -266,13 +265,15 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
 
 
 def _check_writable(path: str | None) -> None:
-    """Fail before any trial runs if ``path`` lies in no writable directory.
+    """Fail before any trial runs if ``path`` is a directory or lies in no writable one.
 
     None and "-" mean stdout. Creates nothing, so a run stopped by a later
     usage error leaves no file behind.
     """
     if path is None or path == "-":
         return
+    if os.path.isdir(path):
+        raise ConfigurationError(f"cannot write {path}: it is a directory")
     parent = os.path.dirname(path) or "."
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise ConfigurationError(f"cannot write {path}: {parent} is not a writable directory")
@@ -296,7 +297,7 @@ def cmd_simulate(args) -> int:
     _check_writable(args.out)
     _check_writable(args.transcripts)
     stats = run_trials(spec, jobs=args.jobs)
-    row = result_row(spec, stats, formula_target(spec))
+    row = result_row(spec, stats)
     _write_output(args.out, _format_rows([row], args.format))
     if args.transcripts:
         lines = []
@@ -333,7 +334,7 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError("--values names no value to sweep")
     _check_writable(args.out)
     rows = sweep(spec, args.axis, values, jobs=args.jobs)
-    table = [result_row(row.spec, row.stats, formula_target(row.spec)) for row in rows]
+    table = [result_row(row.spec, row.stats) for row in rows]
     _write_output(args.out, _format_rows(table, args.format))
     return 0
 
@@ -351,8 +352,11 @@ def _load_config_defaults(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ConfigurationError(f"bad config line {line!r}")
-            key, value = line.split("=", 1)
-            defaults[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            # Entries become flags, which argparse matches by prefix too.
+            if key and "config".startswith(key.replace("_", "-")):
+                raise ConfigurationError(f"entry {key!r} would name another config file")
+            defaults[key] = value
     return defaults
 
 

@@ -80,7 +80,6 @@ def sustain(
     time: float,
     transcript: Transcript,
     depends_on: tuple[int, ...] = (),
-    window: tuple[float, float] | None = None,
 ) -> Commitment:
     """Second-round confirmation by the distant agent pair."""
     if c.phase is not CommitmentPhase.INITIATED:
@@ -91,7 +90,6 @@ def sustain(
         EventKind.COMMIT_SUSTAIN,
         {"handle": c.handle_id},
         depends_on=depends_on,
-        window=window,
     )
     c.phase = CommitmentPhase.SUSTAINED
     c.phase_events.append(event)

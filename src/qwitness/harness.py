@@ -21,13 +21,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .protocols import (
-    BoundKind,
     Protocol,
     ProtocolOutcome,
     ProtocolParams,
     Verdict,
+    a2b_soundness,
     check_players,
-    closed_forms,
+    eps_c_b2a_exact,
+    hoeffding_bound,
     run_protocol,
 )
 from .qudit import fidelity_sq
@@ -229,6 +230,12 @@ def run_trials(spec: ExperimentSpec, jobs: int = 1) -> TrialStats:
 # Formula comparison
 
 
+class BoundKind(Enum):
+    EXACT = "exact"
+    UPPER = "upper"
+    LOWER = "lower"
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     passed: bool
@@ -265,33 +272,50 @@ def compare_to_formula(
 
 
 def formula_target(spec: ExperimentSpec) -> tuple[float, BoundKind] | None:
-    """Closed-form target for an experiment, where one is defined."""
-    figures = closed_forms(spec.protocol, spec.params)
-    alice, bob, metric = spec.alice.kind, spec.bob.kind, spec.metric
+    """The closed-form figure an experiment must meet, and its kind, where one is defined.
+
+    Acceptance against honest Bob is 1 - completeness error for honest
+    Alice and soundness for ignorant Alice. Retain-guess Bob's mean-fsq is
+    concealment, and the abort rate a Hoeffding tail; the paper states both
+    for honest Alice.
+    """
+    protocol, params, metric = spec.protocol, spec.params, spec.metric
+    alice, bob = spec.alice.kind, spec.bob.kind
+    d, n = params.d, params.n
+    q = params.resolved_q(protocol)
+    receiver = protocol in (Protocol.QUANTUM_B2A, Protocol.QUANTUM_B2A_ABORT)
+    # The single-copy optimum 2/(d+1): skip Bob guesses without the protocol,
+    # and honest Bob points a stealing Alice at the unknown state itself. Any
+    # other Bob points her at a Haar substitute, independent of it.
+    if (metric is Metric.MEAN_FSQ and bob is BobKind.SKIP_PROTOCOL_MEASURE) or (
+        metric is Metric.ALICE_MEAN_FSQ and bob is BobKind.HONEST
+    ):
+        return 2.0 / (d + 1), BoundKind.EXACT
     if metric is Metric.ACCEPTANCE and bob is BobKind.HONEST:
-        if alice is AliceKind.HONEST_KNOWING:
-            if spec.protocol is Protocol.QUANTUM_B2A_ABORT:
-                return None  # acceptance splits between reject and abort
-            return 1.0 - figures.completeness_err, BoundKind.EXACT
         if alice is AliceKind.IGNORANT:
-            return figures.soundness, BoundKind.EXACT
+            if protocol is Protocol.QUANTUM_A2B:
+                return a2b_soundness(n, d), BoundKind.EXACT
+            return (q / (n + 1) if receiver else q / d), BoundKind.EXACT
+        # Honest Alice's acceptance in b2a-abort splits between reject and abort.
+        if alice is not AliceKind.HONEST_KNOWING or protocol is Protocol.QUANTUM_B2A_ABORT:
+            return None
+        if protocol is Protocol.QUANTUM_B2A:
+            return 1.0 - eps_c_b2a_exact(n, d, q), BoundKind.EXACT
+        return 1.0 - params.eps_c_target, BoundKind.EXACT  # eps_c_target is 0 in a2b
+    if alice is not AliceKind.HONEST_KNOWING:
         return None
-    if metric is Metric.MEAN_FSQ:
-        if bob is BobKind.SKIP_PROTOCOL_MEASURE:
-            return figures.baseline_fsq, BoundKind.EXACT
-        # The paper's concealment figures hold for honest Alice.
-        if bob is BobKind.MEASURE_RETAIN_GUESS and alice is AliceKind.HONEST_KNOWING:
-            return figures.concealment, figures.concealment_kind
-        return None
-    if metric is Metric.ALICE_MEAN_FSQ:  # stealing Alice, the only one who guesses
-        # Honest Bob points her at the unknown state itself; any other Bob
-        # points at a Haar substitute, leaving her guess independent of it.
-        if bob is BobKind.HONEST:
-            return figures.baseline_fsq, BoundKind.EXACT
-        return None
-    if metric is Metric.ABORT_RATE and alice is AliceKind.HONEST_KNOWING:
-        if figures.abort_bound is not None:
-            return figures.abort_bound, BoundKind.UPPER
+    if metric is Metric.MEAN_FSQ and bob is BobKind.MEASURE_RETAIN_GUESS:
+        if protocol is Protocol.QUANTUM_A2B:
+            return (n + 2) / (n + 1 + d), BoundKind.EXACT
+        if receiver:
+            return 4.0 / (d + 1), BoundKind.UPPER
+        return (1.0 - params.eps_c_target) ** 2 / q, BoundKind.LOWER
+    # Honest Alice aborts when X >= q of the n decoys test positive, with
+    # X ~ Binomial(n, 1/d): Hoeffding's tail at the margin q/n - 1/d.
+    if metric is Metric.ABORT_RATE and n > 0:
+        margin = q / n - 1.0 / d
+        if margin > 0:
+            return hoeffding_bound(n, margin), BoundKind.UPPER
     return None
 
 
@@ -345,11 +369,9 @@ def _spec_fields(spec: ExperimentSpec) -> dict:
     }
 
 
-def result_row(
-    spec: ExperimentSpec,
-    stats: TrialStats,
-    target: tuple[float, BoundKind] | None,
-) -> dict:
+def result_row(spec: ExperimentSpec, stats: TrialStats) -> dict:
+    """The experiment's settings, its estimate and its verdict against ``formula_target``."""
+    target = formula_target(spec)
     row = _spec_fields(spec)
     row["estimate"] = stats.estimate
     row["std_err"] = stats.std_err

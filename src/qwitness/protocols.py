@@ -21,10 +21,11 @@ over the standard two-pair agent layout:
 ``BOB_PLAYS`` say which strategies have a move in which protocol, and
 ``check_players`` rejects any other pairing before a run starts.
 
-``closed_forms`` evaluates the exact completeness, soundness and
-concealment figures for each protocol, and ``soundness_floor_audit``
-checks Monte Carlo estimates against the universal floor
-soundness / (1 - completeness_err) >= 1/d.
+``eps_c_b2a_exact``, ``a2b_soundness`` and ``hoeffding_bound`` are the
+figures that take more than one line of arithmetic; ``harness.formula_target``
+turns them, and the one-line figures, into each experiment's target.
+``soundness_floor_audit`` checks Monte Carlo estimates against the
+universal floor soundness / (1 - completeness_err) >= 1/d.
 """
 
 from __future__ import annotations
@@ -102,12 +103,6 @@ class Verdict(Enum):
     ABORT = "abort"
 
 
-class BoundKind(Enum):
-    EXACT = "exact"
-    UPPER = "upper"
-    LOWER = "lower"
-
-
 # Detection headroom of the abort variant's default q, ceil(n/d + 0.1 n), so
 # that its abort rate stays tail-bounded.
 ABORT_HEADROOM = 0.1
@@ -173,18 +168,6 @@ class ProtocolOutcome:
     alice_guess: PureState | None = None
 
 
-@dataclass(frozen=True)
-class SecurityFigures:
-    """Closed-form protocol figures; bound entries carry their direction."""
-
-    completeness_err: float
-    soundness: float
-    concealment: float
-    concealment_kind: BoundKind
-    baseline_fsq: float
-    abort_bound: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # Closed forms
 
@@ -220,50 +203,6 @@ def hoeffding_bound(n: int, epsilon: float) -> float:
 def a2b_soundness(n: int, d: int) -> float:
     """Best blind acceptance in the sender protocol: 1/(n+1) + n/(d(n+1))."""
     return 1.0 / (n + 1) + n / (d * (n + 1))
-
-
-def closed_forms(protocol: Protocol, params: ProtocolParams) -> SecurityFigures:
-    """The exact security figures for a protocol at the given parameters."""
-    d, n = params.d, params.n
-    baseline = 2.0 / (d + 1)
-    if protocol is Protocol.QUANTUM_A2B:
-        return SecurityFigures(
-            completeness_err=0.0,
-            soundness=a2b_soundness(n, d),
-            concealment=(n + 2) / (n + 1 + d),
-            concealment_kind=BoundKind.EXACT,
-            baseline_fsq=baseline,
-        )
-    if protocol in _RECEIVER:
-        q = params.resolved_q(protocol)
-        if protocol is Protocol.QUANTUM_B2A:
-            eps_c = eps_c_b2a_exact(n, d, q)
-            abort_bound = None
-        else:
-            eps_c = 0.0
-            margin = q / n - 1.0 / d if n > 0 else None
-            abort_bound = (
-                hoeffding_bound(n, margin) if margin is not None and margin > 0 else None
-            )
-        return SecurityFigures(
-            completeness_err=eps_c,
-            soundness=q / (n + 1),
-            concealment=4.0 / (d + 1),
-            concealment_kind=BoundKind.UPPER,
-            baseline_fsq=baseline,
-            abort_bound=abort_bound,
-        )
-    if protocol in _CLASSICAL:
-        q = params.resolved_q(protocol)
-        eps_c = params.eps_c_target
-        return SecurityFigures(
-            completeness_err=eps_c,
-            soundness=q / d,
-            concealment=(1.0 - eps_c) ** 2 / q,
-            concealment_kind=BoundKind.LOWER,
-            baseline_fsq=baseline,
-        )
-    raise ConfigurationError(f"unsupported protocol {protocol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +248,7 @@ def _run_classical(
     ]
     # Second commitment round, run by the near pair from pre-shared data.
     for c in commitments:
-        sustain(c, A1, DELTA, tr, depends_on=(shared.event_id,), window=(DELTA, DELTA))
+        sustain(c, A1, DELTA, tr, depends_on=(shared.event_id,))
 
     # t = delta: B1 measures and reports.
     report = bob_act(bob, OutcomeReportContext(plan.basis, eta, rng))
@@ -474,7 +413,7 @@ def _run_b2a(
         for slot in order
     ]
     for c in commitments:
-        sustain(c, A2, DELTA, tr, depends_on=(shared.event_id,), window=(DELTA, DELTA))
+        sustain(c, A2, DELTA, tr, depends_on=(shared.event_id,))
 
     announce_x = tr.emit(
         DELTA_PRIME, B1, EventKind.ANNOUNCE, {"label": package.announced_label},

@@ -213,33 +213,38 @@ def _no_trials(*args, **kwargs):
     raise AssertionError("a trial ran before the output path was checked")
 
 
+def _assert_unwritable_exits_2(argv, tmp_path, capsys):
+    """A path in a missing directory, and a path naming a directory, each exit 2."""
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    for path in (tmp_path / "missing" / "x.csv", outdir):
+        code = run_cli([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        # Nothing was written: no file, no directory, nothing inside outdir.
+        assert list(tmp_path.iterdir()) == [outdir]
+        assert list(outdir.iterdir()) == []
+
+
 @pytest.mark.parametrize("option", ["--out", "--transcripts"])
 def test_unwritable_output_path_exits_2(option, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(qwitness.cli, "run_trials", _no_trials)
-    path = tmp_path / "missing" / "x.csv"
-    code = run_cli([
+    argv = [
         "simulate", "--protocol", "classical1", "--d", "2", "--alice", "honest",
-        "--trials", "5", option, str(path),
-    ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error: ")
-    assert captured.out == ""
-    assert not path.exists()
+        "--trials", "5", option,
+    ]
+    _assert_unwritable_exits_2(argv, tmp_path, capsys)
 
 
 def test_sweep_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(qwitness.cli, "sweep", _no_trials)
-    path = tmp_path / "missing" / "x.csv"
-    code = run_cli([
+    argv = [
         "sweep", "--protocol", "classical1", "--d", "2", "--alice", "honest",
-        "--trials", "5", "--axis", "d", "--values", "2,3", "--out", str(path),
-    ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error: ")
-    assert captured.out == ""
-    assert not path.exists()
+        "--trials", "5", "--axis", "d", "--values", "2,3", "--out",
+    ]
+    _assert_unwritable_exits_2(argv, tmp_path, capsys)
 
 
 def test_bob_guesses_after_an_abort(capsys):
@@ -400,6 +405,17 @@ def test_config_file_entries_are_checked_like_flags(tmp_path, capsys):
         run_cli(["simulate", "--config", str(cfg)])
     assert exc.value.code == 2
     assert "required: --d" in capsys.readouterr().err
+    # A config file names no other config file, spelled in full or abbreviated.
+    other = tmp_path / "other.cfg"
+    other.write_text("d=5\n")
+    for key in ("config", "conf"):
+        cfg.write_text(f"{key}={other}\nprotocol=classical1\nalice=ignorant\nd=3\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--config", str(cfg), "--trials", "20"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "another config file" in captured.err
+        assert captured.out == ""
 
 
 def test_sweep_rows_reproduce_at_their_printed_seed(capsys):

@@ -83,13 +83,6 @@ def test_phase_discipline():
         unveil(c, SITE, 0.06, tr)  # unveil twice
 
 
-def test_late_sustain_flagged_in_transcript():
-    c, tr = fresh(4)
-    sustain(c, SITE, 0.07, tr, window=(0.02, 0.02))
-    report = tr.validate()
-    assert any(v.kind == "window" for v in report.violations)
-
-
 def test_decline_to_unveil():
     # Declining means never calling unveil: the commitment stays sustained
     # and the receiver's view still shows nothing of the value.

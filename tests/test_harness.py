@@ -1,8 +1,10 @@
 """Experiment runner: determinism, merging, comparisons, sweeps."""
 
 import concurrent.futures
+import hashlib
 import os
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from qwitness import harness
 from qwitness.errors import ConfigurationError
 from qwitness.cli import rows_to_csv
 from qwitness.harness import (
+    BoundKind,
     ExperimentSpec,
     Metric,
     TrialStats,
@@ -22,7 +25,7 @@ from qwitness.harness import (
     run_trials_range,
     sweep,
 )
-from qwitness.protocols import BoundKind, Protocol, ProtocolParams, eps_c_b2a_exact
+from qwitness.protocols import Protocol, ProtocolParams, eps_c_b2a_exact
 from qwitness.strategies import AliceKind, AliceStrategy, BobKind, BobStrategy
 
 HONEST_A = AliceStrategy(AliceKind.HONEST_KNOWING)
@@ -131,23 +134,25 @@ def test_metric_requires_matching_strategy():
 ALICE_NAMES = ("honest", "ignorant", "subspace-2", "steal", "always-abort")
 
 
-def built_pairings(n_trials, seed):
-    """Every protocol x Alice x Bob x metric spec at d = 3 that builds."""
+def built_pairings(n_trials, seed, d=3, n=6, q=2, eps_c_targets=(0.0,)):
+    """Every protocol x Alice x Bob x metric spec that builds, at d = 3 by default.
+
+    ``n`` applies to the non-classical protocols and ``q`` to classical2 and
+    b2a-abort; the other protocols take their default q.
+    """
     for protocol in Protocol:
         classical = protocol in (Protocol.CLASSICAL1, Protocol.CLASSICAL2)
-        q = 2 if protocol in (Protocol.CLASSICAL2, Protocol.QUANTUM_B2A_ABORT) else None
-        params = ProtocolParams(d=3, n=0 if classical else 6, q=q)
-        for name in ALICE_NAMES:
-            for bob in BobKind:
-                for metric in Metric:
-                    try:
-                        spec = ExperimentSpec(
-                            protocol, params, AliceStrategy.from_name(name),
-                            BobStrategy(bob), metric, n_trials, seed,
-                        )
-                    except ConfigurationError:
-                        continue
-                    yield spec
+        q_set = q if protocol in (Protocol.CLASSICAL2, Protocol.QUANTUM_B2A_ABORT) else None
+        for eps_c, name, bob, metric in product(eps_c_targets, ALICE_NAMES, BobKind, Metric):
+            params = ProtocolParams(d=d, n=0 if classical else n, q=q_set, eps_c_target=eps_c)
+            try:
+                spec = ExperimentSpec(
+                    protocol, params, AliceStrategy.from_name(name),
+                    BobStrategy(bob), metric, n_trials, seed,
+                )
+            except ConfigurationError:
+                continue
+            yield spec
 
 
 def test_every_pairing_runs_or_is_rejected_when_built():
@@ -175,6 +180,41 @@ def test_every_pairing_with_a_target_meets_it():
             failed.append((spec.protocol.value, spec.alice.kind.value, spec.bob.kind.value))
     assert failed == []
     assert targeted == 25
+
+
+def _target_digest(specs):
+    """Count and sha256 of every spec's target, value to the last bit."""
+    lines = []
+    for spec in specs:
+        target = formula_target(spec)
+        if target is not None:
+            alice = spec.alice.kind.value
+            if spec.alice.subspace_dim is not None:
+                alice = f"{alice}-{spec.alice.subspace_dim}"
+            lines.append(",".join((
+                spec.protocol.value, alice, spec.bob.kind.value, spec.metric.value,
+                f"eps={spec.params.eps_c_target}", target[0].hex(), target[1].value,
+            )))
+    lines.sort()
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "params, count, digest",
+    [
+        (dict(), 25, "bf6f4a6269991fc28acbe81ce72da3e8557cb4c47d95718e3dc3fff96ae5863d"),
+        (
+            dict(d=4, n=9, q=3, eps_c_targets=(0.0, 0.1)),
+            33,
+            "bf61b94d0428457ad7cb36199dc37db93e7a84deffc648ab1134f9295c48f0cd",
+        ),
+    ],
+    ids=["d3", "d4-n9-q3"],
+)
+def test_every_target_is_pinned_bit_for_bit(params, count, digest):
+    # Each target's value and kind, compared through float.hex, so a refactor
+    # of the target formulas cannot move a figure by one unit in the last place.
+    assert _target_digest(built_pairings(1, 0, **params)) == (count, digest)
 
 
 def test_always_abort_leaves_retain_guess_bob_at_the_no_protocol_optimum():
@@ -326,7 +366,7 @@ def test_sweep_sender_soundness_decreases():
         17,
     )
     rows = sweep(base, "n", [1, 2, 4])
-    table = [result_row(row.spec, row.stats, formula_target(row.spec)) for row in rows]
+    table = [result_row(row.spec, row.stats) for row in rows]
     targets = [row["target"] for row in table]
     assert targets == sorted(targets, reverse=True)
     assert all(row["verdict"] == "pass" for row in table)
@@ -345,7 +385,7 @@ def test_sweep_receiver_completeness_decreases():
         19,
     )
     rows = sweep(base, "n", [8, 16, 32])
-    table = [result_row(row.spec, row.stats, formula_target(row.spec)) for row in rows]
+    table = [result_row(row.spec, row.stats) for row in rows]
     targets = [row["target"] for row in table]
     assert targets == sorted(targets)  # acceptance 1 - reject rises with n
     assert all(row["verdict"] == "pass" for row in table)
@@ -354,7 +394,7 @@ def test_sweep_receiver_completeness_decreases():
 def test_csv_round_trip_and_formatting():
     spec = spec_b2a(n_trials=200)
     stats = run_trials(spec)
-    row = result_row(spec, stats, formula_target(spec))
+    row = result_row(spec, stats)
     text = rows_to_csv([row])
     header, line = text.strip().split("\n")
     assert header.startswith("protocol,alice,bob,metric,d,n,q")

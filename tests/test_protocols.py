@@ -8,21 +8,21 @@ import pytest
 
 from qwitness.errors import ConfigurationError
 from qwitness.harness import (
+    BoundKind,
     ExperimentSpec,
     Metric,
     compare_to_formula,
+    formula_target,
     run_trials,
     trial_rng,
 )
 from qwitness.protocols import (
     ALICE_PLAYS,
     BOB_PLAYS,
-    BoundKind,
     Protocol,
     ProtocolParams,
     Verdict,
     a2b_soundness,
-    closed_forms,
     eps_c_b2a_exact,
     hoeffding_bound,
     run_protocol,
@@ -35,10 +35,16 @@ from qwitness.strategies import AliceKind, AliceStrategy, BobKind, BobStrategy
 HONEST_A = AliceStrategy(AliceKind.HONEST_KNOWING)
 IGNORANT = AliceStrategy(AliceKind.IGNORANT)
 HONEST_B = BobStrategy(BobKind.HONEST)
+RETAIN = BobStrategy(BobKind.MEASURE_RETAIN_GUESS)
 
 
 def bernoulli_se(p, n):
     return math.sqrt(max(p * (1 - p), 1e-12) / n)
+
+
+def target(protocol, params, alice, bob, metric):
+    """The ``formula_target`` of one cell, at the given parameters."""
+    return formula_target(ExperimentSpec(protocol, params, alice, bob, metric, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -46,29 +52,43 @@ def bernoulli_se(p, n):
 
 
 def test_closed_forms_sender_protocol():
-    fig = closed_forms(Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=1))
-    assert fig.completeness_err == 0.0
-    assert fig.soundness == pytest.approx(0.75)
-    assert fig.concealment == pytest.approx(0.75)
-    assert fig.baseline_fsq == pytest.approx(2 / 3)
+    a2b, params = Protocol.QUANTUM_A2B, ProtocolParams(d=2, n=1)
+    skip = BobStrategy(BobKind.SKIP_PROTOCOL_MEASURE)
+    assert target(a2b, params, HONEST_A, HONEST_B, Metric.ACCEPTANCE) == (1.0, BoundKind.EXACT)
+    soundness, _ = target(a2b, params, IGNORANT, HONEST_B, Metric.ACCEPTANCE)
+    assert soundness == pytest.approx(0.75)
+    concealment, kind = target(a2b, params, HONEST_A, RETAIN, Metric.MEAN_FSQ)
+    assert concealment == pytest.approx(0.75)
+    assert kind is BoundKind.EXACT
+    baseline, _ = target(a2b, params, HONEST_A, skip, Metric.MEAN_FSQ)
+    assert baseline == pytest.approx(2 / 3)
 
 
 def test_closed_forms_receiver_protocol():
-    fig = closed_forms(Protocol.QUANTUM_B2A, ProtocolParams(d=9, n=9, q=1))
-    assert fig.concealment == pytest.approx(0.4)
-    assert fig.concealment_kind is BoundKind.UPPER
-    assert fig.baseline_fsq == pytest.approx(0.2)
-    assert fig.soundness == pytest.approx(0.1)
+    b2a, params = Protocol.QUANTUM_B2A, ProtocolParams(d=9, n=9, q=1)
+    concealment, kind = target(b2a, params, HONEST_A, RETAIN, Metric.MEAN_FSQ)
+    assert concealment == pytest.approx(0.4)
+    assert kind is BoundKind.UPPER
+    steal = AliceStrategy(AliceKind.STEAL_STATE)
+    baseline, _ = target(b2a, params, steal, HONEST_B, Metric.ALICE_MEAN_FSQ)
+    assert baseline == pytest.approx(0.2)
+    soundness, _ = target(b2a, params, IGNORANT, HONEST_B, Metric.ACCEPTANCE)
+    assert soundness == pytest.approx(0.1)
 
 
 def test_closed_forms_classical():
-    fig = closed_forms(Protocol.CLASSICAL1, ProtocolParams(d=5))
-    assert fig.soundness == pytest.approx(1 / 5)
-    assert fig.concealment == pytest.approx(1.0)
-    assert fig.concealment_kind is BoundKind.LOWER
-    fig2 = closed_forms(Protocol.CLASSICAL2, ProtocolParams(d=6, q=3, eps_c_target=0.1))
-    assert fig2.soundness == pytest.approx(0.5)
-    assert fig2.concealment == pytest.approx(0.9**2 / 3)
+    c1, c2 = Protocol.CLASSICAL1, Protocol.CLASSICAL2
+    soundness, _ = target(c1, ProtocolParams(d=5), IGNORANT, HONEST_B, Metric.ACCEPTANCE)
+    assert soundness == pytest.approx(1 / 5)
+    concealment, kind = target(c1, ProtocolParams(d=5), HONEST_A, RETAIN, Metric.MEAN_FSQ)
+    assert concealment == pytest.approx(1.0)
+    assert kind is BoundKind.LOWER
+    # Soundness q/d does not read eps_c, which only honest Alice may set.
+    soundness2, _ = target(c2, ProtocolParams(d=6, q=3), IGNORANT, HONEST_B, Metric.ACCEPTANCE)
+    assert soundness2 == pytest.approx(0.5)
+    params2 = ProtocolParams(d=6, q=3, eps_c_target=0.1)
+    concealment2, _ = target(c2, params2, HONEST_A, RETAIN, Metric.MEAN_FSQ)
+    assert concealment2 == pytest.approx(0.9**2 / 3)
 
 
 def test_sender_soundness_closed_form_matches_dimension_ratio():
@@ -81,8 +101,10 @@ def test_sender_soundness_closed_form_matches_dimension_ratio():
 def test_sender_concealment_exceeds_soundness_reciprocal():
     for n in range(1, 21):
         for d in range(2, 21):
-            fig = closed_forms(Protocol.QUANTUM_A2B, ProtocolParams(d=d, n=n))
-            assert fig.concealment > 1 / (d * fig.soundness)
+            a2b, params = Protocol.QUANTUM_A2B, ProtocolParams(d=d, n=n)
+            concealment, _ = target(a2b, params, HONEST_A, RETAIN, Metric.MEAN_FSQ)
+            soundness, _ = target(a2b, params, IGNORANT, HONEST_B, Metric.ACCEPTANCE)
+            assert concealment > 1 / (d * soundness)
 
 
 # ---------------------------------------------------------------------------
