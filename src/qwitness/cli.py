@@ -53,7 +53,8 @@ from .strategies import AliceStrategy, BobStrategy
 
 
 def _grid(max_dim: int, cap: int):
-    for d in range(2, max_dim + 1):
+    # No d above cap has a power d^n <= cap with n >= 1.
+    for d in range(2, min(max_dim, cap) + 1):
         n = 1
         while d**n <= cap:
             yield n, d

@@ -19,7 +19,11 @@ over the standard two-pair agent layout:
 
 ``run_protocol`` is the one entry point. ``ALICE_PLAYS`` and
 ``BOB_PLAYS`` say which strategies have a move in which protocol, and
-``check_players`` rejects any other pairing before a run starts.
+``check_players`` rejects any other pairing before a run starts. Every
+party decision comes from ``strategies``: in the classical and sender
+protocols Bob submits a state (or nothing) and the runner measures or
+tests it. Both commitment protocols run one commit, sustain and
+unveil-or-fail round, ``_commit_round`` then ``_open_and_rule``.
 
 ``eps_c_b2a_exact``, ``a2b_soundness`` and ``hoeffding_bound`` are the
 figures that take more than one line of arithmetic; ``harness.formula_target``
@@ -38,9 +42,10 @@ import numpy as np
 
 from .commitment import Commitment, commit, sustain, unveil
 from .errors import ConfigurationError
-from .qudit import PureState, haar_random, symmetric_acceptance
+from .qudit import PureState, haar_random, measure_basis, symmetric_acceptance
 from .qudit import measure_binary  # noqa: F401 - perfbench tests read protocols.measure_binary
 from .spacetime import A1, A2, B1, D, D_SMALL, DELTA, DELTA_PRIME, EventKind, Transcript
+from .spacetime import AgentSite, SpacetimeEvent
 from .strategies import (
     AliceKind,
     AliceStrategy,
@@ -50,9 +55,9 @@ from .strategies import (
     DetectionCommitContext,
     FinalGuessContext,
     MeasurementChoiceContext,
-    OutcomeReportContext,
     Package,
     PackageContext,
+    SubmissionContext,
     alice_act,
     bob_act,
 )
@@ -216,6 +221,59 @@ def _preshare_event(tr: Transcript):
     )
 
 
+def _commit_round(
+    tr: Transcript,
+    values: tuple[int, ...],
+    alphabet: int,
+    committer: AgentSite,
+    sustainer: AgentSite,
+    shared: SpacetimeEvent,
+    depends_on: tuple[int, ...] = (),
+) -> list[Commitment]:
+    """Commit each value at t = 0; the other pair sustains them all at delta."""
+    commitments = [
+        commit(v, alphabet, committer, 0.0, tr, depends_on=(shared.event_id, *depends_on))
+        for v in values
+    ]
+    for c in commitments:
+        sustain(c, sustainer, DELTA, tr, depends_on=(shared.event_id,))
+    return commitments
+
+
+def _open_and_rule(
+    tr: Transcript,
+    commitments: list[Commitment],
+    value: int,
+    time: float,
+    received: SpacetimeEvent,
+    shared: SpacetimeEvent,
+) -> bool:
+    """A1 unveils the first commitment to ``value`` at ``time``, or announces failure.
+
+    B1 rules once it can compare notes with B2 across the separation, on
+    the unveiling and on the first commitment's event at A2.
+    """
+    matching = [c for c in commitments if c.committed_value == value]
+    opened: tuple[int, ...] = ()
+    if matching:
+        event = unveil(
+            matching[0], A1, time, tr, depends_on=(received.event_id, shared.event_id)
+        )
+        opened = (event.event_id,)
+    else:
+        tr.emit(
+            time, A1, EventKind.ANNOUNCE, {"step": "failure"},
+            depends_on=(received.event_id,),
+        )
+    at_a2 = next(e for e in commitments[0].phase_events if e.site == A2)
+    accept = bool(matching)
+    tr.emit(
+        D + time, B1, EventKind.ANNOUNCE, {"step": "verdict", "accept": accept},
+        depends_on=(*opened, at_a2.event_id),
+    )
+    return accept
+
+
 # ---------------------------------------------------------------------------
 # Classical protocols
 
@@ -230,7 +288,7 @@ def _run_classical(
     q = params.resolved_q(protocol)
     tr, eta = Transcript(), haar_random(params.d, rng)
 
-    plan = alice_act(alice, MeasurementChoiceContext(params.d, q, params.eps_c_target, eta, rng))
+    plan = alice_act(alice, MeasurementChoiceContext(q, params.eps_c_target, eta, rng))
     shared = _preshare_event(tr)
 
     # t = 0: A1 announces the measurement, A2 commits the predicted indices.
@@ -242,26 +300,22 @@ def _run_classical(
         D_SMALL, B1, EventKind.RECEIVE, {"step": "measurement"},
         depends_on=(announce.event_id,),
     )
-    commitments: list[Commitment] = [
-        commit(v, params.d, A2, 0.0, tr, depends_on=(shared.event_id,))
-        for v in plan.commit_values
-    ]
-    # Second commitment round, run by the near pair from pre-shared data.
-    for c in commitments:
-        sustain(c, A1, DELTA, tr, depends_on=(shared.event_id,))
+    commitments = _commit_round(tr, plan.commit_values, params.d, A2, A1, shared)
 
-    # t = delta: B1 measures and reports.
-    report = bob_act(bob, OutcomeReportContext(plan.basis, eta, rng))
-    accept = report.reported in plan.commit_values
-    if report.reported is None:
+    # t = delta: B1 measures what Bob submits in Alice's basis and reports.
+    submission = bob_act(bob, SubmissionContext(eta, rng))
+    reported, accept = None, False
+    if submission.state is None:
         tr.emit(DELTA, B1, EventKind.ANNOUNCE, {"step": "no-report"})
     else:
+        rotated = PureState(plan.basis.conj().T @ submission.state.amplitudes)
+        reported = measure_basis(rotated, rng)
         measured = tr.emit(
-            DELTA, B1, EventKind.MEASURE, {"outcome": report.reported},
+            DELTA, B1, EventKind.MEASURE, {"outcome": reported},
             depends_on=(basis_rx.event_id,),
         )
         sent = tr.emit(
-            DELTA, B1, EventKind.SEND, {"outcome": report.reported},
+            DELTA, B1, EventKind.SEND, {"outcome": reported},
             depends_on=(measured.event_id,),
         )
         report_rx = tr.emit(
@@ -269,33 +323,15 @@ def _run_classical(
             depends_on=(sent.event_id,),
         )
         # t = delta': A1 unveils iff the report matches a committed index.
-        unveil_deps: tuple[int, ...] = ()
-        if accept:
-            slot = plan.commit_values.index(report.reported)
-            opened = unveil(
-                commitments[slot], A1, DELTA_PRIME, tr,
-                depends_on=(report_rx.event_id, shared.event_id),
-            )
-            unveil_deps = (opened.event_id,)
-        else:
-            tr.emit(
-                DELTA_PRIME, A1, EventKind.ANNOUNCE, {"step": "failure"},
-                depends_on=(report_rx.event_id,),
-            )
-        # Verdict once B1 can compare notes with B2 across the separation.
-        tr.emit(
-            D + DELTA_PRIME, B1, EventKind.ANNOUNCE,
-            {"step": "verdict", "accept": accept},
-            depends_on=(*unveil_deps, commitments[0].phase_events[0].event_id),
-        )
+        accept = _open_and_rule(tr, commitments, reported, DELTA_PRIME, report_rx, shared)
 
     guess = bob_act(
         bob,
         FinalGuessContext(
             basis=plan.basis,
-            reported=report.reported,
+            reported=reported,
             unveiled=accept,
-            retained=report.retained,
+            retained=submission.retained,
             rng=rng,
         ),
     )
@@ -313,22 +349,21 @@ def _run_a2b(
     rng: np.random.Generator,
 ) -> ProtocolOutcome:
     """Alice supplies n systems; Bob projects all n + 1 onto the symmetric subspace."""
-    d, n = params.d, params.n
-    tr, eta = Transcript(), haar_random(d, rng)
+    n = params.n
+    tr, eta = Transcript(), haar_random(params.d, rng)
 
     # Every copy-preparing strategy hands over n copies of one state phi.
-    phi = alice_act(alice, CopyPreparationContext(d, eta, rng))
+    phi = alice_act(alice, CopyPreparationContext(eta, rng))
     sent = tr.emit(0.0, A1, EventKind.SEND, {"systems": n})
     received = tr.emit(
         D_SMALL, B1, EventKind.RECEIVE, {"systems": n}, depends_on=(sent.event_id,)
     )
 
+    own = bob_act(bob, SubmissionContext(eta, rng)).state
     verdict = Verdict.REJECT
-    if bob.kind is BobKind.SKIP_PROTOCOL_MEASURE:
+    if own is None:
         tr.emit(2 * D_SMALL, B1, EventKind.ANNOUNCE, {"step": "no-measurement"})
-        guess = bob_act(bob, FinalGuessContext(retained=eta, rng=rng))
     else:
-        own = haar_random(d, rng) if bob.kind is BobKind.SUBSTITUTE_STATE else eta
         # One uniform is drawn even at n = 0, where the test accepts with certainty.
         accept = bool(rng.random() < symmetric_acceptance(phi, n, own))
         measured = tr.emit(
@@ -341,10 +376,10 @@ def _run_a2b(
             depends_on=(measured.event_id,),
         )
         verdict = Verdict.ACCEPT if accept else Verdict.REJECT
-        # After an honest run the copies are undisturbed; when Alice sent the
-        # unknown state itself, Bob may estimate from all n + 1 copies.
-        copies = n + 1 if phi is eta and own is eta else 1
-        guess = bob_act(bob, FinalGuessContext(retained=eta, copies=copies, rng=rng))
+    # After an honest run the copies are undisturbed; when Alice sent the
+    # unknown state itself, Bob may estimate from all n + 1 copies.
+    copies = n + 1 if phi is eta and own is eta else 1
+    guess = bob_act(bob, FinalGuessContext(retained=eta, copies=copies, rng=rng))
     return ProtocolOutcome(verdict, tr, eta, guess)
 
 
@@ -364,11 +399,11 @@ def _run_b2a(
     In the abort variant honest Alice aborts rather than drop detections.
     """
     q = params.resolved_q(protocol)
-    d, n = params.d, params.n
-    tr, eta = Transcript(), haar_random(d, rng)
+    n = params.n
+    tr, eta = Transcript(), haar_random(params.d, rng)
 
     shared = _preshare_event(tr)
-    package: Package = bob_act(bob, PackageContext(eta, n, d, rng))
+    package: Package = bob_act(bob, PackageContext(eta, n, rng))
 
     sent = tr.emit(-2 * D_SMALL, B1, EventKind.SEND, {"systems": n + 1})
     received = tr.emit(
@@ -405,50 +440,19 @@ def _run_b2a(
 
     # The commitment alphabet covers 0..n+1: every label plus the dummy 0.
     order = rng.permutation(len(plan.commit_values))
-    commitments: list[Commitment] = [
-        commit(
-            plan.commit_values[int(slot)], n + 2, A1, 0.0, tr,
-            depends_on=(shared.event_id,) + measure_deps,
-        )
-        for slot in order
-    ]
-    for c in commitments:
-        sustain(c, A2, DELTA, tr, depends_on=(shared.event_id,))
+    values = tuple(plan.commit_values[int(slot)] for slot in order)
+    commitments = _commit_round(tr, values, n + 2, A1, A2, shared, measure_deps)
 
+    x = package.announced_label
     announce_x = tr.emit(
-        DELTA_PRIME, B1, EventKind.ANNOUNCE, {"label": package.announced_label},
-        depends_on=(sent.event_id,),
+        DELTA_PRIME, B1, EventKind.ANNOUNCE, {"label": x}, depends_on=(sent.event_id,)
     )
     x_received = tr.emit(
         DELTA_PRIME + D_SMALL, A1, EventKind.RECEIVE, {"step": "label"},
         depends_on=(announce_x.event_id,),
     )
-
-    x = package.announced_label
-    unveil_time = DELTA_PRIME + 2 * D_SMALL
     # Alice can unveil, and Bob accepts, iff a commitment holds the label.
-    matching = [c for c in commitments if c.committed_value == x]
-    accept = bool(matching)
-    unveil_deps: tuple[int, ...] = ()
-    if accept:
-        opened = unveil(
-            matching[0], A1, unveil_time, tr,
-            depends_on=(x_received.event_id, shared.event_id),
-        )
-        unveil_deps = (opened.event_id,)
-    else:
-        tr.emit(
-            unveil_time, A1, EventKind.ANNOUNCE, {"step": "failure"},
-            depends_on=(x_received.event_id,),
-        )
-
-    # q >= 1, so the first commitment's sustain event always exists.
-    first_sustain = commitments[0].phase_events[1]
-    tr.emit(
-        D + unveil_time, B1, EventKind.ANNOUNCE,
-        {"step": "verdict", "accept": accept},
-        depends_on=(*unveil_deps, first_sustain.event_id),
-    )
+    accept = _open_and_rule(tr, commitments, x, DELTA_PRIME + 2 * D_SMALL, x_received, shared)
 
     # Bob guesses from what he kept, then Alice from the system he points at.
     bob_guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))

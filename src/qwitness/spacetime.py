@@ -184,12 +184,9 @@ class Transcript:
         kind: EventKind,
         payload: dict | None = None,
         depends_on: tuple[int, ...] = (),
-        window: tuple[float, float] | None = None,
     ) -> SpacetimeEvent:
-        if window is None:
-            window = (time, time)
         event = SpacetimeEvent(
-            self._next_id, time, site, kind, payload or {}, depends_on, window
+            self._next_id, time, site, kind, payload or {}, depends_on, (time, time)
         )
         self._next_id += 1
         self.events.append(event)

@@ -5,9 +5,10 @@ from the run's generator. The protocol engine hands each stage what a
 party holds through the stage contexts below, and the strategy draws
 the rest itself: a subspace known to contain the state, a probe, a
 guess. ``alice_act`` and ``bob_act`` dispatch one decision per
-protocol stage. They make no protocol checks: ``protocols.ALICE_PLAYS``
-and ``BOB_PLAYS`` admit a strategy only to the protocols it has a move
-in, so each stage function handles exactly the kinds that reach it.
+protocol stage; the engine only measures or tests what a party hands
+it. They make no protocol checks: ``protocols.ALICE_PLAYS`` and
+``BOB_PLAYS`` admit a strategy only to the protocols it has a move in,
+so each stage function handles exactly the kinds that reach it.
 
 Alice kinds
     honest          knows the exact classical description and follows the protocol
@@ -18,11 +19,11 @@ Alice kinds
     always-abort    aborts unconditionally
 
 Bob kinds
-    honest          follows the protocol and makes no guess
-    substitute      measures a probe state in place of his own, keeps the
-                    original unmeasured (classical and a2b only)
+    honest          submits his own state and makes no guess
+    substitute      submits a fresh random probe in place of his own state and
+                    keeps the original unmeasured (classical and a2b only)
     retain-guess    participates, then estimates from whatever he holds
-    skip            ignores the protocol and estimates from his single copy
+    skip            submits nothing and estimates from his single copy
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 class MeasurementChoiceContext:
     """Classical protocols: Alice picks the measurement and her committed set."""
 
-    d: int
     q: int
     eps_c_target: float
     true_state: PureState
@@ -139,7 +139,6 @@ class ClassicalPlan:
 class CopyPreparationContext:
     """Sender protocol: Alice picks the state she hands over n copies of."""
 
-    d: int
     true_state: PureState
     rng: np.random.Generator
 
@@ -167,7 +166,6 @@ class PackageContext:
 
     qb_state: PureState
     n: int
-    d: int
     rng: np.random.Generator
 
 
@@ -179,18 +177,17 @@ class Package:
 
 
 @dataclass(frozen=True)
-class OutcomeReportContext:
-    """Classical protocols: Bob measures and reports an outcome index."""
+class SubmissionContext:
+    """Classical and sender protocols: Bob picks the state the protocol tests."""
 
-    basis: np.ndarray
     qb_state: PureState
     rng: np.random.Generator
 
 
 @dataclass(frozen=True)
-class OutcomeReport:
-    reported: int | None  # None when Bob declines to take part
-    retained: PureState | None  # the original state if he substituted it
+class Submission:
+    state: PureState | None  # None when Bob declines to take part
+    retained: PureState | None  # the original state if he did not submit it
 
 
 @dataclass(frozen=True)
@@ -232,7 +229,7 @@ def alice_act(strategy: AliceStrategy, ctx) -> object:
 def _alice_measurement_choice(
     strategy: AliceStrategy, ctx: MeasurementChoiceContext
 ) -> ClassicalPlan:
-    d, q, rng = ctx.d, ctx.q, ctx.rng
+    d, q, rng = ctx.true_state.dim, ctx.q, ctx.rng
     if strategy.kind is AliceKind.HONEST_KNOWING:
         # Rotate eta and a Haar direction r orthogonal to it, so the first
         # column has squared overlap exactly 1 - eps_c_target with the state,
@@ -274,7 +271,7 @@ def _alice_prepare_copies(
         return ctx.true_state
     if strategy.kind is AliceKind.IGNORANT:
         # Best blind strategy: a single random state, repeated.
-        return haar_random(ctx.d, ctx.rng)
+        return haar_random(ctx.true_state.dim, ctx.rng)
     # Subspace knowledge: a random state inside the known subspace.
     k = strategy.subspace_dim
     subspace = knowledge_subspace(ctx.true_state, k, ctx.rng)
@@ -324,15 +321,15 @@ def bob_act(strategy: BobStrategy, ctx) -> object:
     """Resolve one Bob decision for the given protocol stage."""
     if isinstance(ctx, PackageContext):
         return _bob_package(strategy, ctx)
-    if isinstance(ctx, OutcomeReportContext):
-        return _bob_outcome_report(strategy, ctx)
+    if isinstance(ctx, SubmissionContext):
+        return _bob_submission(strategy, ctx)
     if isinstance(ctx, FinalGuessContext):
         return _bob_final_guess(strategy, ctx)
     raise ConfigurationError(f"unsupported bob stage {type(ctx).__name__}")
 
 
 def _bob_package(strategy: BobStrategy, ctx: PackageContext) -> Package:
-    n, d, rng = ctx.n, ctx.d, ctx.rng
+    n, d, rng = ctx.n, ctx.qb_state.dim, ctx.rng
     if strategy.kind is BobKind.HONEST:
         # Source 0 is the unknown state, source i > 0 decoy i; slot j sends order[j].
         sources = [ctx.qb_state] + [haar_random(d, rng) for _ in range(n)]
@@ -344,17 +341,12 @@ def _bob_package(strategy: BobStrategy, ctx: PackageContext) -> Package:
     return Package(systems, label, ctx.qb_state)
 
 
-def _bob_outcome_report(strategy: BobStrategy, ctx: OutcomeReportContext) -> OutcomeReport:
-    basis, rng = ctx.basis, ctx.rng
-    if strategy.kind in (BobKind.HONEST, BobKind.MEASURE_RETAIN_GUESS):
-        rotated = PureState(basis.conj().T @ ctx.qb_state.amplitudes)
-        return OutcomeReport(measure_basis(rotated, rng), None)
+def _bob_submission(strategy: BobStrategy, ctx: SubmissionContext) -> Submission:
     if strategy.kind is BobKind.SUBSTITUTE_STATE:
-        probe = haar_random(ctx.qb_state.dim, rng)
-        rotated = PureState(basis.conj().T @ probe.amplitudes)
-        return OutcomeReport(measure_basis(rotated, rng), ctx.qb_state)
-    # Skip: no report, and the state stays with him.
-    return OutcomeReport(None, ctx.qb_state)
+        return Submission(haar_random(ctx.qb_state.dim, ctx.rng), ctx.qb_state)
+    if strategy.kind is BobKind.SKIP_PROTOCOL_MEASURE:
+        return Submission(None, ctx.qb_state)
+    return Submission(ctx.qb_state, None)
 
 
 def _bob_final_guess(strategy: BobStrategy, ctx: FinalGuessContext) -> PureState | None:

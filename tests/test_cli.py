@@ -49,6 +49,11 @@ def test_verify_degenerate_values_exit_2(flags, capsys):
     assert "checks passed" not in captured.out
 
 
+def test_verify_grid_stops_at_the_cap():
+    # No d above the cap has a power d^n <= cap, so a huge --max-dim adds nothing.
+    assert list(qwitness.cli._grid(10**12, 256)) == list(qwitness.cli._grid(256, 256))
+
+
 def test_verify_runs_each_born_dimension_once(capsys):
     assert run_cli(["verify", "--max-dim", "2", "--trials", "2000"]) == 0
     assert capsys.readouterr().out.count("born frequency d=2") == 1

@@ -1,11 +1,14 @@
 """Protocol state machines against the exact security figures."""
 
+import ast
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qwitness import protocols
 from qwitness.errors import ConfigurationError
 from qwitness.harness import (
     BoundKind,
@@ -470,6 +473,28 @@ def test_no_two_strategy_kinds_replay_each_other():
                 (protocol.value, a, b) for a, b in combinations(runs, 2) if runs[a] == runs[b]
             ]
     assert aliases == []
+
+
+def test_protocols_reads_no_strategy_kind():
+    # Every party decision is drawn in strategies: protocols names a kind
+    # only in the table of which strategy plays which protocol.
+    tree = ast.parse(Path(protocols.__file__).read_text())
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("ALICE_PLAYS", "BOB_PLAYS")
+            for t in node.targets
+        ):
+            allowed |= {id(n) for n in ast.walk(node)}
+    readers = [
+        (node.lineno, node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("AliceKind", "BobKind")
+        and id(node) not in allowed
+    ]
+    assert readers == []
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from qwitness.strategies import (
     BobStrategy,
     DetectionCommitContext,
     MeasurementChoiceContext,
+    SubmissionContext,
     alice_act,
+    bob_act,
     knowledge_subspace,
 )
 from qwitness.qudit import PureState, fidelity_sq, haar_random
@@ -89,7 +91,7 @@ def test_knowledge_subspace_contains_state():
 
 def _classical_plan(alice, d, q, eps_c, rng):
     eta = haar_random(d, rng)
-    return eta, alice_act(alice, MeasurementChoiceContext(d, q, eps_c, eta, rng))
+    return eta, alice_act(alice, MeasurementChoiceContext(q, eps_c, eta, rng))
 
 
 @pytest.mark.parametrize("name,d,q,eps_c", [
@@ -266,3 +268,22 @@ def test_substitute_outcome_guess_is_a_state():
     assert isinstance(out.bob_guess, PureState)
     assert out.bob_guess.dim == out.true_state.dim
     assert out.alice_guess is None
+
+
+@pytest.mark.parametrize("kind", list(BobKind))
+def test_submission_stage(kind):
+    # Bob hands the protocol a state to measure or test: his own, a fresh
+    # Haar probe (keeping his own), or nothing (keeping his own).
+    rng = np.random.default_rng(7)
+    eta = haar_random(3, rng)
+    clone = copy.deepcopy(rng)
+    sub = bob_act(BobStrategy(kind), SubmissionContext(eta, rng))
+    if kind in (BobKind.HONEST, BobKind.MEASURE_RETAIN_GUESS):
+        assert sub.state is eta and sub.retained is None
+    elif kind is BobKind.SUBSTITUTE_STATE:
+        probe = haar_random(3, clone)
+        assert sub.state is not eta and sub.retained is eta
+        assert np.array_equal(sub.state.amplitudes, probe.amplitudes)
+    else:
+        assert sub.state is None and sub.retained is eta
+    assert rng.random() == clone.random()
