@@ -266,7 +266,8 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
 
 
 def _check_writable(path: str | None) -> None:
-    """Fail before any trial runs if ``path`` is a directory or lies in no writable one.
+    """Fail before any trial runs if ``path`` is a directory, an existing file
+    without write permission, or lies in no writable directory.
 
     None and "-" mean stdout. Creates nothing, so a run stopped by a later
     usage error leaves no file behind.
@@ -275,6 +276,8 @@ def _check_writable(path: str | None) -> None:
         return
     if os.path.isdir(path):
         raise ConfigurationError(f"cannot write {path}: it is a directory")
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise ConfigurationError(f"cannot write {path}: the file is not writable")
     parent = os.path.dirname(path) or "."
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise ConfigurationError(f"cannot write {path}: {parent} is not a writable directory")

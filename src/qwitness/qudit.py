@@ -66,13 +66,14 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        # The one copy: the state owns its amplitudes, whoever holds the input.
+        amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 1:
             raise DimensionError("amplitudes must be a non-empty 1-D sequence")
-        norm = math.sqrt(np.vdot(amps, amps).real)
+        flat = amps.view(np.float64)
+        norm = math.sqrt(flat.dot(flat))
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -128,24 +129,28 @@ class MeasurementOutcome:
     post_state: PureState
 
 
+def vector_norm(z: np.ndarray) -> float:
+    """``np.linalg.norm(z)`` of a 1-D complex array, bit for bit, without its per-call overhead."""
+    # Strided views, as np.linalg.norm takes them: BLAS sums a contiguous
+    # interleaved array in another order.
+    re, im = z.real, z.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def haar_random(d: int, rng: np.random.Generator) -> PureState:
     """Draw a pure state uniformly (unitarily invariant measure).
 
     Samples a vector of independent standard complex Gaussians and
     normalizes it, which is exactly Haar on the unit sphere of C^d.
     The d real parts are drawn before the d imaginary parts, and the
-    norm and scaling repeat ``np.linalg.norm(z)`` and ``z / norm`` bit
-    for bit, without their per-call overhead.
+    scaling repeats ``z / np.linalg.norm(z)`` bit for bit.
     """
     if d < 1:
         raise DimensionError(f"invalid dimension {d}")
     while True:
         parts = rng.standard_normal((2, d))
         z = np.ascontiguousarray(parts.T).view(np.complex128)[:, 0]
-        # Strided views, as np.linalg.norm takes them: BLAS sums the
-        # contiguous rows of `parts` in another order.
-        re, im = z.real, z.imag
-        norm = math.sqrt(re.dot(re) + im.dot(im))
+        norm = vector_norm(z)
         if norm > 0.0:
             z *= 1.0 / norm
             return PureState(z)
@@ -168,7 +173,7 @@ def haar_complement(fixed: np.ndarray, count: int, rng: np.random.Generator) -> 
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         for c in cols:
             z = z - np.vdot(c, z) * c
-        norm = np.linalg.norm(z)
+        norm = vector_norm(z)
         if norm > 1e-8:
             cols.append(z / norm)
     return np.array(cols[k:], dtype=np.complex128).reshape(count, d).T
@@ -282,9 +287,9 @@ def measure_binary(
     projected = p.matrix @ s.amplitudes
     prob_one = clamp_probability(float(np.vdot(s.amplitudes, projected).real))
     if rng.random() < prob_one:
-        return MeasurementOutcome(1, PureState(projected / np.linalg.norm(projected)))
+        return MeasurementOutcome(1, PureState(projected / vector_norm(projected)))
     residual = s.amplitudes - projected
-    return MeasurementOutcome(0, PureState(residual / np.linalg.norm(residual)))
+    return MeasurementOutcome(0, PureState(residual / vector_norm(residual)))
 
 
 def measure_basis(s: PureState, rng: np.random.Generator) -> int:

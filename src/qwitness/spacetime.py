@@ -16,6 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 # Operationalizes "much smaller than": short distances and step times
 # must not exceed a tenth of the inter-pair separation.
@@ -62,8 +63,9 @@ B2 = AgentSite(AgentId.B2, D)
 A2 = AgentSite(AgentId.A2, D + D_SMALL)
 
 
-@dataclass(frozen=True)
-class SpacetimeEvent:
+class SpacetimeEvent(NamedTuple):
+    """One timestamped event of a run: a tuple, cheap to build and immutable."""
+
     event_id: int
     time: float
     site: AgentSite

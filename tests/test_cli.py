@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -250,6 +251,36 @@ def test_sweep_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch):
         "--trials", "5", "--axis", "d", "--values", "2,3", "--out",
     ]
     _assert_unwritable_exits_2(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--protocol", "classical1", "--d", "2", "--alice", "honest",
+     "--trials", "5", "--out"],
+    ["simulate", "--protocol", "classical1", "--d", "2", "--alice", "honest",
+     "--trials", "5", "--transcripts"],
+    ["sweep", "--protocol", "classical1", "--d", "2", "--alice", "honest",
+     "--trials", "5", "--axis", "d", "--values", "2,3", "--out"],
+])
+def test_read_only_output_file_exits_2(argv, tmp_path, capsys, monkeypatch):
+    # Root may write any file, so the permission is denied through os.access.
+    monkeypatch.setattr(qwitness.cli, "run_trials", _no_trials)
+    monkeypatch.setattr(qwitness.cli, "sweep", _no_trials)
+    target = tmp_path / "kept.csv"
+    target.write_text("old\n")
+    real_access = os.access
+
+    def access(path, mode):
+        if os.fspath(path) == str(target) and mode & os.W_OK:
+            return False
+        return real_access(path, mode)
+
+    monkeypatch.setattr(os, "access", access)
+    code = run_cli([*argv, str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "not writable" in captured.err
+    assert captured.out == ""
+    assert target.read_text() == "old\n"
 
 
 def test_bob_guesses_after_an_abort(capsys):

@@ -69,6 +69,29 @@ def test_seed_changes_stream():
     assert run_trials(spec_b2a(seed=1)) != run_trials(spec_b2a(seed=2))
 
 
+_SWEEP_ROW_SEED = int(np.random.SeedSequence(11, spawn_key=(10_000,)).generate_state(1)[0])
+_CHUNK = harness._SEED_CHUNK
+
+
+@pytest.mark.parametrize(
+    "master", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3, 5**90, _SWEEP_ROW_SEED]
+)
+def test_trial_rng_equals_seed_sequence(master):
+    # 5**90 has more words than SeedSequence's pool; 2**32 and 2**40 + 9
+    # are indices of two words.
+    for index in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2**31, 2**32 - 1, 2**32, 2**40 + 9):
+        ours = harness.trial_rng(master, index)
+        numpy_rng = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(index,)))
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state, (master, index)
+        assert np.array_equal(ours.standard_normal(8), numpy_rng.standard_normal(8))
+
+
+@pytest.mark.parametrize("master, index", [(-1, 0), (0, -1), (-(2**40), 3)])
+def test_trial_rng_rejects_negative_seed_or_index(master, index):
+    with pytest.raises(ValueError):
+        harness.trial_rng(master, index)
+
+
 def test_merge_associativity():
     spec = spec_b2a(n_trials=600)
     whole = run_trials(spec)

@@ -26,6 +26,7 @@ from qwitness.qudit import (
     sym_projector,
     symmetric_acceptance,
     tensor_states,
+    vector_norm,
 )
 
 
@@ -54,6 +55,40 @@ def test_pure_state_rejects_non_finite(bad):
 def test_pure_state_rejects_empty():
     with pytest.raises(DimensionError):
         PureState([])
+
+
+def test_pure_state_owns_a_read_only_copy():
+    amps = np.array([0.6, 0.8j])
+    state = PureState(amps)
+    assert not np.shares_memory(state.amplitudes, amps)
+    amps[0] = 1.0
+    assert state.amplitudes[0] == 0.6
+    assert not state.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 0.0
+
+
+_EXACT_AMPS = [0.5, 0.5j, 0.5 + 0.5j]
+
+
+@pytest.mark.parametrize("amps", [_EXACT_AMPS, np.array(_EXACT_AMPS, dtype=np.complex64)])
+def test_pure_state_accepts_lists_and_complex64(amps):
+    state = PureState(amps)
+    assert state.amplitudes.dtype == np.complex128
+    assert np.array_equal(state.amplitudes, _EXACT_AMPS)
+
+
+def test_pure_state_rejects_a_norm_just_off_one():
+    with pytest.raises(ValueError):
+        PureState([1.0 + 1e-9, 0.0])
+
+
+def test_vector_norm_equals_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for d in range(1, 41):
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        for v in (z, z * 1e-9, np.ascontiguousarray(np.stack([z, z]).T)[:, 1]):
+            assert vector_norm(v) == np.linalg.norm(v)
 
 
 def test_haar_random_unit_norm():

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,3 +170,24 @@ def test_payload_digest_stable_and_value_sensitive():
     c = SpacetimeEvent(0, 0.0, A1, EventKind.ANNOUNCE, {"x": 2})
     assert a.payload_digest() == event(1, 1.0, B1).payload_digest()
     assert b.payload_digest() != c.payload_digest()
+
+
+def test_event_is_immutable_with_defaults():
+    e = SpacetimeEvent(0, 0.0, A1, EventKind.SEND, {})
+    assert e.depends_on == () and e.window is None
+    with pytest.raises(AttributeError):
+        e.time = 1.0
+    with pytest.raises(AttributeError):
+        e.depends_on = (1,)
+
+
+def test_event_record_keeps_the_five_jsonl_fields():
+    e = SpacetimeEvent(3, 0.5, B2, EventKind.UNVEIL, {"value": 2}, (0, 1), (0.5, 0.5))
+    assert e.position == B2.position
+    assert e.to_record() == {
+        "time": 0.5,
+        "agent": "B2",
+        "position": B2.position,
+        "kind": "unveil",
+        "payload_digest": e.payload_digest(),
+    }
