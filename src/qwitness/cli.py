@@ -269,11 +269,13 @@ def _check_writable(path: str | None) -> None:
     """Fail before any trial runs if ``path`` is a directory, an existing file
     without write permission, or lies in no writable directory.
 
-    None and "-" mean stdout. Creates nothing, so a run stopped by a later
-    usage error leaves no file behind.
+    None and "-" mean stdout; an empty path names no file. Creates nothing,
+    so a run stopped by a later usage error leaves no file behind.
     """
     if path is None or path == "-":
         return
+    if not path:
+        raise ConfigurationError("an output path must not be empty")
     if os.path.isdir(path):
         raise ConfigurationError(f"cannot write {path}: it is a directory")
     if os.path.exists(path) and not os.access(path, os.W_OK):
@@ -298,8 +300,15 @@ def cmd_simulate(args) -> int:
     if limit < 0:
         raise ConfigurationError(f"--transcript-limit must be nonnegative, got {limit}")
     spec = _build_spec(args)
+    # The event logs always go to a file of their own, never to stdout.
+    if args.transcripts == "-":
+        raise ConfigurationError("--transcripts needs a file path, not stdout")
     _check_writable(args.out)
     _check_writable(args.transcripts)
+    if args.transcripts is not None and args.out not in (None, "-") and (
+        os.path.realpath(args.out) == os.path.realpath(args.transcripts)
+    ):
+        raise ConfigurationError(f"--out and --transcripts both name {args.transcripts}")
     stats = run_trials(spec, jobs=args.jobs)
     row = result_row(spec, stats)
     _write_output(args.out, _format_rows([row], args.format))

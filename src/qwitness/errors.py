@@ -11,7 +11,3 @@ class ResourceCapError(RuntimeError):
 
 class ConfigurationError(ValueError):
     """Parameters, strategies, or protocol selection are inconsistent."""
-
-
-class CommitmentPhaseError(RuntimeError):
-    """A commitment operation was applied in the wrong phase."""

@@ -1,4 +1,4 @@
-"""Executable state machines for the knowledge-evidencing protocols.
+"""Executable runs of the knowledge-evidencing protocols.
 
 Four protocols plus an abort variant, each run as a timed event log
 over the standard two-pair agent layout:
@@ -22,8 +22,14 @@ over the standard two-pair agent layout:
 ``check_players`` rejects any other pairing before a run starts. Every
 party decision comes from ``strategies``: in the classical and sender
 protocols Bob submits a state (or nothing) and the runner measures or
-tests it. Both commitment protocols run one commit, sustain and
-unveil-or-fail round, ``_commit_round`` then ``_open_and_rule``.
+tests it.
+
+Runs decide and logs follow: the runners write no event, and one
+layout function per family (``_classical_log``, ``_a2b_log``,
+``_b2a_log``) lays out the whole log from the values its run decided.
+Both commitment protocols lay out one commit, sustain and
+unveil-or-fail round, ``_commit_round`` then ``_open_and_rule``, so
+each handle's phases run in order by construction.
 
 ``eps_c_b2a_exact``, ``a2b_soundness`` and ``hoeffding_bound`` are the
 figures that take more than one line of arithmetic; ``harness.formula_target``
@@ -40,7 +46,7 @@ from enum import Enum
 
 import numpy as np
 
-from .commitment import Commitment, commit, sustain, unveil
+from .commitment import commit, sustain, unveil
 from .errors import ConfigurationError
 from .qudit import PureState, haar_random, measure_basis, symmetric_acceptance
 from .qudit import measure_binary  # noqa: F401 - perfbench tests read protocols.measure_binary
@@ -211,10 +217,10 @@ def a2b_soundness(n: int, d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shared run scaffolding
+# Event logs: each family's layout, from the values its run decided
 
 
-def _preshare_event(tr: Transcript):
+def _preshare_event(tr: Transcript) -> SpacetimeEvent:
     """Alice's agents share commitment data well before the run starts."""
     return tr.emit(
         -(D + 2 * D_SMALL), A1, EventKind.ANNOUNCE, {"step": "pre-shared commitment data"}
@@ -229,53 +235,162 @@ def _commit_round(
     sustainer: AgentSite,
     shared: SpacetimeEvent,
     depends_on: tuple[int, ...] = (),
-) -> list[Commitment]:
-    """Commit each value at t = 0; the other pair sustains them all at delta."""
-    commitments = [
-        commit(v, alphabet, committer, 0.0, tr, depends_on=(shared.event_id, *depends_on))
-        for v in values
-    ]
-    for c in commitments:
-        sustain(c, sustainer, DELTA, tr, depends_on=(shared.event_id,))
-    return commitments
+) -> int:
+    """Commit each value at t = 0 under its slot; the other pair sustains them all at delta.
+
+    Returns the id of slot 0's event at A2, which B1 later compares notes with.
+    """
+    deps = (shared.event_id, *depends_on)
+    initiated = [commit(h, v, alphabet, committer, 0.0, tr, deps) for h, v in enumerate(values)]
+    sustained = [sustain(h, sustainer, DELTA, tr, (shared.event_id,)) for h in range(len(values))]
+    return (initiated if committer == A2 else sustained)[0].event_id
 
 
 def _open_and_rule(
     tr: Transcript,
-    commitments: list[Commitment],
+    values: tuple[int, ...],
     value: int,
     time: float,
     received: SpacetimeEvent,
     shared: SpacetimeEvent,
-) -> bool:
-    """A1 unveils the first commitment to ``value`` at ``time``, or announces failure.
+    at_a2: int,
+) -> None:
+    """A1 unveils the first slot holding ``value`` at ``time``, or announces failure.
 
     B1 rules once it can compare notes with B2 across the separation, on
-    the unveiling and on the first commitment's event at A2.
+    the unveiling and on slot 0's event ``at_a2``.
     """
-    matching = [c for c in commitments if c.committed_value == value]
     opened: tuple[int, ...] = ()
-    if matching:
-        event = unveil(
-            matching[0], A1, time, tr, depends_on=(received.event_id, shared.event_id)
-        )
-        opened = (event.event_id,)
+    if value in values:
+        deps = (received.event_id, shared.event_id)
+        opened = (unveil(values.index(value), value, A1, time, tr, deps).event_id,)
     else:
         tr.emit(
             time, A1, EventKind.ANNOUNCE, {"step": "failure"},
             depends_on=(received.event_id,),
         )
-    at_a2 = next(e for e in commitments[0].phase_events if e.site == A2)
-    accept = bool(matching)
     tr.emit(
-        D + time, B1, EventKind.ANNOUNCE, {"step": "verdict", "accept": accept},
-        depends_on=(*opened, at_a2.event_id),
+        D + time, B1, EventKind.ANNOUNCE, {"step": "verdict", "accept": bool(opened)},
+        depends_on=(*opened, at_a2),
     )
-    return accept
+
+
+def _classical_log(
+    params: ProtocolParams, values: tuple[int, ...], reported: int | None
+) -> Transcript:
+    """``classical1/2``: the committed indices in slot order, and Bob's report or None."""
+    tr = Transcript()
+    shared = _preshare_event(tr)
+    # t = 0: A1 announces the measurement, A2 commits the predicted indices.
+    announce = tr.emit(
+        0.0, A1, EventKind.ANNOUNCE, {"step": "measurement", "outcomes": params.d},
+        depends_on=(shared.event_id,),
+    )
+    basis_rx = tr.emit(
+        D_SMALL, B1, EventKind.RECEIVE, {"step": "measurement"},
+        depends_on=(announce.event_id,),
+    )
+    at_a2 = _commit_round(tr, values, params.d, A2, A1, shared)
+
+    # t = delta: B1 measures and reports, or has nothing to report.
+    if reported is None:
+        tr.emit(DELTA, B1, EventKind.ANNOUNCE, {"step": "no-report"})
+        return tr
+    measured = tr.emit(
+        DELTA, B1, EventKind.MEASURE, {"outcome": reported},
+        depends_on=(basis_rx.event_id,),
+    )
+    sent = tr.emit(
+        DELTA, B1, EventKind.SEND, {"outcome": reported}, depends_on=(measured.event_id,)
+    )
+    report_rx = tr.emit(
+        DELTA + D_SMALL, A1, EventKind.RECEIVE, {"step": "report"},
+        depends_on=(sent.event_id,),
+    )
+    # t = delta': A1 unveils iff the report matches a committed index.
+    _open_and_rule(tr, values, reported, DELTA_PRIME, report_rx, shared, at_a2)
+    return tr
+
+
+def _a2b_log(params: ProtocolParams, accept: bool | None) -> Transcript:
+    """``a2b``: the symmetric test's verdict, or None when Bob tested nothing."""
+    n = params.n
+    tr = Transcript()
+    sent = tr.emit(0.0, A1, EventKind.SEND, {"systems": n})
+    received = tr.emit(
+        D_SMALL, B1, EventKind.RECEIVE, {"systems": n}, depends_on=(sent.event_id,)
+    )
+    if accept is None:
+        tr.emit(2 * D_SMALL, B1, EventKind.ANNOUNCE, {"step": "no-measurement"})
+        return tr
+    measured = tr.emit(
+        2 * D_SMALL, B1, EventKind.MEASURE, {"outcome": int(accept)},
+        depends_on=(received.event_id,),
+    )
+    tr.emit(
+        3 * D_SMALL, B1, EventKind.ANNOUNCE, {"step": "verdict", "accept": accept},
+        depends_on=(measured.event_id,),
+    )
+    return tr
+
+
+def _b2a_log(
+    params: ProtocolParams,
+    positives: int | None,
+    values: tuple[int, ...] | None,
+    label: int,
+) -> Transcript:
+    """``b2a`` and ``b2a-abort``: Alice's detection count (None if she measured
+    nothing), her commit values in slot order (None if she aborted) and
+    Bob's announced label.
+    """
+    n = params.n
+    tr = Transcript()
+    shared = _preshare_event(tr)
+    sent = tr.emit(-2 * D_SMALL, B1, EventKind.SEND, {"systems": n + 1})
+    received = tr.emit(
+        -D_SMALL, A1, EventKind.RECEIVE, {"systems": n + 1},
+        depends_on=(sent.event_id,),
+    )
+    measure_deps: tuple[int, ...] = (received.event_id,)
+    if positives is not None:
+        measured = tr.emit(
+            -D_SMALL / 2, A1, EventKind.MEASURE,
+            {"systems": n + 1, "positives": positives},
+            depends_on=measure_deps,
+        )
+        measure_deps = (measured.event_id,)
+
+    if values is None:
+        # Abort announcements reach every agent before any verdict window.
+        abort_announce = tr.emit(
+            0.0, A1, EventKind.ANNOUNCE, {"step": "abort"}, depends_on=measure_deps
+        )
+        tr.emit(
+            D_SMALL, B1, EventKind.RECEIVE, {"step": "abort"},
+            depends_on=(abort_announce.event_id,),
+        )
+        tr.emit(
+            D + D_SMALL, A2, EventKind.RECEIVE, {"step": "abort"},
+            depends_on=(abort_announce.event_id,),
+        )
+        return tr
+
+    # The commitment alphabet covers 0..n+1: every label plus the dummy 0.
+    at_a2 = _commit_round(tr, values, n + 2, A1, A2, shared, measure_deps)
+    announce_x = tr.emit(
+        DELTA_PRIME, B1, EventKind.ANNOUNCE, {"label": label}, depends_on=(sent.event_id,)
+    )
+    x_received = tr.emit(
+        DELTA_PRIME + D_SMALL, A1, EventKind.RECEIVE, {"step": "label"},
+        depends_on=(announce_x.event_id,),
+    )
+    _open_and_rule(tr, values, label, DELTA_PRIME + 2 * D_SMALL, x_received, shared, at_a2)
+    return tr
 
 
 # ---------------------------------------------------------------------------
-# Classical protocols
+# Runs: the parties' decisions
 
 
 def _run_classical(
@@ -286,44 +401,17 @@ def _run_classical(
     rng: np.random.Generator,
 ) -> ProtocolOutcome:
     q = params.resolved_q(protocol)
-    tr, eta = Transcript(), haar_random(params.d, rng)
-
+    eta = haar_random(params.d, rng)
     plan = alice_act(alice, MeasurementChoiceContext(q, params.eps_c_target, eta, rng))
-    shared = _preshare_event(tr)
 
-    # t = 0: A1 announces the measurement, A2 commits the predicted indices.
-    announce = tr.emit(
-        0.0, A1, EventKind.ANNOUNCE, {"step": "measurement", "outcomes": params.d},
-        depends_on=(shared.event_id,),
-    )
-    basis_rx = tr.emit(
-        D_SMALL, B1, EventKind.RECEIVE, {"step": "measurement"},
-        depends_on=(announce.event_id,),
-    )
-    commitments = _commit_round(tr, plan.commit_values, params.d, A2, A1, shared)
-
-    # t = delta: B1 measures what Bob submits in Alice's basis and reports.
+    # B1 measures what Bob submits in Alice's basis and reports the outcome.
     submission = bob_act(bob, SubmissionContext(eta, rng))
-    reported, accept = None, False
-    if submission.state is None:
-        tr.emit(DELTA, B1, EventKind.ANNOUNCE, {"step": "no-report"})
-    else:
+    reported = None
+    if submission.state is not None:
         rotated = PureState(plan.basis.conj().T @ submission.state.amplitudes)
         reported = measure_basis(rotated, rng)
-        measured = tr.emit(
-            DELTA, B1, EventKind.MEASURE, {"outcome": reported},
-            depends_on=(basis_rx.event_id,),
-        )
-        sent = tr.emit(
-            DELTA, B1, EventKind.SEND, {"outcome": reported},
-            depends_on=(measured.event_id,),
-        )
-        report_rx = tr.emit(
-            DELTA + D_SMALL, A1, EventKind.RECEIVE, {"step": "report"},
-            depends_on=(sent.event_id,),
-        )
-        # t = delta': A1 unveils iff the report matches a committed index.
-        accept = _open_and_rule(tr, commitments, reported, DELTA_PRIME, report_rx, shared)
+    # Alice can unveil, and Bob accepts, iff a commitment holds the report.
+    accept = reported in plan.commit_values
 
     guess = bob_act(
         bob,
@@ -335,11 +423,8 @@ def _run_classical(
             rng=rng,
         ),
     )
+    tr = _classical_log(params, plan.commit_values, reported)
     return ProtocolOutcome(Verdict.ACCEPT if accept else Verdict.REJECT, tr, eta, guess)
-
-
-# ---------------------------------------------------------------------------
-# Quantum sender protocol (Alice hands over copies)
 
 
 def _run_a2b(
@@ -350,41 +435,21 @@ def _run_a2b(
 ) -> ProtocolOutcome:
     """Alice supplies n systems; Bob projects all n + 1 onto the symmetric subspace."""
     n = params.n
-    tr, eta = Transcript(), haar_random(params.d, rng)
+    eta = haar_random(params.d, rng)
 
     # Every copy-preparing strategy hands over n copies of one state phi.
     phi = alice_act(alice, CopyPreparationContext(eta, rng))
-    sent = tr.emit(0.0, A1, EventKind.SEND, {"systems": n})
-    received = tr.emit(
-        D_SMALL, B1, EventKind.RECEIVE, {"systems": n}, depends_on=(sent.event_id,)
-    )
-
     own = bob_act(bob, SubmissionContext(eta, rng)).state
-    verdict = Verdict.REJECT
-    if own is None:
-        tr.emit(2 * D_SMALL, B1, EventKind.ANNOUNCE, {"step": "no-measurement"})
-    else:
+    accept = None
+    if own is not None:
         # One uniform is drawn even at n = 0, where the test accepts with certainty.
         accept = bool(rng.random() < symmetric_acceptance(phi, n, own))
-        measured = tr.emit(
-            2 * D_SMALL, B1, EventKind.MEASURE, {"outcome": int(accept)},
-            depends_on=(received.event_id,),
-        )
-        tr.emit(
-            3 * D_SMALL, B1, EventKind.ANNOUNCE,
-            {"step": "verdict", "accept": accept},
-            depends_on=(measured.event_id,),
-        )
-        verdict = Verdict.ACCEPT if accept else Verdict.REJECT
     # After an honest run the copies are undisturbed; when Alice sent the
     # unknown state itself, Bob may estimate from all n + 1 copies.
     copies = n + 1 if phi is eta and own is eta else 1
     guess = bob_act(bob, FinalGuessContext(retained=eta, copies=copies, rng=rng))
-    return ProtocolOutcome(verdict, tr, eta, guess)
-
-
-# ---------------------------------------------------------------------------
-# Quantum receiver protocol (Bob hands over his system among decoys)
+    verdict = Verdict.ACCEPT if accept else Verdict.REJECT
+    return ProtocolOutcome(verdict, _a2b_log(params, accept), eta, guess)
 
 
 def _run_b2a(
@@ -399,64 +464,27 @@ def _run_b2a(
     In the abort variant honest Alice aborts rather than drop detections.
     """
     q = params.resolved_q(protocol)
-    n = params.n
-    tr, eta = Transcript(), haar_random(params.d, rng)
-
-    shared = _preshare_event(tr)
-    package: Package = bob_act(bob, PackageContext(eta, n, rng))
-
-    sent = tr.emit(-2 * D_SMALL, B1, EventKind.SEND, {"systems": n + 1})
-    received = tr.emit(
-        -D_SMALL, A1, EventKind.RECEIVE, {"systems": n + 1},
-        depends_on=(sent.event_id,),
-    )
+    eta = haar_random(params.d, rng)
+    package: Package = bob_act(bob, PackageContext(eta, params.n, rng))
 
     abort_allowed = protocol is Protocol.QUANTUM_B2A_ABORT
     plan = alice_act(alice, DetectionCommitContext(package.systems, q, eta, abort_allowed, rng))
-    measure_deps: tuple[int, ...] = (received.event_id,)
-    if plan.positives is not None:
-        measured = tr.emit(
-            -D_SMALL / 2, A1, EventKind.MEASURE,
-            {"systems": n + 1, "positives": plan.positives},
-            depends_on=measure_deps,
-        )
-        measure_deps = (measured.event_id,)
-
+    x = package.announced_label
     if plan.commit_values is None:
-        # Abort announcements reach every agent before any verdict window.
-        abort_announce = tr.emit(
-            0.0, A1, EventKind.ANNOUNCE, {"step": "abort"}, depends_on=measure_deps
-        )
-        tr.emit(
-            D_SMALL, B1, EventKind.RECEIVE, {"step": "abort"},
-            depends_on=(abort_announce.event_id,),
-        )
-        tr.emit(
-            D + D_SMALL, A2, EventKind.RECEIVE, {"step": "abort"},
-            depends_on=(abort_announce.event_id,),
-        )
         bob_guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
+        tr = _b2a_log(params, plan.positives, None, x)
         return ProtocolOutcome(Verdict.ABORT, tr, eta, bob_guess)
 
-    # The commitment alphabet covers 0..n+1: every label plus the dummy 0.
+    # Alice fills the commitment slots in a random order.
     order = rng.permutation(len(plan.commit_values))
     values = tuple(plan.commit_values[int(slot)] for slot in order)
-    commitments = _commit_round(tr, values, n + 2, A1, A2, shared, measure_deps)
-
-    x = package.announced_label
-    announce_x = tr.emit(
-        DELTA_PRIME, B1, EventKind.ANNOUNCE, {"label": x}, depends_on=(sent.event_id,)
-    )
-    x_received = tr.emit(
-        DELTA_PRIME + D_SMALL, A1, EventKind.RECEIVE, {"step": "label"},
-        depends_on=(announce_x.event_id,),
-    )
     # Alice can unveil, and Bob accepts, iff a commitment holds the label.
-    accept = _open_and_rule(tr, commitments, x, DELTA_PRIME + 2 * D_SMALL, x_received, shared)
+    accept = x in values
 
     # Bob guesses from what he kept, then Alice from the system he points at.
     bob_guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
     alice_guess = alice_act(alice, FinalGuessContext(retained=package.systems[x - 1], rng=rng))
+    tr = _b2a_log(params, plan.positives, values, x)
     return ProtocolOutcome(
         Verdict.ACCEPT if accept else Verdict.REJECT, tr, eta, bob_guess, alice_guess
     )

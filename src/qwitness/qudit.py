@@ -24,6 +24,7 @@ from .errors import DimensionError, ResourceCapError
 SIZE_CAP = 4096
 
 NORM_TOL = 1e-12
+_NARROW_DTYPES = (np.float16, np.float32, np.complex64)
 HERMITIAN_TOL = 1e-12
 PROJECTOR_TOL = 1e-10
 PROB_TOL = 1e-12
@@ -73,7 +74,14 @@ class PureState:
         flat = amps.view(np.float64)
         norm = math.sqrt(flat.dot(flat))
         if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+            # A vector normalised in a narrower precision lands within about
+            # one eps of that precision, whatever its length: accept it within
+            # 8 eps, then renormalise it in complex128.
+            dtype = getattr(self.amplitudes, "dtype", None)
+            tol = 8 * np.finfo(dtype).eps if dtype in _NARROW_DTYPES else NORM_TOL
+            if not abs(norm - 1.0) <= tol:
+                raise ValueError(f"state norm {norm!r} deviates from 1 beyond {tol}")
+            amps /= norm
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 

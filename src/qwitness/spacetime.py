@@ -172,12 +172,6 @@ class Transcript:
 
     events: list[SpacetimeEvent] = field(default_factory=list)
     _next_id: int = 0
-    _next_handle: int = 0
-
-    def new_handle(self) -> int:
-        handle = self._next_handle
-        self._next_handle += 1
-        return handle
 
     def emit(
         self,

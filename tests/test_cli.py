@@ -283,6 +283,47 @@ def test_read_only_output_file_exits_2(argv, tmp_path, capsys, monkeypatch):
     assert target.read_text() == "old\n"
 
 
+@pytest.mark.parametrize("paths", [
+    ["--transcripts", "-"],
+    ["--out", "sub/../run.csv", "--transcripts", "run.csv"],
+])
+def test_transcripts_go_to_a_file_of_their_own(paths, tmp_path, capsys, monkeypatch):
+    # "-" would be written as a file named "-", and the CSV would be
+    # overwritten by the JSONL: each exits 2 before trial 0 and writes nothing.
+    monkeypatch.setattr(qwitness.cli, "run_trials", _no_trials)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code = run_cli([
+        "simulate", "--protocol", "classical1", "--d", "2", "--alice", "honest",
+        "--trials", "5", *paths,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "--transcripts" in captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--protocol", "classical1", "--d", "2", "--alice", "honest",
+     "--trials", "5", "--out"],
+    ["simulate", "--protocol", "classical1", "--d", "2", "--alice", "honest",
+     "--trials", "5", "--transcripts"],
+    ["sweep", "--protocol", "classical1", "--d", "2", "--alice", "honest",
+     "--trials", "5", "--axis", "d", "--values", "2,3", "--out"],
+])
+def test_empty_output_path_exits_2(argv, capsys, monkeypatch):
+    # An empty path names no file: --transcripts would be skipped and --out
+    # would fail only after every trial had run.
+    monkeypatch.setattr(qwitness.cli, "run_trials", _no_trials)
+    monkeypatch.setattr(qwitness.cli, "sweep", _no_trials)
+    code = run_cli([*argv, ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "empty" in captured.err
+    assert captured.out == ""
+
+
 def test_bob_guesses_after_an_abort(capsys):
     # Honest Alice aborts in some trials; retain-guess Bob guesses in every one.
     code = run_cli([

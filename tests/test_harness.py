@@ -180,10 +180,11 @@ def built_pairings(n_trials, seed, d=3, n=6, q=2, eps_c_targets=(0.0,)):
 
 def test_every_pairing_runs_or_is_rejected_when_built():
     # Every spec either fails to build or runs to the end: no strategy or
-    # metric fails inside a trial.
+    # metric fails inside a trial, and every trial's event log passes the
+    # light-cone validator, whichever layout branch it takes.
     clean = 0
     for spec in built_pairings(40, 7):
-        run_trials(spec)
+        run_trials(replace(spec, validate_transcripts=True))
         clean += 1
     # The table admits every pairing the paper's figures need, and no more.
     assert clean == 96

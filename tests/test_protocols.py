@@ -1,4 +1,4 @@
-"""Protocol state machines against the exact security figures."""
+"""Protocol runs against the exact security figures."""
 
 import ast
 import math
@@ -495,6 +495,30 @@ def test_protocols_reads_no_strategy_kind():
         and id(node) not in allowed
     ]
     assert readers == []
+
+
+def test_only_the_layouts_write_events():
+    # Runs decide and logs follow: each runner calls its family's layout and
+    # no event writer; only the layouts and their helpers call one.
+    tree = ast.parse(Path(protocols.__file__).read_text())
+    called = {
+        fn.name: {
+            node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+        }
+        for fn in tree.body if isinstance(fn, ast.FunctionDef)
+    }
+    emitters = {"emit", "commit", "sustain", "unveil"}
+    writers = {name for name, calls in called.items() if calls & emitters}
+    assert writers == {
+        "_preshare_event", "_commit_round", "_open_and_rule",
+        "_classical_log", "_a2b_log", "_b2a_log",
+    }
+    for runner, layout in [
+        ("_run_classical", "_classical_log"), ("_run_a2b", "_a2b_log"), ("_run_b2a", "_b2a_log"),
+    ]:
+        assert called[runner] & (emitters | writers) == {layout}
 
 
 # ---------------------------------------------------------------------------

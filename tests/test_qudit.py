@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qwitness.errors import DimensionError, ResourceCapError
 from qwitness.qudit import (
     MAXIMALLY_MIXED,
+    NORM_TOL,
     HermitianOperator,
     PureState,
     clamp_probabilities,
@@ -76,6 +77,25 @@ def test_pure_state_accepts_lists_and_complex64(amps):
     state = PureState(amps)
     assert state.amplitudes.dtype == np.complex128
     assert np.array_equal(state.amplitudes, _EXACT_AMPS)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.complex64])
+def test_pure_state_accepts_a_vector_normalised_in_its_own_precision(dtype):
+    # Neither (0.6, 0.8) nor a long vector scaled by its own norm is exact in
+    # binary, so each norm misses 1 by about the dtype's eps; the state
+    # renormalises it in complex128.
+    long = np.random.default_rng(5).standard_normal(1000).astype(dtype)
+    for z in (np.array([0.6, 0.8], dtype=dtype), long / np.linalg.norm(long)):
+        state = PureState(z)
+        assert state.amplitudes.dtype == np.complex128
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= NORM_TOL
+        assert np.allclose(state.amplitudes, z, rtol=0, atol=np.finfo(dtype).eps)
+        assert fidelity_sq(state, state) == pytest.approx(1.0, abs=NORM_TOL)
+
+
+def test_pure_state_rejects_a_complex64_norm_off_by_1e_3():
+    with pytest.raises(ValueError):
+        PureState(np.array([0.6, 0.8j], dtype=np.complex64) * np.complex64(1 + 1e-3))
 
 
 def test_pure_state_rejects_a_norm_just_off_one():
