@@ -313,15 +313,10 @@ def cmd_simulate(args) -> int:
     row = result_row(spec, stats)
     _write_output(args.out, _format_rows([row], args.format))
     if args.transcripts:
-        lines = []
-        for i in range(min(spec.n_trials, limit)):
-            outcome = run_trial(spec, i)
-            for record in outcome.transcript.to_jsonl().splitlines():
-                entry = json.loads(record)
-                entry["trial"] = i
-                lines.append(json.dumps(entry, sort_keys=True))
+        # Exported trials run again here, so --jobs workers ship back only stats.
         with open(args.transcripts, "w") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+            for i in range(min(spec.n_trials, limit)):
+                fh.write(run_trial(spec, i).transcript.to_jsonl(trial=i))
     if row["target"] is not None:
         print(
             f"estimate {row['estimate']:.6g} +- {row['std_err']:.2g} "

@@ -306,4 +306,4 @@ def measure_basis(s: PureState, rng: np.random.Generator) -> int:
     cumulative = np.cumsum(probs)
     # Norm is 1 within tolerance; guard the top edge anyway.
     u = rng.random() * cumulative[-1]
-    return int(np.searchsorted(cumulative, u, side="right").clip(0, s.dim - 1))
+    return min(int(np.searchsorted(cumulative, u, side="right")), s.dim - 1)

@@ -16,6 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
 # Operationalizes "much smaller than": short distances and step times
@@ -79,17 +80,26 @@ class SpacetimeEvent(NamedTuple):
         return self.site.position
 
     def payload_digest(self) -> str:
-        blob = json.dumps(self.payload, sort_keys=True, default=str)
+        blob = _DIGEST_ENCODER.encode(self.payload)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def to_record(self) -> dict:
+        site = self.site
         return {
             "time": self.time,
-            "agent": self.site.agent_id.value,
-            "position": self.position,
+            "agent": site.agent_id.value,
+            "position": site.position,
             "kind": self.kind.value,
             "payload_digest": self.payload_digest(),
         }
+
+
+# ``json.dumps`` with any non-default keyword builds a new encoder per call;
+# these two encode exactly as ``json.dumps(..., sort_keys=True[, default=str])``.
+_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+# Builds a ``SpacetimeEvent`` from a 7-tuple without its Python-level ``__new__``.
+_new_event = tuple.__new__
 
 
 def causally_precedes(e1: SpacetimeEvent, e2: SpacetimeEvent) -> bool:
@@ -113,6 +123,10 @@ class ValidationReport:
         return not self.violations
 
 
+# What a RECEIVE event may depend on to be matched.
+_SOURCE_KINDS = (EventKind.SEND, EventKind.ANNOUNCE, EventKind.UNVEIL)
+
+
 def validate_transcript(events: list[SpacetimeEvent] | tuple[SpacetimeEvent, ...]) -> ValidationReport:
     """Check causal consistency and step windows of a time-ordered log.
 
@@ -120,47 +134,46 @@ def validate_transcript(events: list[SpacetimeEvent] | tuple[SpacetimeEvent, ...
     announce or unveil), any declared dependency outside the past light
     cone, and any event outside its declared time window. Violations
     are report entries, never exceptions.
+
+    One pass per event: each dependency gets the ``causally_precedes``
+    test written out, which also decides whether a receive is matched.
     """
     by_id = {e.event_id: e for e in events}
     found: list[Violation] = []
     previous_time = float("-inf")
-    for e in events:
-        if e.time < previous_time - TIME_TOL:
-            found.append(Violation("ordering", e.event_id, "events not sorted by time"))
-        previous_time = max(previous_time, e.time)
-        for dep_id in e.depends_on:
+    for event_id, time, site, kind, _, depends_on, window in events:
+        if time < previous_time - TIME_TOL:
+            found.append(Violation("ordering", event_id, "events not sorted by time"))
+        if time > previous_time:
+            previous_time = time
+        position = site.position
+        matched = False
+        for dep_id in depends_on:
             dep = by_id.get(dep_id)
             if dep is None:
                 found.append(
-                    Violation("missing-dependency", e.event_id, f"unknown event {dep_id}")
+                    Violation("missing-dependency", event_id, f"unknown event {dep_id}")
                 )
-            elif not causally_precedes(dep, e):
+            elif time - dep.time >= abs(position - dep.site.position) - TIME_TOL:
+                matched = matched or dep.kind in _SOURCE_KINDS
+            else:
                 found.append(
                     Violation(
                         "causality",
-                        e.event_id,
+                        event_id,
                         f"depends on event {dep_id} outside its past light cone",
                     )
                 )
-        if e.kind is EventKind.RECEIVE:
-            sources = [
-                by_id[i]
-                for i in e.depends_on
-                if i in by_id
-                and by_id[i].kind in (EventKind.SEND, EventKind.ANNOUNCE, EventKind.UNVEIL)
-            ]
-            if not any(causally_precedes(s, e) for s in sources):
-                found.append(
-                    Violation("unmatched-receive", e.event_id, "no causally valid send")
-                )
-        if e.window is not None:
-            lo, hi = e.window
-            if e.time < lo - TIME_TOL or e.time > hi + TIME_TOL:
+        if kind is EventKind.RECEIVE and not matched:
+            found.append(Violation("unmatched-receive", event_id, "no causally valid send"))
+        if window is not None:
+            lo, hi = window
+            if time < lo - TIME_TOL or time > hi + TIME_TOL:
                 found.append(
                     Violation(
                         "window",
-                        e.event_id,
-                        f"time {e.time} outside declared window [{lo}, {hi}]",
+                        event_id,
+                        f"time {time} outside declared window [{lo}, {hi}]",
                     )
                 )
     return ValidationReport(tuple(found))
@@ -181,17 +194,20 @@ class Transcript:
         payload: dict | None = None,
         depends_on: tuple[int, ...] = (),
     ) -> SpacetimeEvent:
-        event = SpacetimeEvent(
-            self._next_id, time, site, kind, payload or {}, depends_on, (time, time)
+        event = _new_event(
+            SpacetimeEvent,
+            (self._next_id, time, site, kind, payload or {}, depends_on, (time, time)),
         )
         self._next_id += 1
         self.events.append(event)
         return event
 
     def validate(self) -> ValidationReport:
-        ordered = sorted(self.events, key=lambda e: e.time)
+        ordered = sorted(self.events, key=itemgetter(1))
         return validate_transcript(ordered)
 
-    def to_jsonl(self) -> str:
-        lines = [json.dumps(e.to_record(), sort_keys=True) for e in self.events]
+    def to_jsonl(self, **fields) -> str:
+        """One JSON line per event: its ``to_record()``, plus ``fields`` if given."""
+        encode = _RECORD_ENCODER.encode
+        lines = [encode({**e.to_record(), **fields}) for e in self.events]
         return "\n".join(lines) + ("\n" if lines else "")

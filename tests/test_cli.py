@@ -1,6 +1,7 @@
 """CLI contract: exit codes, reproducible outputs, config handling."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -123,6 +124,28 @@ def test_simulate_transcript_export(tmp_path):
     assert {r["trial"] for r in records} == {0, 1, 2}
     for r in records:
         assert set(r) == {"time", "agent", "position", "kind", "payload_digest", "trial"}
+
+
+# sha256 of the --transcripts file, pinned before the export stopped parsing
+# each line back: the benchmark's CLI run, and an honest b2a run.
+TRANSCRIPT_PINS = [
+    (["--protocol", "classical2", "--d", "4", "--q", "2", "--alice", "ignorant",
+      "--trials", "600", "--transcript-limit", "20"],
+     240, "9c15e860f3a4e0315557075376500e1b6a128ddf265be0dd7a710b2263646dfa"),
+    (["--protocol", "b2a", "--n", "4", "--d", "2", "--q", "2", "--alice", "honest",
+      "--trials", "40", "--transcript-limit", "40"],
+     480, "60b1e610a076d162d1f9631662dfbe7d5cf609d15fdab1a3111ccdca4b56b0cd"),
+]
+
+
+@pytest.mark.parametrize("flags,n_lines,digest", TRANSCRIPT_PINS)
+def test_transcript_file_bytes_pinned(flags, n_lines, digest, tmp_path):
+    path = tmp_path / "events.jsonl"
+    code = run_cli(["simulate", *flags, "--out", str(tmp_path / "o.csv"), "--transcripts", str(path)])
+    assert code == 0
+    data = path.read_bytes()
+    assert data.count(b"\n") == n_lines
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_simulate_negative_transcript_limit_exit_2(tmp_path, capsys):

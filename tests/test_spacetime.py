@@ -1,9 +1,10 @@
 """Layout arithmetic, light cones, and transcript validation."""
 
+import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwitness.spacetime import (
@@ -16,11 +17,14 @@ from qwitness.spacetime import (
     DELTA,
     DELTA_PRIME,
     SEPARATION_FACTOR,
+    TIME_TOL,
     AgentId,
     AgentSite,
     EventKind,
     SpacetimeEvent,
     Transcript,
+    ValidationReport,
+    Violation,
     causally_precedes,
     validate_transcript,
 )
@@ -191,3 +195,152 @@ def test_event_record_keeps_the_five_jsonl_fields():
         "kind": "unveil",
         "payload_digest": e.payload_digest(),
     }
+
+
+# ---------------------------------------------------------------------------
+# the one-pass validator against the two-pass one it replaced
+
+
+def reference_validate_transcript(events):
+    """``validate_transcript`` as it was before the one-pass rewrite, verbatim."""
+    by_id = {e.event_id: e for e in events}
+    found: list[Violation] = []
+    previous_time = float("-inf")
+    for e in events:
+        if e.time < previous_time - TIME_TOL:
+            found.append(Violation("ordering", e.event_id, "events not sorted by time"))
+        previous_time = max(previous_time, e.time)
+        for dep_id in e.depends_on:
+            dep = by_id.get(dep_id)
+            if dep is None:
+                found.append(
+                    Violation("missing-dependency", e.event_id, f"unknown event {dep_id}")
+                )
+            elif not causally_precedes(dep, e):
+                found.append(
+                    Violation(
+                        "causality",
+                        e.event_id,
+                        f"depends on event {dep_id} outside its past light cone",
+                    )
+                )
+        if e.kind is EventKind.RECEIVE:
+            sources = [
+                by_id[i]
+                for i in e.depends_on
+                if i in by_id
+                and by_id[i].kind in (EventKind.SEND, EventKind.ANNOUNCE, EventKind.UNVEIL)
+            ]
+            if not any(causally_precedes(s, e) for s in sources):
+                found.append(
+                    Violation("unmatched-receive", e.event_id, "no causally valid send")
+                )
+        if e.window is not None:
+            lo, hi = e.window
+            if e.time < lo - TIME_TOL or e.time > hi + TIME_TOL:
+                found.append(
+                    Violation(
+                        "window",
+                        e.event_id,
+                        f"time {e.time} outside declared window [{lo}, {hi}]",
+                    )
+                )
+    return ValidationReport(tuple(found))
+
+
+# Times and positions on a 1/16 grid make null separations exact; the layout's
+# own sites and step times make the near misses the protocols produce.
+coordinate = st.one_of(grid, st.sampled_from([0.0, D_SMALL, DELTA, DELTA_PRIME, D, D + D_SMALL]))
+any_site = st.one_of(
+    st.sampled_from([A1, B1, B2, A2]),
+    st.builds(AgentSite, st.sampled_from(list(AgentId)), coordinate),
+)
+any_window = st.one_of(st.none(), st.tuples(coordinate, coordinate))
+
+
+@st.composite
+def event_logs(draw):
+    """Event lists, unsorted or sorted, with unknown and repeated ids among the dependencies."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    events = [
+        SpacetimeEvent(
+            draw(st.integers(min_value=0, max_value=n + 1)),
+            draw(coordinate),
+            draw(any_site),
+            draw(st.sampled_from(list(EventKind))),
+            {},
+            tuple(draw(st.lists(st.integers(min_value=-1, max_value=n + 2), max_size=4))),
+            draw(any_window),
+        )
+        for _ in range(n)
+    ]
+    if draw(st.booleans()):
+        events.sort(key=lambda e: e.time)
+    return events
+
+
+# The light cone's tolerance decides this one: B2 -> A2 over D_SMALL in
+# D_SMALL, where the float distance exceeds the float time by 9e-18.
+NEAR_NULL = [
+    SpacetimeEvent(0, 0.0, B2, EventKind.SEND, {}),
+    SpacetimeEvent(1, D_SMALL, A2, EventKind.RECEIVE, {}, (0,)),
+]
+
+
+@settings(max_examples=500)
+@given(events=event_logs())
+@example(events=NEAR_NULL)
+def test_one_pass_validator_matches_the_reference(events):
+    report = validate_transcript(events)
+    assert report == reference_validate_transcript(events)
+    # The light-cone test written out in the loop is ``causally_precedes``'s.
+    by_id = {e.event_id: e for e in events}
+    expected = [
+        (e.event_id, f"depends on event {d} outside its past light cone")
+        for e in events
+        for d in e.depends_on
+        if d in by_id and not causally_precedes(by_id[d], e)
+    ]
+    assert [(v.event_id, v.message) for v in report.violations if v.kind == "causality"] == expected
+
+
+def test_drawn_logs_cover_every_violation_kind():
+    kinds = set()
+
+    @settings(max_examples=200, database=None)
+    @given(events=event_logs())
+    def collect(events):
+        kinds.update(v.kind for v in validate_transcript(events).violations)
+
+    collect()
+    assert kinds == {"ordering", "missing-dependency", "causality", "unmatched-receive", "window"}
+
+
+def test_emit_builds_the_named_tuple():
+    tr = Transcript()
+    first = tr.emit(0.25, B2, EventKind.UNVEIL, {"value": 1}, depends_on=(7,))
+    second = tr.emit(0.5, A2, EventKind.ANNOUNCE)
+    assert type(first) is SpacetimeEvent
+    assert first == SpacetimeEvent(0, 0.25, B2, EventKind.UNVEIL, {"value": 1}, (7,), (0.25, 0.25))
+    assert second == SpacetimeEvent(1, 0.5, A2, EventKind.ANNOUNCE, {}, (), (0.5, 0.5))
+    assert (first.position, second.window) == (B2.position, (0.5, 0.5))
+
+
+payload_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5)
+    | st.fractions(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(payload=st.dictionaries(st.text(max_size=6), payload_values, max_size=4), trial=st.integers())
+def test_cached_encoders_match_json_dumps(payload, trial):
+    tr = Transcript()
+    event = tr.emit(0.125, B1, EventKind.MEASURE, payload)
+    blob = json.dumps(payload, sort_keys=True, default=str)
+    assert event.payload_digest() == hashlib.sha256(blob.encode()).hexdigest()[:16]
+    assert tr.to_jsonl() == json.dumps(event.to_record(), sort_keys=True) + "\n"
+    line = json.loads(tr.to_jsonl())
+    line["trial"] = trial
+    assert tr.to_jsonl(trial=trial) == json.dumps(line, sort_keys=True) + "\n"
