@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError
-from .qudit import PureState, haar_complement, measure_basis, vector_norm
+from .qudit import PureState, haar_complement, measure_basis, owned_state, vector_norm
 
 
 def mean_estimation_fsq(m: int, d: int) -> float:
@@ -54,7 +54,8 @@ def covariant_estimate(
     phi = math.sqrt(f) * amps + math.sqrt(1.0 - f) * r
     # Renormalize: a draw lying nearly along eta leaves r a small rounding
     # overlap with eta that would break the norm tolerance.
-    return PureState(phi / vector_norm(phi))
+    phi /= vector_norm(phi)
+    return owned_state(phi)
 
 
 def basis_measure_guess(eta: PureState, rng: np.random.Generator) -> PureState:

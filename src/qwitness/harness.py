@@ -37,6 +37,8 @@ from .qudit import fidelity_sq
 from .strategies import AliceKind, AliceStrategy, BobKind, BobStrategy
 
 Z_DEFAULT = 3.0
+# Most complex amplitudes one trial may hold in its largest arrays: 64 MiB.
+TRIAL_AMPLITUDE_CAP = 2**22
 # Slack added to a comparison whose standard error vanishes.
 ZERO_SE_ATOL = 1e-9
 
@@ -147,6 +149,19 @@ class ExperimentSpec:
         k = self.alice.subspace_dim
         if k is not None and k > params.d:
             raise ConfigurationError(f"subspace dimension {k} exceeds d={params.d}")
+        # A trial's largest arrays: the classical d x d basis, the receiver
+        # protocols' n + 1 systems, and in a2b subspace Alice's d x k basis.
+        if classical:
+            amplitudes = params.d * params.d
+        elif protocol is Protocol.QUANTUM_A2B:
+            amplitudes = params.d * (k or 1)
+        else:
+            amplitudes = (params.n + 1) * params.d
+        if amplitudes > TRIAL_AMPLITUDE_CAP:
+            raise ConfigurationError(
+                f"a {protocol.value} trial at d={params.d}, n={params.n} would hold "
+                f"{amplitudes} amplitudes, over the cap of {TRIAL_AMPLITUDE_CAP}"
+            )
         # A metric the chosen protocol and strategies never produce.
         metric = self.metric
         if metric is Metric.ABORT_RATE and protocol is not Protocol.QUANTUM_B2A_ABORT:

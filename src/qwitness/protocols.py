@@ -43,12 +43,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .commitment import commit, sustain, unveil
 from .errors import ConfigurationError
-from .qudit import PureState, haar_random, measure_basis, symmetric_acceptance
+from .qudit import PureState, haar_random, measure_basis, owned_state, symmetric_acceptance
 from .qudit import measure_binary  # noqa: F401 - perfbench tests read protocols.measure_binary
 from .spacetime import A1, A2, B1, D, D_SMALL, DELTA, DELTA_PRIME, EventKind, Transcript
 from .spacetime import AgentSite, SpacetimeEvent
@@ -163,8 +164,7 @@ class ProtocolParams:
         return q
 
 
-@dataclass(frozen=True)
-class ProtocolOutcome:
+class ProtocolOutcome(NamedTuple):
     """One run: the verdict, its event log, the unknown state and any guesses.
 
     ``true_state`` is the state eta the run drew for Bob. A party who tries
@@ -408,7 +408,7 @@ def _run_classical(
     submission = bob_act(bob, SubmissionContext(eta, rng))
     reported = None
     if submission.state is not None:
-        rotated = PureState(plan.basis.conj().T @ submission.state.amplitudes)
+        rotated = owned_state(plan.basis.conj().T @ submission.state.amplitudes)
         reported = measure_basis(rotated, rng)
     # Alice can unveil, and Bob accepts, iff a commitment holds the report.
     accept = reported in plan.commit_values
@@ -476,8 +476,8 @@ def _run_b2a(
         return ProtocolOutcome(Verdict.ABORT, tr, eta, bob_guess)
 
     # Alice fills the commitment slots in a random order.
-    order = rng.permutation(len(plan.commit_values))
-    values = tuple(plan.commit_values[int(slot)] for slot in order)
+    committed = plan.commit_values
+    values = tuple([committed[slot] for slot in rng.permutation(len(committed)).tolist()])
     # Alice can unveil, and Bob accepts, iff a commitment holds the label.
     accept = x in values
 

@@ -53,9 +53,9 @@ def clamp_probability(p: float) -> float:
 
 def clamp_probabilities(p: np.ndarray) -> np.ndarray:
     """``clamp_probability`` applied to every entry of an array."""
-    lo, hi = float(p.min()), float(p.max())
+    lo, hi = np.minimum.reduce(p), np.maximum.reduce(p)
     if not (-PROB_TOL <= lo and hi <= 1.0 + PROB_TOL):
-        bad = hi if lo >= -PROB_TOL else lo
+        bad = float(hi if lo >= -PROB_TOL else lo)
         raise ValueError(f"value {bad!r} is not a probability (tolerance {PROB_TOL})")
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
@@ -69,21 +69,7 @@ class PureState:
     def __post_init__(self) -> None:
         # The one copy: the state owns its amplitudes, whoever holds the input.
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size < 1:
-            raise DimensionError("amplitudes must be a non-empty 1-D sequence")
-        flat = amps.view(np.float64)
-        norm = math.sqrt(flat.dot(flat))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            # A vector normalised in a narrower precision lands within about
-            # one eps of that precision, whatever its length: accept it within
-            # 8 eps, then renormalise it in complex128.
-            dtype = getattr(self.amplitudes, "dtype", None)
-            tol = 8 * np.finfo(dtype).eps if dtype in _NARROW_DTYPES else NORM_TOL
-            if not abs(norm - 1.0) <= tol:
-                raise ValueError(f"state norm {norm!r} deviates from 1 beyond {tol}")
-            amps /= norm
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _seal(amps, self.amplitudes))
 
     @property
     def dim(self) -> int:
@@ -91,6 +77,45 @@ class PureState:
 
     def density_matrix(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
+
+
+def _seal(amps: np.ndarray, source: object) -> np.ndarray:
+    """Check a state's own complex128 amplitudes and make them read-only.
+
+    ``amps`` must be 1-D, non-empty and of unit norm within ``NORM_TOL``.
+    ``source`` is what the caller handed in: when its dtype is narrower
+    than complex128, a norm within 8 eps of that dtype is accepted and
+    renormalised in place.
+    """
+    if amps.ndim != 1 or amps.size < 1:
+        raise DimensionError("amplitudes must be a non-empty 1-D sequence")
+    flat = amps.view(np.float64)
+    norm = math.sqrt(flat.dot(flat))
+    if not abs(norm - 1.0) <= NORM_TOL:
+        # A vector normalised in a narrower precision lands within about
+        # one eps of that precision, whatever its length: accept it within
+        # 8 eps, then renormalise it in complex128.
+        dtype = getattr(source, "dtype", None)
+        tol = 8 * np.finfo(dtype).eps if dtype in _NARROW_DTYPES else NORM_TOL
+        if not abs(norm - 1.0) <= tol:
+            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {tol}")
+        amps /= norm
+    amps.setflags(write=False)
+    return amps
+
+
+def owned_state(amps: np.ndarray) -> PureState:
+    """A ``PureState`` that takes ``amps`` itself, with no copy.
+
+    For an array the caller has just computed and holds nowhere else: a
+    complex128 vector, checked as ``PureState`` checks its input, then
+    made read-only in place. ``PureState(amps)`` copies instead.
+    """
+    if amps.dtype != np.complex128:
+        raise TypeError(f"owned amplitudes must be complex128, not {amps.dtype}")
+    state = object.__new__(PureState)
+    object.__setattr__(state, "amplitudes", _seal(amps, amps))
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,12 +181,14 @@ def haar_random(d: int, rng: np.random.Generator) -> PureState:
     if d < 1:
         raise DimensionError(f"invalid dimension {d}")
     while True:
-        parts = rng.standard_normal((2, d))
-        z = np.ascontiguousarray(parts.T).view(np.complex128)[:, 0]
-        norm = vector_norm(z)
+        # One copy, interleaving real and imaginary parts: the state's own array.
+        pairs = rng.standard_normal((2, d)).T.copy()
+        # The norm from the strided columns, as vector_norm takes it.
+        re, im = pairs[:, 0], pairs[:, 1]
+        norm = math.sqrt(re.dot(re) + im.dot(im))
         if norm > 0.0:
-            z *= 1.0 / norm
-            return PureState(z)
+            pairs *= 1.0 / norm
+            return owned_state(pairs.view(np.complex128)[:, 0])
 
 
 def haar_complement(fixed: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,14 +204,18 @@ def haar_complement(fixed: np.ndarray, count: int, rng: np.random.Generator) -> 
     d, k = len(fixed), len(cols)
     if not 0 <= count <= d - k:
         raise DimensionError(f"cannot add {count} columns to {k} in dimension {d}")
-    while len(cols) < k + count:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        for c in cols:
-            z = z - np.vdot(c, z) * c
-        norm = vector_norm(z)
-        if norm > 1e-8:
-            cols.append(z / norm)
-    return np.array(cols[k:], dtype=np.complex128).reshape(count, d).T
+    out = np.empty((count, d), dtype=np.complex128)
+    for row in out:
+        norm = 0.0
+        while not norm > 1e-8:
+            parts = rng.standard_normal((2, d))
+            z = parts[0] + 1j * parts[1]
+            for c in cols:
+                z = z - np.vdot(c, z) * c
+            norm = vector_norm(z)
+        np.divide(z, norm, out=row)
+        cols.append(row)
+    return out.T
 
 
 def fidelity_sq(a: PureState, b: PureState) -> float:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .qudit import (
     haar_complement,
     haar_random,
     measure_basis,
+    owned_state,
 )
 
 
@@ -119,8 +121,7 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 # Stage contexts and plans
 
 
-@dataclass(frozen=True)
-class MeasurementChoiceContext:
+class MeasurementChoiceContext(NamedTuple):
     """Classical protocols: Alice picks the measurement and her committed set."""
 
     q: int
@@ -129,22 +130,19 @@ class MeasurementChoiceContext:
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class ClassicalPlan:
+class ClassicalPlan(NamedTuple):
     basis: np.ndarray  # columns are the measurement vectors
     commit_values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CopyPreparationContext:
+class CopyPreparationContext(NamedTuple):
     """Sender protocol: Alice picks the state she hands over n copies of."""
 
     true_state: PureState
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class DetectionCommitContext:
+class DetectionCommitContext(NamedTuple):
     """Receiver protocol: Alice measures the labeled systems and commits."""
 
     systems: tuple[PureState, ...]  # labels 1..N+1 in order
@@ -154,14 +152,12 @@ class DetectionCommitContext:
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class DetectionCommitPlan:
+class DetectionCommitPlan(NamedTuple):
     commit_values: tuple[int, ...] | None  # None when aborting
     positives: int | None  # detection count for honest kinds
 
 
-@dataclass(frozen=True)
-class PackageContext:
+class PackageContext(NamedTuple):
     """Receiver protocol: Bob packages the systems he sends to Alice."""
 
     qb_state: PureState
@@ -169,29 +165,25 @@ class PackageContext:
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class Package:
+class Package(NamedTuple):
     systems: tuple[PureState, ...]
     announced_label: int  # 1-based index Bob will announce for his system
     retained: PureState | None
 
 
-@dataclass(frozen=True)
-class SubmissionContext:
+class SubmissionContext(NamedTuple):
     """Classical and sender protocols: Bob picks the state the protocol tests."""
 
     qb_state: PureState
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class Submission:
+class Submission(NamedTuple):
     state: PureState | None  # None when Bob declines to take part
     retained: PureState | None  # the original state if he did not submit it
 
 
-@dataclass(frozen=True)
-class FinalGuessContext:
+class FinalGuessContext(NamedTuple):
     """Close-out: a party turns what it holds into a guess, or nothing.
 
     ``retained`` is what the party holds: Bob's kept state, or the
@@ -275,7 +267,7 @@ def _alice_prepare_copies(
     # Subspace knowledge: a random state inside the known subspace.
     k = strategy.subspace_dim
     subspace = knowledge_subspace(ctx.true_state, k, ctx.rng)
-    return PureState(subspace @ haar_random(k, ctx.rng).amplitudes)
+    return owned_state(subspace @ haar_random(k, ctx.rng).amplitudes)
 
 
 def _alice_detection_commits(
@@ -290,20 +282,19 @@ def _alice_detection_commits(
         # probability |<eta|s_j>|^2, one uniform per label in label order.
         amps = np.array([system.amplitudes for system in ctx.systems])
         born = clamp_probabilities(np.abs(amps @ ctx.true_state.amplitudes.conj()) ** 2)
-        detected = (np.flatnonzero(rng.random(n_plus_1) < born) + 1).tolist()
+        detected = (rng.random(n_plus_1) < born).nonzero()[0] + 1
         positives = len(detected)
         if positives > q:
             if ctx.abort_allowed:
                 return DetectionCommitPlan(None, positives)
-            chosen = rng.choice(detected, size=q, replace=False)
-            values = tuple(int(v) for v in chosen)
+            values = tuple(rng.choice(detected, size=q, replace=False).tolist())
         else:
-            values = tuple(detected) + (0,) * (q - positives)
+            values = tuple(detected.tolist()) + (0,) * (q - positives)
         return DetectionCommitPlan(values, positives)
     # Ignorant and steal: the blind optimum, q random distinct labels.
     # Stealing Alice keeps every received system unmeasured.
-    chosen = rng.choice(np.arange(1, n_plus_1 + 1), size=q, replace=False)
-    return DetectionCommitPlan(tuple(int(v) for v in chosen), None)
+    chosen = rng.choice(n_plus_1, size=q, replace=False) + 1
+    return DetectionCommitPlan(tuple(chosen.tolist()), None)
 
 
 def _alice_final_guess(strategy: AliceStrategy, ctx: FinalGuessContext) -> PureState | None:
@@ -358,7 +349,7 @@ def _bob_final_guess(strategy: BobStrategy, ctx: FinalGuessContext) -> PureState
         # otherwise measure the kept state in the announced basis.
         if ctx.unveiled:
             return PureState(ctx.basis[:, ctx.reported])
-        rotated = PureState(ctx.basis.conj().T @ ctx.retained.amplitudes)
+        rotated = owned_state(ctx.basis.conj().T @ ctx.retained.amplitudes)
         outcome = measure_basis(rotated, rng)
         return PureState(ctx.basis[:, outcome])
     if ctx.retained is None:

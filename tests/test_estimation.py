@@ -1,5 +1,6 @@
 """Estimation strategies against the (m + 1) / (m + d) law."""
 
+import copy
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from qwitness.estimation import (
     covariant_estimate,
     mean_estimation_fsq,
 )
-from qwitness.qudit import PureState, fidelity_sq, haar_random
+from qwitness.qudit import PureState, fidelity_sq, haar_complement, haar_random, vector_norm
 
 
 def test_law_values():
@@ -49,6 +50,34 @@ def test_covariant_estimate_matches_law(m, d):
     target = mean_estimation_fsq(m, d)
     se = values.std(ddof=1) / math.sqrt(trials)
     assert abs(values.mean() - target) <= 4 * se
+
+
+def _parent_covariant_estimate(eta, m, rng):
+    """``covariant_estimate`` as it was before it normalised in place, verbatim."""
+    if m < 1:
+        raise ValueError("covariant estimation needs m >= 1")
+    d = eta.dim
+    amps = eta.amplitudes
+    f = rng.beta(m + 1, d - 1)
+    r = haar_complement(amps, 1, rng)[:, 0]
+    phi = math.sqrt(f) * amps + math.sqrt(1.0 - f) * r
+    # Renormalize: a draw lying nearly along eta leaves r a small rounding
+    # overlap with eta that would break the norm tolerance.
+    return PureState(phi / vector_norm(phi))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_covariant_estimate_matches_the_parent_bit_for_bit(m):
+    rng = np.random.default_rng(60 + m)
+    for d in [*range(2, 17), 64]:
+        for _ in range(20):
+            eta = haar_random(d, rng)
+            clone = copy.deepcopy(rng)
+            expected = _parent_covariant_estimate(eta, m, clone).amplitudes
+            guess = covariant_estimate(eta, m, rng)
+            assert guess.amplitudes.tobytes() == expected.tobytes()
+            assert not guess.amplitudes.flags.writeable
+            assert rng.bit_generator.state == clone.bit_generator.state
 
 
 def beta_cdf(x, a, b):

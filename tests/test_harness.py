@@ -154,6 +154,31 @@ def test_metric_requires_matching_strategy():
             ExperimentSpec(protocol, params, alice, bob, metric, 10, 0)
 
 
+def test_trial_amplitudes_over_the_cap_rejected_when_built():
+    # Specs are only built here: a spec that slipped past the cap would
+    # allocate gigabytes in its first trial.
+    cap = harness.TRIAL_AMPLITUDE_CAP
+    side = 2**11  # side * side == cap
+    subspace = AliceStrategy(AliceKind.SUBSPACE_KNOWLEDGE, 2)
+    fits_and_over = [
+        (Protocol.CLASSICAL1, dict(d=side), dict(d=side + 1), IGNORANT),
+        (Protocol.CLASSICAL2, dict(d=side, q=2), dict(d=side + 1, q=2), IGNORANT),
+        (Protocol.QUANTUM_B2A, dict(d=2, n=cap // 2 - 1), dict(d=2, n=cap // 2), IGNORANT),
+        (Protocol.QUANTUM_B2A_ABORT, dict(d=4, n=cap // 4 - 1, q=1),
+         dict(d=4, n=cap // 4, q=1), IGNORANT),
+        (Protocol.QUANTUM_A2B, dict(d=cap // 2, n=10**9), dict(d=cap // 2 + 1, n=10**9), subspace),
+    ]
+    for protocol, fits, over, alice in fits_and_over:
+        ExperimentSpec(protocol, ProtocolParams(**fits), alice, HONEST_B, Metric.ACCEPTANCE, 2, 0)
+        with pytest.raises(ConfigurationError, match="over the cap"):
+            ExperimentSpec(
+                protocol, ProtocolParams(**over), alice, HONEST_B, Metric.ACCEPTANCE, 2, 0
+            )
+    # a2b holds O(d) amplitudes for every other Alice, whatever n is.
+    ExperimentSpec(Protocol.QUANTUM_A2B, ProtocolParams(d=cap, n=10**9), IGNORANT, HONEST_B,
+                   Metric.ACCEPTANCE, 2, 0)
+
+
 ALICE_NAMES = ("honest", "ignorant", "subspace-2", "steal", "always-abort")
 
 

@@ -22,6 +22,7 @@ from qwitness.qudit import (
     haar_random,
     measure_basis,
     measure_binary,
+    owned_state,
     sym_dim,
     sym_outcome_probability,
     sym_projector,
@@ -103,6 +104,34 @@ def test_pure_state_rejects_a_norm_just_off_one():
         PureState([1.0 + 1e-9, 0.0])
 
 
+def test_owned_state_takes_its_input_without_a_copy():
+    amps = np.array([0.6, 0.8j])
+    state = owned_state(amps)
+    assert state.amplitudes is amps
+    assert not amps.flags.writeable
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 0.0
+    # PureState still owns a copy of what it is handed.
+    copied = PureState(state.amplitudes)
+    assert not np.shares_memory(copied.amplitudes, amps)
+
+
+@pytest.mark.parametrize(
+    "amps,error",
+    [
+        (np.array([[0.6, 0.8j]]), DimensionError),
+        (np.array([], dtype=complex), DimensionError),
+        (np.array([1.0 + 1e-9, 0.0], dtype=complex), ValueError),
+        (np.array([math.nan, 1.0], dtype=complex), ValueError),
+        (np.array([0.6, 0.8]), TypeError),
+        (np.array([0.6, 0.8j], dtype=np.complex64), TypeError),
+    ],
+)
+def test_owned_state_rejects_what_pure_state_rejects(amps, error):
+    with pytest.raises(error):
+        owned_state(amps)
+
+
 def test_vector_norm_equals_numpy_norm_bit_for_bit():
     rng = np.random.default_rng(3)
     for d in range(1, 41):
@@ -135,6 +164,64 @@ def test_haar_random_keeps_the_random_stream(d):
 def _orthonormal_columns(d, k, rng):
     z = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
     return np.linalg.qr(z)[0]
+
+
+def _parent_haar_random(d, rng):
+    """``haar_random`` as it was before it handed its array to ``owned_state``, verbatim."""
+    if d < 1:
+        raise DimensionError(f"invalid dimension {d}")
+    while True:
+        parts = rng.standard_normal((2, d))
+        z = np.ascontiguousarray(parts.T).view(np.complex128)[:, 0]
+        norm = vector_norm(z)
+        if norm > 0.0:
+            z *= 1.0 / norm
+            return PureState(z)
+
+
+def _parent_haar_complement(fixed, count, rng):
+    """``haar_complement`` as it was with two ``standard_normal(d)`` draws per column, verbatim."""
+    fixed = np.asarray(fixed)
+    cols = [fixed] if fixed.ndim == 1 else list(fixed.T)
+    d, k = len(fixed), len(cols)
+    if not 0 <= count <= d - k:
+        raise DimensionError(f"cannot add {count} columns to {k} in dimension {d}")
+    while len(cols) < k + count:
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        for c in cols:
+            z = z - np.vdot(c, z) * c
+        norm = vector_norm(z)
+        if norm > 1e-8:
+            cols.append(z / norm)
+    return np.array(cols[k:], dtype=np.complex128).reshape(count, d).T
+
+
+def test_haar_random_matches_the_parent_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for d in [*range(1, 41), 64, 257]:
+        for _ in range(20):
+            clone = copy.deepcopy(rng)
+            expected = _parent_haar_random(d, clone).amplitudes
+            state = haar_random(d, rng)
+            assert state.amplitudes.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def test_haar_complement_matches_the_parent_bit_for_bit():
+    rng = np.random.default_rng(42)
+    for d in range(1, 9):
+        for k in range(d + 1):
+            for count in range(d - k + 1):
+                for _ in range(3):
+                    fixed = _orthonormal_columns(d, k, rng)
+                    clone = copy.deepcopy(rng)
+                    expected = _parent_haar_complement(fixed, count, clone)
+                    cols = haar_complement(fixed, count, rng)
+                    assert cols.shape == expected.shape == (d, count)
+                    assert cols.tobytes() == expected.tobytes()
+                    if count:
+                        assert cols.strides == expected.strides
+                    assert rng.bit_generator.state == clone.bit_generator.state
 
 
 @pytest.mark.parametrize("d,k,count", [(2, 1, 1), (3, 1, 2), (4, 2, 2), (5, 2, 1), (6, 3, 3)])
@@ -179,12 +266,17 @@ def test_haar_complement_accepts_a_vector_and_no_columns():
 
 
 class _StubNormals:
-    """Generator stand-in that hands out preset standard-normal vectors in order."""
+    """Generator stand-in that hands out preset standard-normal vectors in order.
+
+    A ``(rows, d)`` size takes the next ``rows`` vectors as its rows.
+    """
 
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def standard_normal(self, d):
+    def standard_normal(self, size):
+        if isinstance(size, tuple):
+            return np.array([self.draws.pop(0) for _ in range(size[0])], dtype=float)
         return np.asarray(self.draws.pop(0), dtype=float)
 
 
@@ -197,6 +289,15 @@ def test_haar_complement_redraws_a_draw_inside_the_span():
     cols = haar_complement(fixed, 1, stub)
     assert not stub.draws
     assert np.max(np.abs(cols[:, 0] - np.array([0.0, 0.6, 0.8j]))) <= 1e-15
+
+
+def test_haar_random_redraws_a_zero_draw_as_the_parent_did():
+    draws = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [0.25, 3.0, -1.0]]
+    stub, parent_stub = _StubNormals(draws), _StubNormals(draws)
+    state = haar_random(3, stub)
+    assert not stub.draws
+    expected = _parent_haar_random(3, parent_stub).amplitudes
+    assert state.amplitudes.tobytes() == expected.tobytes()
 
 
 def test_haar_complement_rejects_too_many_columns():
