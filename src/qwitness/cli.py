@@ -234,12 +234,6 @@ def _build_spec(args) -> ExperimentSpec:
     )
 
 
-_CSV_COLUMNS = [
-    "protocol", "alice", "bob", "metric", "d", "n", "q", "eps_c_target",
-    "n_trials", "seed", "estimate", "std_err", "target", "target_kind", "verdict",
-]
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -249,11 +243,12 @@ def _fmt(x) -> str:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
+    """``result_row`` rows as CSV, one column per key in the order the rows give."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: _fmt(row.get(k)) for k in _CSV_COLUMNS})
+        writer.writerow({k: _fmt(v) for k, v in row.items()})
     return buf.getvalue()
 
 

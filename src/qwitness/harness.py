@@ -22,7 +22,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
+from .estimation import mean_estimation_fsq
 from .protocols import (
+    CLASSICAL,
+    RECEIVER,
     Protocol,
     ProtocolOutcome,
     ProtocolParams,
@@ -124,7 +127,7 @@ class ExperimentSpec:
         if self.master_seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.master_seed}")
         protocol, params, alice = self.protocol, self.params, self.alice.kind
-        classical = protocol in (Protocol.CLASSICAL1, Protocol.CLASSICAL2)
+        classical = protocol in CLASSICAL
         if protocol is Protocol.QUANTUM_A2B and params.q is not None:
             raise ConfigurationError("a2b commits nothing, so q does not apply")
         if classical and params.n > 0:
@@ -412,14 +415,14 @@ def formula_target(spec: ExperimentSpec) -> tuple[float, BoundKind] | None:
     alice, bob = spec.alice.kind, spec.bob.kind
     d, n = params.d, params.n
     q = params.resolved_q(protocol)
-    receiver = protocol in (Protocol.QUANTUM_B2A, Protocol.QUANTUM_B2A_ABORT)
+    receiver = protocol in RECEIVER
     # The single-copy optimum 2/(d+1): skip Bob guesses without the protocol,
     # and honest Bob points a stealing Alice at the unknown state itself. Any
     # other Bob points her at a Haar substitute, independent of it.
     if (metric is Metric.MEAN_FSQ and bob is BobKind.SKIP_PROTOCOL_MEASURE) or (
         metric is Metric.ALICE_MEAN_FSQ and bob is BobKind.HONEST
     ):
-        return 2.0 / (d + 1), BoundKind.EXACT
+        return mean_estimation_fsq(1, d), BoundKind.EXACT
     if metric is Metric.ACCEPTANCE and bob is BobKind.HONEST:
         if alice is AliceKind.IGNORANT:
             if protocol is Protocol.QUANTUM_A2B:
@@ -435,7 +438,7 @@ def formula_target(spec: ExperimentSpec) -> tuple[float, BoundKind] | None:
         return None
     if metric is Metric.MEAN_FSQ and bob is BobKind.MEASURE_RETAIN_GUESS:
         if protocol is Protocol.QUANTUM_A2B:
-            return (n + 2) / (n + 1 + d), BoundKind.EXACT
+            return mean_estimation_fsq(n + 1, d), BoundKind.EXACT
         if receiver:
             return 4.0 / (d + 1), BoundKind.UPPER
         return (1.0 - params.eps_c_target) ** 2 / q, BoundKind.LOWER
@@ -481,12 +484,9 @@ def sweep(base: ExperimentSpec, axis: str, values, jobs: int = 1) -> list[SweepR
 
 
 def _spec_fields(spec: ExperimentSpec) -> dict:
-    alice = spec.alice.kind.value
-    if spec.alice.subspace_dim is not None:
-        alice = f"{alice}-{spec.alice.subspace_dim}"
     return {
         "protocol": spec.protocol.value,
-        "alice": alice,
+        "alice": spec.alice.name,
         "bob": spec.bob.kind.value,
         "metric": spec.metric.value,
         "d": spec.params.d,

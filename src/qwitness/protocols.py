@@ -78,22 +78,23 @@ class Protocol(Enum):
     QUANTUM_B2A_ABORT = "b2a-abort"
 
 
-_CLASSICAL = frozenset({Protocol.CLASSICAL1, Protocol.CLASSICAL2})
-_RECEIVER = frozenset({Protocol.QUANTUM_B2A, Protocol.QUANTUM_B2A_ABORT})
+# The two protocol families that each share one runner and one log layout.
+CLASSICAL = frozenset({Protocol.CLASSICAL1, Protocol.CLASSICAL2})
+RECEIVER = frozenset({Protocol.QUANTUM_B2A, Protocol.QUANTUM_B2A_ABORT})
 
 # Which protocols each strategy kind plays.
 ALICE_PLAYS = {
     AliceKind.HONEST_KNOWING: frozenset(Protocol),
     AliceKind.IGNORANT: frozenset(Protocol),
-    AliceKind.SUBSPACE_KNOWLEDGE: _CLASSICAL | {Protocol.QUANTUM_A2B},
-    AliceKind.STEAL_STATE: _RECEIVER,
+    AliceKind.SUBSPACE_KNOWLEDGE: CLASSICAL | {Protocol.QUANTUM_A2B},
+    AliceKind.STEAL_STATE: RECEIVER,
     AliceKind.ALWAYS_ABORT: frozenset({Protocol.QUANTUM_B2A_ABORT}),
 }
 BOB_PLAYS = {
     BobKind.HONEST: frozenset(Protocol),
-    BobKind.SUBSTITUTE_STATE: _CLASSICAL | {Protocol.QUANTUM_A2B},
+    BobKind.SUBSTITUTE_STATE: CLASSICAL | {Protocol.QUANTUM_A2B},
     BobKind.MEASURE_RETAIN_GUESS: frozenset(Protocol),
-    BobKind.SKIP_PROTOCOL_MEASURE: _CLASSICAL | {Protocol.QUANTUM_A2B},
+    BobKind.SKIP_PROTOCOL_MEASURE: CLASSICAL | {Protocol.QUANTUM_A2B},
 }
 
 
@@ -127,8 +128,9 @@ class ProtocolParams:
     ``d`` is the qudit dimension, ``n`` the decoy or copy count, ``q``
     the commitment-list length (None resolves to the protocol default:
     ceil((n + 1) / d) for the receiver protocol, ceil(n/d + ABORT_HEADROOM n)
-    for its abort variant and 1 otherwise), and ``eps_c_target`` honest
-    Alice's completeness error in the classical protocols.
+    for its abort variant and 1 for the classical ones; ``a2b`` commits
+    nothing and has none), and ``eps_c_target`` honest Alice's completeness
+    error in the classical protocols.
     """
 
     d: int
@@ -146,7 +148,9 @@ class ProtocolParams:
         if not 0.0 <= self.eps_c_target < 1.0:
             raise ConfigurationError("eps_c_target must lie in [0, 1)")
 
-    def resolved_q(self, protocol: Protocol) -> int:
+    def resolved_q(self, protocol: Protocol) -> int | None:
+        if protocol is Protocol.QUANTUM_A2B:
+            return None
         if self.q is not None:
             q = self.q
         elif protocol is Protocol.QUANTUM_B2A:
@@ -155,7 +159,7 @@ class ProtocolParams:
             q = max(1, math.ceil(self.n / self.d + ABORT_HEADROOM * self.n))
         else:
             q = 1
-        if protocol in _RECEIVER and q > self.n + 1:
+        if protocol in RECEIVER and q > self.n + 1:
             raise ConfigurationError(f"q={q} must not exceed n + 1 = {self.n + 1}")
         if protocol is Protocol.CLASSICAL2 and q > self.d:
             raise ConfigurationError(f"q={q} must not exceed d={self.d}")
@@ -501,7 +505,7 @@ def run_protocol(
     check_players(protocol, alice, bob)
     if protocol is Protocol.QUANTUM_A2B:
         return _run_a2b(params, alice, bob, rng)
-    if protocol in _RECEIVER:
+    if protocol in RECEIVER:
         return _run_b2a(protocol, params, alice, bob, rng)
     return _run_classical(protocol, params, alice, bob, rng)
 

@@ -86,6 +86,13 @@ class AliceStrategy:
         except ValueError:
             raise ConfigurationError(f"unknown alice strategy {name!r}") from None
 
+    @property
+    def name(self) -> str:
+        """The name ``from_name`` reads back: the kind, and ``-k`` for subspace-k Alice."""
+        if self.subspace_dim is None:
+            return self.kind.value
+        return f"{self.kind.value}-{self.subspace_dim}"
+
 
 @dataclass(frozen=True)
 class BobStrategy:

@@ -31,6 +31,10 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "checks passed" in out
+    # Every printed byte, at the default seed 2024.
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4589a8c51518643f69534d6be5c971f373c65fe278fb641ba05db41d5813243a"
+    )
 
 
 def test_verify_fault_injection_fails(capsys, monkeypatch):
@@ -529,6 +533,26 @@ def test_sweep_rows_reproduce_at_their_printed_seed(capsys):
         assert seed != "5"  # each row runs at its own derived seed
         assert run_cli(["simulate", *run, "--n", n, "--seed", seed]) == 0
         assert capsys.readouterr().out.strip().split("\n")[1] == line
+
+
+def test_a2b_rows_leave_q_empty(capsys):
+    # a2b commits nothing, so its rows name no commitment-list length.
+    run = ["--protocol", "a2b", "--d", "2", "--n", "2", "--alice", "ignorant", "--trials", "20"]
+    assert run_cli(["simulate", *run]) == 0
+    header, line = capsys.readouterr().out.strip().split("\n")
+    assert dict(zip(header.split(","), line.split(",")))["q"] == ""
+    assert run_cli(["simulate", *run, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["q"] is None
+    assert run_cli(["simulate", *run, "--format", "jsonl"]) == 0
+    assert json.loads(capsys.readouterr().out)["q"] is None
+
+
+def test_subspace_alice_keeps_her_name_along_a_sweep(capsys):
+    sweep = ["sweep", "--protocol", "classical1", "--d", "3", "--alice", "subspace-2",
+             "--trials", "20", "--axis", "d", "--values", "2,3,4"]
+    assert run_cli(sweep) == 0
+    lines = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [line.split(",")[1] for line in lines] == ["subspace-2"] * 3
 
 
 def test_sweep_jsonl_has_one_json_row_per_value(capsys):

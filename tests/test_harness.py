@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qwitness import harness
+from qwitness import harness, protocols
 from qwitness.errors import ConfigurationError
 from qwitness.cli import rows_to_csv
 from qwitness.harness import (
@@ -26,6 +26,7 @@ from qwitness.harness import (
     sweep,
 )
 from qwitness.protocols import Protocol, ProtocolParams, eps_c_b2a_exact
+from qwitness.spacetime import A2, B1, EventKind
 from qwitness.strategies import AliceKind, AliceStrategy, BobKind, BobStrategy
 
 HONEST_A = AliceStrategy(AliceKind.HONEST_KNOWING)
@@ -293,6 +294,23 @@ def test_validate_transcripts_flag():
         validate_transcripts=True,
     )
     run_trials(spec)  # honest runs must not trip the validator
+
+
+def test_validate_transcripts_flag_rejects_a_superluminal_log(monkeypatch):
+    true_log = protocols._b2a_log
+
+    def superluminal_log(*args):
+        tr = true_log(*args)
+        # A2 sits a light-second from B1 yet depends on B1's simultaneous announcement.
+        label = tr.emit(0.5, B1, EventKind.ANNOUNCE, {"label": 1})
+        tr.emit(0.5, A2, EventKind.COMMIT_SUSTAIN, {}, depends_on=(label.event_id,))
+        return tr
+
+    monkeypatch.setattr(protocols, "_b2a_log", superluminal_log)
+    spec = spec_b2a(n_trials=5, seed=5)
+    with pytest.raises(ConfigurationError, match=r"^trial 0: transcript violations"):
+        run_trials(replace(spec, validate_transcripts=True))
+    assert run_trials(spec).n_trials == 5
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,10 @@ def test_strategy_names_round_trip():
     assert AliceStrategy.from_name("subspace-2").subspace_dim == 2
     assert AliceStrategy.from_name("always-abort").kind is AliceKind.ALWAYS_ABORT
     assert BobStrategy.from_name("retain-guess").kind is BobKind.MEASURE_RETAIN_GUESS
+    # Every Alice name the CLI accepts reads back from the strategy it builds.
+    names = [kind.value for kind in AliceKind if kind is not AliceKind.SUBSPACE_KNOWLEDGE]
+    for name in names + [f"subspace-{k}" for k in range(1, 5)]:
+        assert AliceStrategy.from_name(name).name == name
     with pytest.raises(ConfigurationError):
         AliceStrategy.from_name("psychic")
     with pytest.raises(ConfigurationError):
