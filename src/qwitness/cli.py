@@ -22,6 +22,7 @@ from .errors import ConfigurationError
 from .estimation import covariant_estimate, mean_estimation_fsq
 from .harness import (
     SWEEP_AXES,
+    TRIAL_AMPLITUDE_CAP,
     ExperimentSpec,
     Metric,
     result_row,
@@ -192,8 +193,9 @@ def _check_estimation_law(rng) -> list[tuple[str, bool, str]]:
 
 def cmd_verify(args) -> int:
     # Every sample-mean check needs a standard error, and every oracle d >= 2.
-    if args.trials < 2:
-        raise ConfigurationError(f"--trials must be at least 2, got {args.trials}")
+    # The Haar moment check holds two floats per trial: at most 64 MiB.
+    if not 2 <= args.trials <= TRIAL_AMPLITUDE_CAP:
+        raise ConfigurationError(f"--trials must lie in [2, {TRIAL_AMPLITUDE_CAP}], got {args.trials}")
     if args.max_dim < 2:
         raise ConfigurationError(f"--max-dim must be at least 2, got {args.max_dim}")
     if args.seed < 0:

@@ -12,7 +12,6 @@ executions and across ``jobs``.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from array import array
 from dataclasses import dataclass, replace
@@ -175,121 +174,40 @@ class ExperimentSpec:
             raise ConfigurationError("alice-mean-fsq metric needs a stealing Alice")
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which
-# trial_rng repeats word for word: a 4-word pool, 32-bit arithmetic.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-# Trials whose seed words are hashed together and cached as one entry:
-# 16 entries of 256 x 4 uint64 words hold at most 128 KiB.
-_SEED_CHUNK = 256
-
-
-def _words32(n: int) -> list[int]:
-    """The 32-bit words of a nonnegative int, least significant first, as SeedSequence splits it."""
-    n = operator.index(n)
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _seed_sequence_state(entropy: list) -> list:
-    """SeedSequence's ``mix_entropy`` over ``entropy``, then ``generate_state(8)``.
-
-    Each word is an int or a uint32 array holding that word for many
-    sequences at once; uint32 arrays wrap as the C code does, and ints
-    are masked to 32 bits. The first ``_POOL_SIZE`` words must be ints.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = _INIT_B
-    state = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        state.append(value ^ (value >> 16))
-    return state
+# PCG64's ``jumped`` step, 2**128 over the golden ratio. Trial i starts i
+# such steps past the master's state, so two trials whose indices differ
+# by a power of two do not share the low bits of their LCG states.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
 @lru_cache(maxsize=16)
-def _chunk_seed_words(master_seed: int, chunk: int) -> np.ndarray:
-    """``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64)`` for every
-    trial i of one aligned chunk, as a read-only (``_SEED_CHUNK``, 4) array.
+def _master_seed(master_seed: int) -> np.random.bit_generator.ISeedSequence:
+    """``SeedSequence(master_seed)`` as PCG64 reads it, its 4 seed words generated once.
+
+    ``numpy.random`` is first touched here, by the first trial: importing
+    it with this module raised the benchmark's peak RSS by about 0.5 MB.
     """
-    # The spawn key follows the master's words, padded to the pool size.
-    entropy = _words32(master_seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    # An aligned chunk never straddles a multiple of 2**32, so its indices
-    # share every word but the lowest, and the lowest never carries.
-    first = chunk * _SEED_CHUNK
-    low, *high = _words32(first)
-    entropy.append(np.arange(low, low + _SEED_CHUNK, dtype=np.uint32))
-    entropy += high
-    state = np.array(_seed_sequence_state(entropy), dtype=np.uint64)
-    # Consecutive 32-bit words make one uint64, low word first.
-    seeds = np.ascontiguousarray((state[0::2] | (state[1::2] << 32)).T)
-    seeds.flags.writeable = False
-    return seeds
+    words = np.random.SeedSequence(master_seed).generate_state(4, np.uint64)
 
-
-@lru_cache(maxsize=1)
-def _seed_words_type() -> type:
-    """An ISeedSequence that hands PCG64 the seed words a SeedSequence would generate.
-
-    Defined on first use, so ``numpy.random`` is still imported by the
-    first trial: importing it with this module raised the benchmark's
-    peak RSS by about 0.5 MB.
-    """
-
-    class SeedWords(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
+    class MasterSeed(np.random.bit_generator.ISeedSequence):
         def generate_state(self, n_words, dtype=np.uint32):
             # PCG64 asks for exactly generate_state(4, np.uint64).
-            return self.words
+            return words
 
-    return SeedWords
+    return MasterSeed()
 
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Deterministic per-trial generator, stable under partitioning.
+    """``Generator(PCG64(SeedSequence(master_seed)).jumped(index))``, stable under partitioning.
 
-    Its state equals that of
-    ``np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))``:
-    the seed words come from the same hash, cached a chunk of trials at a
-    time, and PCG64 seeds itself from them.
+    A counter-based scheme (Salmon et al., SC'11): a fresh PCG64 from the
+    master's cached seed words, advanced by index times ``jumped``'s step.
     """
     if master_seed < 0 or index < 0:
         raise ValueError(f"expected nonnegative seed and index, got {master_seed}, {index}")
-    chunk, offset = divmod(index, _SEED_CHUNK)
-    words = _chunk_seed_words(master_seed, chunk)[offset]
-    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+    bits = np.random.PCG64(_master_seed(master_seed))
+    bits.advance(index * _JUMP % 2**128)
+    return np.random.Generator(bits)
 
 
 def _metric_value(outcome: ProtocolOutcome, metric: Metric) -> float:

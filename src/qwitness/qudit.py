@@ -163,9 +163,7 @@ class MeasurementOutcome:
 
 
 def vector_norm(z: np.ndarray) -> float:
-    """``np.linalg.norm(z)`` of a 1-D complex array, bit for bit, without its per-call overhead."""
-    # Strided views, as np.linalg.norm takes them: BLAS sums a contiguous
-    # interleaved array in another order.
+    """Euclidean norm of a 1-D complex array, without ``np.linalg.norm``'s per-call overhead."""
     re, im = z.real, z.imag
     return math.sqrt(re.dot(re) + im.dot(im))
 
@@ -173,29 +171,25 @@ def vector_norm(z: np.ndarray) -> float:
 def haar_random(d: int, rng: np.random.Generator) -> PureState:
     """Draw a pure state uniformly (unitarily invariant measure).
 
-    Samples a vector of independent standard complex Gaussians and
-    normalizes it, which is exactly Haar on the unit sphere of C^d.
-    The d real parts are drawn before the d imaginary parts, and the
-    scaling repeats ``z / np.linalg.norm(z)`` bit for bit.
+    Samples a vector of independent standard complex Gaussians, drawn as
+    d interleaved (real, imaginary) pairs, and normalizes it, which is
+    exactly Haar on the unit sphere of C^d. A zero draw is redrawn.
     """
     if d < 1:
         raise DimensionError(f"invalid dimension {d}")
     while True:
-        # One copy, interleaving real and imaginary parts: the state's own array.
-        pairs = rng.standard_normal((2, d)).T.copy()
-        # The norm from the strided columns, as vector_norm takes it.
-        re, im = pairs[:, 0], pairs[:, 1]
-        norm = math.sqrt(re.dot(re) + im.dot(im))
+        flat = rng.standard_normal(2 * d)
+        norm = math.sqrt(flat.dot(flat))
         if norm > 0.0:
-            pairs *= 1.0 / norm
-            return owned_state(pairs.view(np.complex128)[:, 0])
+            flat *= 1.0 / norm
+            return owned_state(flat.view(np.complex128))
 
 
 def haar_complement(fixed: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` orthonormal columns, Haar on the orthogonal complement of ``fixed``.
 
     ``fixed`` holds orthonormal columns (a 1-D array is one column). Each
-    new column is d real then d imaginary standard normals, projected off
+    new column is d interleaved complex standard normals, projected off
     every fixed and earlier column in order, normalized, and redrawn when
     its norm is at most 1e-8. Returns a d x count array.
     """
@@ -208,8 +202,7 @@ def haar_complement(fixed: np.ndarray, count: int, rng: np.random.Generator) -> 
     for row in out:
         norm = 0.0
         while not norm > 1e-8:
-            parts = rng.standard_normal((2, d))
-            z = parts[0] + 1j * parts[1]
+            z = rng.standard_normal(2 * d).view(np.complex128)
             for c in cols:
                 z = z - np.vdot(c, z) * c
             norm = vector_norm(z)

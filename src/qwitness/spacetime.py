@@ -73,7 +73,6 @@ class SpacetimeEvent(NamedTuple):
     kind: EventKind
     payload: dict
     depends_on: tuple[int, ...] = ()
-    window: tuple[float, float] | None = None
 
     @property
     def position(self) -> float:
@@ -98,7 +97,7 @@ class SpacetimeEvent(NamedTuple):
 # these two encode exactly as ``json.dumps(..., sort_keys=True[, default=str])``.
 _DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
-# Builds a ``SpacetimeEvent`` from a 7-tuple without its Python-level ``__new__``.
+# Builds a ``SpacetimeEvent`` from a 6-tuple without its Python-level ``__new__``.
 _new_event = tuple.__new__
 
 
@@ -128,12 +127,12 @@ _SOURCE_KINDS = (EventKind.SEND, EventKind.ANNOUNCE, EventKind.UNVEIL)
 
 
 def validate_transcript(events: list[SpacetimeEvent] | tuple[SpacetimeEvent, ...]) -> ValidationReport:
-    """Check causal consistency and step windows of a time-ordered log.
+    """Check the causal consistency of a time-ordered log.
 
-    Flags receive events without a causally valid matching send (or
-    announce or unveil), any declared dependency outside the past light
-    cone, and any event outside its declared time window. Violations
-    are report entries, never exceptions.
+    Flags events out of time order, receive events without a causally
+    valid matching send (or announce or unveil), and any declared
+    dependency that is unknown or outside the past light cone.
+    Violations are report entries, never exceptions.
 
     One pass per event: each dependency gets the ``causally_precedes``
     test written out, which also decides whether a receive is matched.
@@ -141,7 +140,7 @@ def validate_transcript(events: list[SpacetimeEvent] | tuple[SpacetimeEvent, ...
     by_id = {e.event_id: e for e in events}
     found: list[Violation] = []
     previous_time = float("-inf")
-    for event_id, time, site, kind, _, depends_on, window in events:
+    for event_id, time, site, kind, _, depends_on in events:
         if time < previous_time - TIME_TOL:
             found.append(Violation("ordering", event_id, "events not sorted by time"))
         if time > previous_time:
@@ -166,16 +165,6 @@ def validate_transcript(events: list[SpacetimeEvent] | tuple[SpacetimeEvent, ...
                 )
         if kind is EventKind.RECEIVE and not matched:
             found.append(Violation("unmatched-receive", event_id, "no causally valid send"))
-        if window is not None:
-            lo, hi = window
-            if time < lo - TIME_TOL or time > hi + TIME_TOL:
-                found.append(
-                    Violation(
-                        "window",
-                        event_id,
-                        f"time {time} outside declared window [{lo}, {hi}]",
-                    )
-                )
     return ValidationReport(tuple(found))
 
 
@@ -194,10 +183,7 @@ class Transcript:
         payload: dict | None = None,
         depends_on: tuple[int, ...] = (),
     ) -> SpacetimeEvent:
-        event = _new_event(
-            SpacetimeEvent,
-            (self._next_id, time, site, kind, payload or {}, depends_on, (time, time)),
-        )
+        event = _new_event(SpacetimeEvent, (self._next_id, time, site, kind, payload or {}, depends_on))
         self._next_id += 1
         self.events.append(event)
         return event

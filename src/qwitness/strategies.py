@@ -119,7 +119,7 @@ def knowledge_subspace(
 
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary via QR of a complex Ginibre matrix."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    z = rng.standard_normal((d, 2 * d)).view(np.complex128)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 

@@ -333,7 +333,6 @@ def test_criterion_11_infrastructure(tmp_path):
                 transcripts_ok = False
 
     # Adversarial timing fixtures are all flagged.
-    a1 = AgentSite(AgentId.A1, 0.0)
     b1 = AgentSite(AgentId.B1, 0.01)
     a2 = AgentSite(AgentId.A2, 1.01)
     fixtures = [
@@ -349,8 +348,6 @@ def test_criterion_11_infrastructure(tmp_path):
             SpacetimeEvent(0, 0.0, a2, EventKind.SEND, {}),
             SpacetimeEvent(1, 0.1, b1, EventKind.RECEIVE, {}, (0,)),
         ],
-        # Step outside its declared window.
-        [SpacetimeEvent(0, 0.5, a1, EventKind.COMMIT_SUSTAIN, {}, (), (0.02, 0.02))],
     ]
     fixtures_flagged = all(not validate_transcript(f).ok for f in fixtures)
 

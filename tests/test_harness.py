@@ -71,18 +71,17 @@ def test_seed_changes_stream():
 
 
 _SWEEP_ROW_SEED = int(np.random.SeedSequence(11, spawn_key=(10_000,)).generate_state(1)[0])
-_CHUNK = harness._SEED_CHUNK
 
 
 @pytest.mark.parametrize(
     "master", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3, 5**90, _SWEEP_ROW_SEED]
 )
 def test_trial_rng_equals_seed_sequence(master):
-    # 5**90 has more words than SeedSequence's pool; 2**32 and 2**40 + 9
-    # are indices of two words.
-    for index in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2**31, 2**32 - 1, 2**32, 2**40 + 9):
+    # 5**90 has more words than SeedSequence's pool; from index 2 on, the
+    # index times the jump step wraps modulo 2**128.
+    for index in (0, 1, 255, 256, 257, 2**31, 2**32 - 1, 2**32, 2**40 + 9):
         ours = harness.trial_rng(master, index)
-        numpy_rng = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(index,)))
+        numpy_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(master)).jumped(index))
         assert ours.bit_generator.state == numpy_rng.bit_generator.state, (master, index)
         assert np.array_equal(ours.standard_normal(8), numpy_rng.standard_normal(8))
 

@@ -148,17 +148,35 @@ def test_haar_random_unit_norm():
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
 
 
+def _complex_normals(rng, d):
+    """d complex standard normals from d (real, imaginary) pairs, drawn in that order."""
+    pairs = rng.standard_normal((d, 2))
+    return pairs[:, 0] + 1j * pairs[:, 1]
+
+
+def _expect_haar_random(d, rng):
+    """The generator position and Haar state ``haar_random`` must leave and return."""
+    clone = copy.deepcopy(rng)
+    state = haar_random(d, rng)
+    z = _complex_normals(clone, d)
+    assert np.max(np.abs(state.amplitudes - z / np.linalg.norm(z))) <= 1e-15
+    assert rng.bit_generator.state == clone.bit_generator.state
+    assert not state.amplitudes.flags.writeable
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_haar_random_keeps_the_random_stream(d):
-    # d real parts, then d imaginary parts, normalised: the same state and the
-    # same generator position as two standard_normal(d) draws.
+    # d interleaved (real, imaginary) pairs, normalised: one standard_normal(2 d) draw.
     rng = np.random.default_rng(100 + d)
     for _ in range(50):
-        clone = copy.deepcopy(rng)
-        z = clone.standard_normal(d) + 1j * clone.standard_normal(d)
-        state = haar_random(d, rng)
-        assert np.max(np.abs(state.amplitudes - z / np.linalg.norm(z))) <= 1e-15
-        assert rng.random() == clone.random()
+        _expect_haar_random(d, rng)
+
+
+def test_haar_random_follows_the_draws_at_every_dimension():
+    rng = np.random.default_rng(41)
+    for d in [*range(1, 41), 64, 257]:
+        for _ in range(20):
+            _expect_haar_random(d, rng)
 
 
 def _orthonormal_columns(d, k, rng):
@@ -166,62 +184,21 @@ def _orthonormal_columns(d, k, rng):
     return np.linalg.qr(z)[0]
 
 
-def _parent_haar_random(d, rng):
-    """``haar_random`` as it was before it handed its array to ``owned_state``, verbatim."""
-    if d < 1:
-        raise DimensionError(f"invalid dimension {d}")
-    while True:
-        parts = rng.standard_normal((2, d))
-        z = np.ascontiguousarray(parts.T).view(np.complex128)[:, 0]
-        norm = vector_norm(z)
-        if norm > 0.0:
-            z *= 1.0 / norm
-            return PureState(z)
-
-
-def _parent_haar_complement(fixed, count, rng):
-    """``haar_complement`` as it was with two ``standard_normal(d)`` draws per column, verbatim."""
-    fixed = np.asarray(fixed)
-    cols = [fixed] if fixed.ndim == 1 else list(fixed.T)
-    d, k = len(fixed), len(cols)
-    if not 0 <= count <= d - k:
-        raise DimensionError(f"cannot add {count} columns to {k} in dimension {d}")
-    while len(cols) < k + count:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        for c in cols:
-            z = z - np.vdot(c, z) * c
-        norm = vector_norm(z)
-        if norm > 1e-8:
-            cols.append(z / norm)
-    return np.array(cols[k:], dtype=np.complex128).reshape(count, d).T
-
-
-def test_haar_random_matches_the_parent_bit_for_bit():
-    rng = np.random.default_rng(41)
-    for d in [*range(1, 41), 64, 257]:
-        for _ in range(20):
-            clone = copy.deepcopy(rng)
-            expected = _parent_haar_random(d, clone).amplitudes
-            state = haar_random(d, rng)
-            assert state.amplitudes.tobytes() == expected.tobytes()
-            assert rng.bit_generator.state == clone.bit_generator.state
-
-
-def test_haar_complement_matches_the_parent_bit_for_bit():
-    rng = np.random.default_rng(42)
-    for d in range(1, 9):
-        for k in range(d + 1):
-            for count in range(d - k + 1):
-                for _ in range(3):
-                    fixed = _orthonormal_columns(d, k, rng)
-                    clone = copy.deepcopy(rng)
-                    expected = _parent_haar_complement(fixed, count, clone)
-                    cols = haar_complement(fixed, count, rng)
-                    assert cols.shape == expected.shape == (d, count)
-                    assert cols.tobytes() == expected.tobytes()
-                    if count:
-                        assert cols.strides == expected.strides
-                    assert rng.bit_generator.state == clone.bit_generator.state
+def _expect_haar_complement(fixed, count, rng):
+    """Column j is the j-th complex normal draw with its part in the span of the
+    fixed and earlier columns removed, then normalised."""
+    d = len(fixed)
+    clone = copy.deepcopy(rng)
+    cols = haar_complement(fixed, count, rng)
+    assert cols.shape == (d, count)
+    span = fixed if fixed.ndim == 2 else fixed[:, None]
+    for j in range(count):
+        z = _complex_normals(clone, d)
+        r = z - span @ (span.conj().T @ z)
+        expected = r / np.linalg.norm(r)
+        assert np.max(np.abs(cols[:, j] - expected)) <= 1e-12
+        span = np.column_stack([span, expected])
+    assert rng.bit_generator.state == clone.bit_generator.state
 
 
 @pytest.mark.parametrize("d,k,count", [(2, 1, 1), (3, 1, 2), (4, 2, 2), (5, 2, 1), (6, 3, 3)])
@@ -237,21 +214,18 @@ def test_haar_complement_is_orthonormal_and_orthogonal_to_fixed(d, k, count):
 
 @pytest.mark.parametrize("d,k,count", [(2, 1, 1), (3, 1, 2), (4, 2, 2), (6, 3, 3)])
 def test_haar_complement_keeps_the_random_stream(d, k, count):
-    # Column j is the pair standard_normal(d) + 1j * standard_normal(d) drawn
-    # j-th, with its part in the span of the fixed and earlier columns removed.
     rng = np.random.default_rng(200 + d + k)
     for _ in range(20):
-        fixed = _orthonormal_columns(d, k, rng)
-        clone = copy.deepcopy(rng)
-        cols = haar_complement(fixed, count, rng)
-        span = fixed
-        for j in range(count):
-            z = clone.standard_normal(d) + 1j * clone.standard_normal(d)
-            r = z - span @ (span.conj().T @ z)
-            expected = r / np.linalg.norm(r)
-            assert np.max(np.abs(cols[:, j] - expected)) <= 1e-12
-            span = np.column_stack([span, expected])
-        assert rng.random() == clone.random()
+        _expect_haar_complement(_orthonormal_columns(d, k, rng), count, rng)
+
+
+def test_haar_complement_follows_the_draws_on_every_shape():
+    rng = np.random.default_rng(42)
+    for d in range(1, 9):
+        for k in range(d + 1):
+            for count in range(d - k + 1):
+                for _ in range(3):
+                    _expect_haar_complement(_orthonormal_columns(d, k, rng), count, rng)
 
 
 def test_haar_complement_accepts_a_vector_and_no_columns():
@@ -266,25 +240,22 @@ def test_haar_complement_accepts_a_vector_and_no_columns():
 
 
 class _StubNormals:
-    """Generator stand-in that hands out preset standard-normal vectors in order.
-
-    A ``(rows, d)`` size takes the next ``rows`` vectors as its rows.
-    """
+    """Generator stand-in that hands out preset standard-normal vectors in order."""
 
     def __init__(self, draws):
         self.draws = list(draws)
 
     def standard_normal(self, size):
-        if isinstance(size, tuple):
-            return np.array([self.draws.pop(0) for _ in range(size[0])], dtype=float)
-        return np.asarray(self.draws.pop(0), dtype=float)
+        draw = np.asarray(self.draws.pop(0), dtype=float)
+        assert draw.shape == (size,)
+        return draw
 
 
 def test_haar_complement_redraws_a_draw_inside_the_span():
     fixed = np.array([1.0, 0.0, 0.0], dtype=complex)
     stub = _StubNormals([
-        [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0],  # 2 - 1j along fixed: norm 0 after projection
-        [5.0, 3.0, 0.0], [0.0, 0.0, 4.0],  # 3 e1 + 4i e2 after projection
+        [2.0, -1.0, 0.0, 0.0, 0.0, 0.0],  # 2 - 1j along fixed: norm 0 after projection
+        [5.0, 0.0, 3.0, 0.0, 0.0, 4.0],  # 3 e1 + 4i e2 after projection
     ])
     cols = haar_complement(fixed, 1, stub)
     assert not stub.draws
@@ -292,12 +263,11 @@ def test_haar_complement_redraws_a_draw_inside_the_span():
 
 
 def test_haar_random_redraws_a_zero_draw_as_the_parent_did():
-    draws = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [0.25, 3.0, -1.0]]
-    stub, parent_stub = _StubNormals(draws), _StubNormals(draws)
+    # A zero draw has no direction: it is dropped and drawn again, as before.
+    stub = _StubNormals([[0.0] * 6, [0.0, 0.0, 3.0, 0.0, 0.0, -4.0]])
     state = haar_random(3, stub)
     assert not stub.draws
-    expected = _parent_haar_random(3, parent_stub).amplitudes
-    assert state.amplitudes.tobytes() == expected.tobytes()
+    assert np.max(np.abs(state.amplitudes - np.array([0.0, 0.6, -0.8j]))) <= 1e-15
 
 
 def test_haar_complement_rejects_too_many_columns():

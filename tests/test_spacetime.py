@@ -30,8 +30,8 @@ from qwitness.spacetime import (
 )
 
 
-def event(eid, time, site, kind=EventKind.ANNOUNCE, deps=(), window=None):
-    return SpacetimeEvent(eid, time, site, kind, {}, deps, window)
+def event(eid, time, site, kind=EventKind.ANNOUNCE, deps=()):
+    return SpacetimeEvent(eid, time, site, kind, {}, deps)
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +135,6 @@ def test_sustain_depending_on_distant_announce_flagged():
     assert any(v.kind == "causality" and v.event_id == 1 for v in report.violations)
 
 
-def test_event_outside_window_flagged():
-    events = [event(0, 0.07, A1, EventKind.COMMIT_SUSTAIN, window=(0.02, 0.02))]
-    report = validate_transcript(events)
-    assert any(v.kind == "window" for v in report.violations)
-
-
 def test_unsorted_transcript_flagged():
     events = [event(0, 1.0, A1), event(1, 0.0, A1)]
     report = validate_transcript(events)
@@ -178,7 +172,7 @@ def test_payload_digest_stable_and_value_sensitive():
 
 def test_event_is_immutable_with_defaults():
     e = SpacetimeEvent(0, 0.0, A1, EventKind.SEND, {})
-    assert e.depends_on == () and e.window is None
+    assert e.depends_on == ()
     with pytest.raises(AttributeError):
         e.time = 1.0
     with pytest.raises(AttributeError):
@@ -186,7 +180,7 @@ def test_event_is_immutable_with_defaults():
 
 
 def test_event_record_keeps_the_five_jsonl_fields():
-    e = SpacetimeEvent(3, 0.5, B2, EventKind.UNVEIL, {"value": 2}, (0, 1), (0.5, 0.5))
+    e = SpacetimeEvent(3, 0.5, B2, EventKind.UNVEIL, {"value": 2}, (0, 1))
     assert e.position == B2.position
     assert e.to_record() == {
         "time": 0.5,
@@ -202,7 +196,7 @@ def test_event_record_keeps_the_five_jsonl_fields():
 
 
 def reference_validate_transcript(events):
-    """``validate_transcript`` as it was before the one-pass rewrite, verbatim."""
+    """``validate_transcript`` before the one-pass rewrite, verbatim but for the dropped window check."""
     by_id = {e.event_id: e for e in events}
     found: list[Violation] = []
     previous_time = float("-inf")
@@ -235,16 +229,6 @@ def reference_validate_transcript(events):
                 found.append(
                     Violation("unmatched-receive", e.event_id, "no causally valid send")
                 )
-        if e.window is not None:
-            lo, hi = e.window
-            if e.time < lo - TIME_TOL or e.time > hi + TIME_TOL:
-                found.append(
-                    Violation(
-                        "window",
-                        e.event_id,
-                        f"time {e.time} outside declared window [{lo}, {hi}]",
-                    )
-                )
     return ValidationReport(tuple(found))
 
 
@@ -255,7 +239,6 @@ any_site = st.one_of(
     st.sampled_from([A1, B1, B2, A2]),
     st.builds(AgentSite, st.sampled_from(list(AgentId)), coordinate),
 )
-any_window = st.one_of(st.none(), st.tuples(coordinate, coordinate))
 
 
 @st.composite
@@ -270,7 +253,6 @@ def event_logs(draw):
             draw(st.sampled_from(list(EventKind))),
             {},
             tuple(draw(st.lists(st.integers(min_value=-1, max_value=n + 2), max_size=4))),
-            draw(any_window),
         )
         for _ in range(n)
     ]
@@ -313,7 +295,7 @@ def test_drawn_logs_cover_every_violation_kind():
         kinds.update(v.kind for v in validate_transcript(events).violations)
 
     collect()
-    assert kinds == {"ordering", "missing-dependency", "causality", "unmatched-receive", "window"}
+    assert kinds == {"ordering", "missing-dependency", "causality", "unmatched-receive"}
 
 
 def test_emit_builds_the_named_tuple():
@@ -321,9 +303,9 @@ def test_emit_builds_the_named_tuple():
     first = tr.emit(0.25, B2, EventKind.UNVEIL, {"value": 1}, depends_on=(7,))
     second = tr.emit(0.5, A2, EventKind.ANNOUNCE)
     assert type(first) is SpacetimeEvent
-    assert first == SpacetimeEvent(0, 0.25, B2, EventKind.UNVEIL, {"value": 1}, (7,), (0.25, 0.25))
-    assert second == SpacetimeEvent(1, 0.5, A2, EventKind.ANNOUNCE, {}, (), (0.5, 0.5))
-    assert (first.position, second.window) == (B2.position, (0.5, 0.5))
+    assert first == SpacetimeEvent(0, 0.25, B2, EventKind.UNVEIL, {"value": 1}, (7,))
+    assert second == SpacetimeEvent(1, 0.5, A2, EventKind.ANNOUNCE, {}, ())
+    assert first.position == B2.position
 
 
 payload_values = st.recursive(

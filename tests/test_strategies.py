@@ -18,6 +18,7 @@ from qwitness.strategies import (
     MeasurementChoiceContext,
     SubmissionContext,
     alice_act,
+    _haar_unitary,
     bob_act,
     knowledge_subspace,
 )
@@ -110,6 +111,22 @@ def test_classical_plan_basis_is_unitary(name, d, q, eps_c):
         _, plan = _classical_plan(alice, d, q, eps_c, rng)
         assert plan.basis.shape == (d, d)
         assert np.max(np.abs(plan.basis.conj().T @ plan.basis - np.eye(d))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_haar_unitary_keeps_the_random_stream(d):
+    # A d x d Ginibre matrix of interleaved (real, imaginary) pairs, row by row,
+    # then QR with the phases of R's diagonal moved into Q.
+    rng = np.random.default_rng(70 + d)
+    for _ in range(20):
+        clone = copy.deepcopy(rng)
+        u = _haar_unitary(d, rng)
+        pairs = clone.standard_normal((d, d, 2))
+        q, r = np.linalg.qr(pairs[..., 0] + 1j * pairs[..., 1])
+        expected = q * (np.diag(r) / np.abs(np.diag(r)))
+        assert np.max(np.abs(u - expected)) <= 1e-12
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-12
+        assert rng.bit_generator.state == clone.bit_generator.state
 
 
 @pytest.mark.parametrize("eps_c", [0.0, 0.1])

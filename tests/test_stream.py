@@ -5,8 +5,8 @@ stays valid however the library spells its parameters. A refactor that
 claims to keep the random stream must leave every pinned value equal:
 the trial and success counts, the exact bits of both fidelity sums, and
 a digest of the first transcripts' JSONL. The JSONL leaves out each
-event's declared dependencies and time window, so a second table pins
-the event graph of the same transcripts.
+event's id and declared dependencies, so a second table pins the event
+graph of the same transcripts.
 """
 
 import hashlib
@@ -25,38 +25,38 @@ TRANSCRIPTS = 20
 PINNED = {
     'classical1-honest': (
         '--protocol classical1 --d 3 --alice honest --eps-c-target 0.1',
-        200, 186, '0x0.0p+0', '0x0.0p+0',
-        '97d8341cf81f27c32c3811dd3676a25c98bb40182bd6a4906fcfb939bfe2e436',
+        200, 184, '0x0.0p+0', '0x0.0p+0',
+        'd7c713b73c8675b0be3c59bb9015d01adb35367add81cc90368bcc8041bb652d',
     ),
     'classical1-ignorant': (
         '--protocol classical1 --d 3 --alice ignorant',
-        200, 64, '0x0.0p+0', '0x0.0p+0',
-        'e695a86f6cd25b2291f0e661917c726dbb0cfea754d0f76e392ee0c79fd3b8b1',
+        200, 51, '0x0.0p+0', '0x0.0p+0',
+        '568f870698f9d5448d1ebed659bee085bc472e9a5780ae65ce2e765fb90043ea',
     ),
     'classical1-subspace-2': (
         '--protocol classical1 --d 4 --alice subspace-2',
-        200, 105, '0x0.0p+0', '0x0.0p+0',
-        '046587c12ad796c26a1816a69d65ff7271d36a2a3a27f1aabafbf312c79bc2e0',
+        200, 108, '0x0.0p+0', '0x0.0p+0',
+        '4a8852238dc5305eb28d07827996ffdcc3bcc53a24747ba354001a8f203fa2d1',
     ),
     'classical1-substitute': (
         '--protocol classical1 --d 3 --alice honest --eps-c-target 0.1 --bob substitute --metric mean-fsq',
-        200, 0, '0x1.54ccccccccce0p+7', '0x1.30cccccccccd8p+7',
-        'e9b3fdf5b8aa3bf894a3e309f93818e0e99947d090457778d05c984abd6b7531',
+        200, 0, '0x1.5000000000012p+7', '0x1.2c0000000000cp+7',
+        'b1ecc4f4e8e6d0cdacc879a445a4ba82ce5006d6d5998d70b2ee5bb89cb107d1',
     ),
     'classical1-retain-guess': (
         '--protocol classical1 --d 2 --alice honest --eps-c-target 0.1 --bob retain-guess --metric mean-fsq',
         200, 0, '0x1.5000000000013p+7', '0x1.2c0000000000bp+7',
-        '6f6d11984dc20a3c7aa70874739efa205db3f856342ed33481a574a6ae5ce905',
+        'bf644f53ffeac0cb02bcfafa9871e966371668f4c96729cc60b9c24860f162ae',
     ),
     'classical2-skip': (
         '--protocol classical2 --d 4 --q 2 --alice honest --eps-c-target 0.1 --bob skip --metric mean-fsq',
-        200, 0, '0x1.3ce68ca193ed9p+6', '0x1.3c10c1292cdcfp+5',
+        200, 0, '0x1.4929b81b1b0d2p+6', '0x1.4a4014581e9efp+5',
         'f366b6b084fa6479f04216a896310b057b14f116173fb540cdf0f67ad21045ad',
     ),
     'classical2-ignorant': (
         '--protocol classical2 --d 4 --q 2 --alice ignorant',
-        200, 100, '0x0.0p+0', '0x0.0p+0',
-        '72f97de25da852b0067753f938a529ee71a83c7c005f32d79a31f2346634a70a',
+        200, 96, '0x0.0p+0', '0x0.0p+0',
+        'e5763d7ac34881e5ed5de7d876d99ab90b6e3d9e11f3d4b4687be7d8926594a0',
     ),
     'a2b-n0': (
         '--protocol a2b --d 2 --n 0 --alice ignorant',
@@ -65,63 +65,63 @@ PINNED = {
     ),
     'a2b-ignorant': (
         '--protocol a2b --d 2 --n 2 --alice ignorant',
-        200, 142, '0x0.0p+0', '0x0.0p+0',
-        '60227eeef4047d3ab2d3492271325453a5dadf3706697b3cf579b2e8b46c0423',
+        200, 136, '0x0.0p+0', '0x0.0p+0',
+        '777c52cadc5f318211b1cae672cb7c56b2b175ff62d1271ca159ba169f3acfc1',
     ),
     'a2b-subspace-2': (
         '--protocol a2b --d 3 --n 2 --alice subspace-2',
-        200, 141, '0x0.0p+0', '0x0.0p+0',
-        '6214fd0a8228acb1510036b58da9cc4eb303ad8494bc05abf53a44d01ce86522',
+        200, 138, '0x0.0p+0', '0x0.0p+0',
+        '6e91b63b75eac8cfdb88b3d9c8691ee0b46dfc4b49b0aaf53b71e304189cdc78',
     ),
     'a2b-honest-retain-guess': (
         '--protocol a2b --d 3 --n 2 --alice honest --bob retain-guess --metric mean-fsq',
-        200, 0, '0x1.fe66628dc2a74p+6', '0x1.615eed625f38bp+6',
+        200, 0, '0x1.16bc9a16f7a02p+7', '0x1.9d92092eea951p+6',
         '62cec77e9a6920df7298b3fbdd1b19755958a171f1991b1aad6271508a63bfea',
     ),
     'a2b-ignorant-retain-guess': (
         '--protocol a2b --d 3 --n 2 --alice ignorant --bob retain-guess --metric mean-fsq',
-        200, 0, '0x1.9acf79cedc53cp+6', '0x1.f4b68242e7333p+5',
-        '6590f837bc48e9c7b487156cacd92c6e30a5d6164228a7be1ce224ae19b179bf',
+        200, 0, '0x1.9ff94f4513ff4p+6', '0x1.0206789df39c2p+6',
+        '471e7079b7984050c5a2db242989b32eef0bc0699ed149d5b0a2bd4049715765',
     ),
     'a2b-substitute': (
         '--protocol a2b --d 2 --n 2 --alice honest --bob substitute --metric mean-fsq',
-        200, 0, '0x1.15d5d0358f566p+7', '0x1.ab9af553a1a58p+6',
-        '60227eeef4047d3ab2d3492271325453a5dadf3706697b3cf579b2e8b46c0423',
+        200, 0, '0x1.0efe6d9ed1220p+7', '0x1.9a5b10c40b808p+6',
+        '777c52cadc5f318211b1cae672cb7c56b2b175ff62d1271ca159ba169f3acfc1',
     ),
     'a2b-skip': (
         '--protocol a2b --d 4 --n 1 --alice honest --bob skip --metric mean-fsq',
-        200, 0, '0x1.5ac7556965ee0p+6', '0x1.748394e9c7ae8p+5',
+        200, 0, '0x1.42f6e375eb9a7p+6', '0x1.46a0489172df9p+5',
         'ae4a509084e73373aaa0887604a660d52471b29537e75e108556c08cb7eb4052',
     ),
     'b2a-honest': (
         '--protocol b2a --d 2 --n 4 --q 2 --alice honest',
-        200, 147, '0x0.0p+0', '0x0.0p+0',
-        'e55ed9ddd245d17f370a8a24e67ec4094e47758205869a82f6e27d72ba79b76a',
+        200, 137, '0x0.0p+0', '0x0.0p+0',
+        '46b861c6b33bfa450470c5beb6a2ea3790ea64fb8337fb63bc16a5d85d4f13f7',
     ),
     'b2a-steal': (
         '--protocol b2a --d 2 --n 9 --q 2 --alice steal --metric alice-mean-fsq',
-        200, 0, '0x1.133af312875eap+7', '0x1.a91fdf79fa97cp+6',
-        '501ead058608fde17ada1226a80668e1a309da88b1a776a75c9e745ad09ce856',
+        200, 0, '0x1.07189202fd2ecp+7', '0x1.8b285a6f608c4p+6',
+        'ec1f73c98d94f7bfe8d2dd9548b802f806604449d03897cb3b9947988cb90949',
     ),
     'b2a-ignorant-retain-guess': (
         '--protocol b2a --d 4 --n 4 --q 2 --alice ignorant --bob retain-guess --metric mean-fsq',
-        200, 0, '0x1.419c5260f8933p+6', '0x1.466f44d223690p+5',
-        'cb5d4edc5a155eccc6776b8d106aa8d64baae7aea09701441faa542bef44aa0b',
+        200, 0, '0x1.3e5cc23dce37fp+6', '0x1.3bd45d0656a77p+5',
+        'a5dc2debc9d6e34ef11d72a54a9222fff4ac3e74b42d6ab7be33a7d7ffae85fd',
     ),
     'b2a-honest-retain-guess': (
         '--protocol b2a --d 3 --n 4 --q 2 --alice honest --bob retain-guess --metric mean-fsq',
-        200, 0, '0x1.876efe3ff442dp+6', '0x1.d21ecfad1438ep+5',
-        'fa6c3cd9127f7336c3e5032101261547a27411258e66307ce387ff478b5383c1',
+        200, 0, '0x1.6e19c470b235cp+6', '0x1.a5b8bd69dc24ep+5',
+        'ee2319e5b062aaef655688fe2439bbcbb54129de77efa4aba0587bc9652308c7',
     ),
     'b2a-ignorant': (
         '--protocol b2a --d 2 --n 4 --q 2 --alice ignorant',
-        200, 67, '0x0.0p+0', '0x0.0p+0',
-        '2f374317a87b5cef59cd5ccec7140caa6aa31b398d1cb4d3934fe90330327c16',
+        200, 84, '0x0.0p+0', '0x0.0p+0',
+        '56260b31eeafcf31b3bd82ea7c775cddaa8097e21b15ab6c4bc474783710ea41',
     ),
     'b2a-abort-honest': (
         '--protocol b2a-abort --d 2 --n 10 --q 6 --alice honest --metric abort-rate',
-        200, 68, '0x0.0p+0', '0x0.0p+0',
-        '7fd1c71afd5c24a617ee9583f90a05e2317d8353e23864b2caa6b09b21975057',
+        200, 70, '0x0.0p+0', '0x0.0p+0',
+        '7fc10c256c3b4a11e1de12067f7fdd756553e5a7df0696d1ddd434ab23d66d30',
     ),
     'b2a-abort-always-abort': (
         '--protocol b2a-abort --d 2 --n 3 --q 1 --alice always-abort --metric abort-rate',
@@ -130,29 +130,29 @@ PINNED = {
     ),
 }
 
-# name -> sha256 of each event's (event_id, depends_on, window), first transcripts
+# name -> sha256 of each event's (event_id, depends_on), first transcripts
 GRAPH_PINNED = {
-    'a2b-honest-retain-guess': '82f4ab54fa6e876f55f13f973d5b08ec8c951d127d960d42ce66bfb060808681',
-    'a2b-ignorant': '82f4ab54fa6e876f55f13f973d5b08ec8c951d127d960d42ce66bfb060808681',
-    'a2b-ignorant-retain-guess': '82f4ab54fa6e876f55f13f973d5b08ec8c951d127d960d42ce66bfb060808681',
-    'a2b-n0': '82f4ab54fa6e876f55f13f973d5b08ec8c951d127d960d42ce66bfb060808681',
-    'a2b-skip': 'ac550a6a1786c498d1cf5526ac922519ca051fc79269dcdb1e0af7863e95c2df',
-    'a2b-subspace-2': '82f4ab54fa6e876f55f13f973d5b08ec8c951d127d960d42ce66bfb060808681',
-    'a2b-substitute': '82f4ab54fa6e876f55f13f973d5b08ec8c951d127d960d42ce66bfb060808681',
-    'b2a-abort-always-abort': '041d43f8516a3b77699eb027f03aa1af4ab103ae415451d0d8f4b0e008dd534d',
-    'b2a-abort-honest': 'ccd6aaf264b4b3cfacb93ccd4d400ff6e1f93cea4f9d424f17a1eb191d16c5e1',
-    'b2a-honest': 'cc34dbc7ca88aa0b8410b4416d124732e54f8fa3f956501b336fae730bbb7982',
-    'b2a-honest-retain-guess': '602e062394baddf495a414e7a649d02b47863e0573cadc7539880144f09e947f',
-    'b2a-ignorant': '4780b74a0169f373de7fe8bd1e0e311d76377138ba2a874bd6122b3030e70847',
-    'b2a-ignorant-retain-guess': '7babaa9906490d29b652024ea48409979d4737f67bf64e523b9ed9be53cd134a',
-    'b2a-steal': '1e6ad195933e4b35f99e29de36f0b9c6db96f857d9a83d4bc26ade8e04cb62ab',
-    'classical1-honest': 'b7183e64cb4670616e0274797f7720967189b25c8d1a2b807280966fb192f858',
-    'classical1-ignorant': 'f1b3508810f54069442e908768315226fb3011fc687373c2e8ef14a271ef4ac2',
-    'classical1-retain-guess': '631395a06d17f2e4137fd568116ad34f3fb947557b97c3b696c5dd1b5b649108',
-    'classical1-subspace-2': '344700dbbd60c8f545405b00a3a44183173f663784020711fb6ad7a69931c5bf',
-    'classical1-substitute': '6249667469bed2cc0f9e2939a7757d5a225beb5c7b8ea29b609872a97fb865a4',
-    'classical2-ignorant': '6b6843b526e7f5cea7646f9353f169052bdeb48cad401bf91dcb75a3fcee4c99',
-    'classical2-skip': 'b0b80400d23a4ce8c50a61ed594d89e5236330a8a1052fe47219e39f15fee2a7',
+    'a2b-honest-retain-guess': '9d759d9d5c92d42dd6c0cec744bde8827695cf173f93c2c4c204aedc51228a01',
+    'a2b-ignorant': '9d759d9d5c92d42dd6c0cec744bde8827695cf173f93c2c4c204aedc51228a01',
+    'a2b-ignorant-retain-guess': '9d759d9d5c92d42dd6c0cec744bde8827695cf173f93c2c4c204aedc51228a01',
+    'a2b-n0': '9d759d9d5c92d42dd6c0cec744bde8827695cf173f93c2c4c204aedc51228a01',
+    'a2b-skip': 'f9f838ff9c9640675c6ba155a2e47df196e61c58a297da0042420f3a95cb3f3a',
+    'a2b-subspace-2': '9d759d9d5c92d42dd6c0cec744bde8827695cf173f93c2c4c204aedc51228a01',
+    'a2b-substitute': '9d759d9d5c92d42dd6c0cec744bde8827695cf173f93c2c4c204aedc51228a01',
+    'b2a-abort-always-abort': '9f4483b562becabb92b3670e9f68e441aa3eb5ae8fb6603f9d3959a44c012451',
+    'b2a-abort-honest': '50e2fb709cc131a8fd9c59aebff3c895919d52131e22721810ad25485bfc086f',
+    'b2a-honest': '0b60c829e1d9240ee63381e5b45bce160474e8e0aa382d592b867efe0c7271ea',
+    'b2a-honest-retain-guess': '1053427a1ea1d91e4369d8d0322eb7377499c8bd438313a205dde3a576e1a20a',
+    'b2a-ignorant': '81af4af539626cafc0bec8b96324dc9fcaea10abdc1616700068b8b49b5a308b',
+    'b2a-ignorant-retain-guess': '01aa97d1f2c4c42009a4960e11562ee2d8e4979168abbc4afe8cf63ea323ab98',
+    'b2a-steal': '72b591e932e6b0427a9012c643f745408c2e02c2d5f984ae4f370394a5fb7ecd',
+    'classical1-honest': 'f30226aee971a3ef4377177185523b6e29361870e7d7d7cac181790917385be6',
+    'classical1-ignorant': 'c91243fe65ecaebe6b27a4e3ad80d9ef63f916119fbbd159fa526b1507993015',
+    'classical1-retain-guess': '7b62ed11f58bf1738f644e4b6ad52fc6864b2982cf44950c77aafbeb9a68169c',
+    'classical1-subspace-2': '6c54707037b60f12ad002e085ab1846b6c71fa53e1949ec11adc454bed465066',
+    'classical1-substitute': 'b365cf54281b75d36e6e0c6e2cd62b04af4712cc2f43fae911a25fc91f38bd76',
+    'classical2-ignorant': '5c4baa7103608f226517c03ba8873d26c8e5916ad2f43d8f09fd94c0dc566a46',
+    'classical2-skip': 'ae6ba7b4cb0cd18af1bdc2e9764c551368d693b68a4ef457d22b9c089b699320',
 }
 
 
@@ -184,5 +184,5 @@ def test_event_graph_is_pinned(name):
     digest = hashlib.sha256()
     for i in range(TRANSCRIPTS):
         for e in run_trial(spec, i).transcript.events:
-            digest.update(json.dumps([e.event_id, e.depends_on, e.window]).encode() + b"\n")
+            digest.update(json.dumps([e.event_id, e.depends_on]).encode() + b"\n")
     assert digest.hexdigest() == GRAPH_PINNED[name]
