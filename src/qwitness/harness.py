@@ -40,6 +40,8 @@ from .strategies import AliceKind, AliceStrategy, BobKind, BobStrategy
 
 Z_DEFAULT = 3.0
 # Most complex amplitudes one trial may hold in its largest arrays: 64 MiB.
+# The receiver protocols leave a system undrawn until a party reads it, but
+# honest Alice reads all n + 1, so there a trial still holds (n + 1) * d.
 TRIAL_AMPLITUDE_CAP = 2**22
 # Slack added to a comparison whose standard error vanishes.
 ZERO_SE_ATOL = 1e-9

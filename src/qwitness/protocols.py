@@ -487,7 +487,8 @@ def _run_b2a(
 
     # Bob guesses from what he kept, then Alice from the system he points at.
     bob_guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
-    alice_guess = alice_act(alice, FinalGuessContext(retained=package.systems[x - 1], rng=rng))
+    pointed_at = FinalGuessContext(retained=package.systems[x - 1], dim=params.d, rng=rng)
+    alice_guess = alice_act(alice, pointed_at)
     tr = _b2a_log(params, plan.positives, values, x)
     return ProtocolOutcome(
         Verdict.ACCEPT if accept else Verdict.REJECT, tr, eta, bob_guess, alice_guess

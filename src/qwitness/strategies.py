@@ -117,6 +117,11 @@ def knowledge_subspace(
     return np.column_stack([eta, haar_complement(eta, k - 1, rng)])
 
 
+def _read_system(system: PureState | None, d: int, rng: np.random.Generator) -> PureState:
+    """A received system as the party who reads it holds it: an undrawn one is drawn now."""
+    return haar_random(d, rng) if system is None else system
+
+
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary via QR of a complex Ginibre matrix."""
     z = rng.standard_normal((d, 2 * d)).view(np.complex128)
@@ -152,7 +157,7 @@ class CopyPreparationContext(NamedTuple):
 class DetectionCommitContext(NamedTuple):
     """Receiver protocol: Alice measures the labeled systems and commits."""
 
-    systems: tuple[PureState, ...]  # labels 1..N+1 in order
+    systems: tuple[PureState | None, ...]  # labels 1..N+1 in order, as in Package
     q: int
     true_state: PureState
     abort_allowed: bool
@@ -173,7 +178,9 @@ class PackageContext(NamedTuple):
 
 
 class Package(NamedTuple):
-    systems: tuple[PureState, ...]
+    # Label order. None is a fresh Haar system that no party has drawn yet:
+    # a party draws it with ``_read_system`` only when it reads the amplitudes.
+    systems: tuple[PureState | None, ...]
     announced_label: int  # 1-based index Bob will announce for his system
     retained: PureState | None
 
@@ -194,14 +201,16 @@ class FinalGuessContext(NamedTuple):
     """Close-out: a party turns what it holds into a guess, or nothing.
 
     ``retained`` is what the party holds: Bob's kept state, or the
-    system Bob's label points Alice at. ``copies`` counts the copies of
-    it retain-guess Bob estimates from; ``unveiled`` says Alice opened a
-    commitment to ``reported``, which binding makes the only value she
-    can open.
+    system Bob's label points Alice at, None if no party has drawn it
+    yet; ``dim`` is that system's dimension, so it can be drawn.
+    ``copies`` counts the copies of it retain-guess Bob estimates from;
+    ``unveiled`` says Alice opened a commitment to ``reported``, which
+    binding makes the only value she can open.
     """
 
     rng: np.random.Generator
     retained: PureState | None = None
+    dim: int | None = None
     copies: int = 1
     basis: np.ndarray | None = None
     reported: int | None = None
@@ -285,29 +294,32 @@ def _alice_detection_commits(
     if strategy.kind is AliceKind.ALWAYS_ABORT:
         return DetectionCommitPlan(None, None)
     if strategy.kind is AliceKind.HONEST_KNOWING:
-        # Projective test onto the known state: label j is detected with Born
-        # probability |<eta|s_j>|^2, one uniform per label in label order.
-        amps = np.array([system.amplitudes for system in ctx.systems])
+        # Projective test onto the known state: she draws every undrawn system
+        # in label order, then detects label j with Born probability
+        # |<eta|s_j>|^2, one uniform per label in label order.
+        d = ctx.true_state.dim
+        amps = np.array([_read_system(s, d, rng).amplitudes for s in ctx.systems])
         born = clamp_probabilities(np.abs(amps @ ctx.true_state.amplitudes.conj()) ** 2)
         detected = (rng.random(n_plus_1) < born).nonzero()[0] + 1
         positives = len(detected)
         if positives > q:
             if ctx.abort_allowed:
                 return DetectionCommitPlan(None, positives)
-            values = tuple(rng.choice(detected, size=q, replace=False).tolist())
+            # A uniform ordered q-subset, the law of choice(replace=False), cheaper.
+            values = tuple(detected[rng.permutation(positives)[:q]].tolist())
         else:
             values = tuple(detected.tolist()) + (0,) * (q - positives)
         return DetectionCommitPlan(values, positives)
     # Ignorant and steal: the blind optimum, q random distinct labels.
     # Stealing Alice keeps every received system unmeasured.
-    chosen = rng.choice(n_plus_1, size=q, replace=False) + 1
+    chosen = rng.permutation(n_plus_1)[:q] + 1
     return DetectionCommitPlan(tuple(chosen.tolist()), None)
 
 
 def _alice_final_guess(strategy: AliceStrategy, ctx: FinalGuessContext) -> PureState | None:
     """A stealing Alice estimates the system Bob points at; no other Alice guesses."""
     if strategy.kind is AliceKind.STEAL_STATE:
-        return covariant_estimate(ctx.retained, 1, ctx.rng)
+        return covariant_estimate(_read_system(ctx.retained, ctx.dim, ctx.rng), 1, ctx.rng)
     return None
 
 
@@ -327,16 +339,15 @@ def bob_act(strategy: BobStrategy, ctx) -> object:
 
 
 def _bob_package(strategy: BobStrategy, ctx: PackageContext) -> Package:
-    n, d, rng = ctx.n, ctx.qb_state.dim, ctx.rng
+    n = ctx.n
+    label = int(ctx.rng.integers(1, n + 2))
     if strategy.kind is BobKind.HONEST:
-        # Source 0 is the unknown state, source i > 0 decoy i; slot j sends order[j].
-        sources = [ctx.qb_state] + [haar_random(d, rng) for _ in range(n)]
-        order = rng.permutation(n + 1).tolist()
-        return Package(tuple(sources[i] for i in order), order.index(0) + 1, None)
-    # Retain-guess: keep the unknown state, send fresh substitutes.
-    systems = tuple(haar_random(d, rng) for _ in range(n + 1))
-    label = int(rng.integers(1, n + 2))
-    return Package(systems, label, ctx.qb_state)
+        # The decoys are i.i.d. Haar and independent of eta, so a shuffle of
+        # them is only eta's uniform label; every decoy stays undrawn.
+        systems = (None,) * (label - 1) + (ctx.qb_state,) + (None,) * (n + 1 - label)
+        return Package(systems, label, None)
+    # Retain-guess: keep the unknown state, send n + 1 undrawn substitutes.
+    return Package((None,) * (n + 1), label, ctx.qb_state)
 
 
 def _bob_submission(strategy: BobStrategy, ctx: SubmissionContext) -> Submission:

@@ -88,6 +88,19 @@ def receiver_soundness_estimates():
     return out
 
 
+@pytest.fixture(scope="module")
+def retain_guess_concealment():
+    """Honest Alice against retain-guess Bob in b2a at (n, q) = (4, 2): Bob's mean-fsq by d."""
+    retain = BobStrategy(BobKind.MEASURE_RETAIN_GUESS)
+    return {
+        d: run_trials(ExperimentSpec(
+            Protocol.QUANTUM_B2A, ProtocolParams(d=d, n=4, q=2),
+            HONEST_A, retain, Metric.MEAN_FSQ, 20_000, 700 + d,
+        ))
+        for d in (2, 3, 5)
+    }
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -211,17 +224,10 @@ def test_criterion_6_receiver_soundness(receiver_soundness_estimates):
     assert report(6, all_ok, "; ".join(details))
 
 
-def test_criterion_7_receiver_concealment_bound():
+def test_criterion_7_receiver_concealment_bound(retain_guess_concealment):
     all_ok = True
     details = []
-    retain = BobStrategy(BobKind.MEASURE_RETAIN_GUESS)
-    for d in (2, 3, 5):
-        rng_seed = 700 + d
-        spec = ExperimentSpec(
-            Protocol.QUANTUM_B2A, ProtocolParams(d=d, n=4, q=2),
-            HONEST_A, retain, Metric.MEAN_FSQ, 20_000, rng_seed,
-        )
-        stats = run_trials(spec)
+    for d, stats in retain_guess_concealment.items():
         bound = 4 / (d + 1)
         ok = stats.estimate <= bound + 3 * stats.std_err
         all_ok &= ok
@@ -243,6 +249,47 @@ def test_criterion_7_receiver_concealment_bound():
     all_ok &= zero_information
     details.append(f"honest Bob zero information events: {zero_information}")
     assert report(7, all_ok, "; ".join(details))
+
+
+def test_criterion_7_exact_retain_guess_figures(retain_guess_concealment):
+    # Next to criterion 7's bound, the exact figures of the retain-guess
+    # cells, each two-sided at z = 5. Bob keeps eta and learns nothing from
+    # the run: 2/(d+1). Honest Alice detects
+    # Y ~ Binomial(n+1, 1/d) of his n + 1 Haar substitutes, keeps min(Y, q)
+    # and is accepted iff his uniform label is among them: E[min(Y, q)]/(n+1).
+    # Stealing Alice estimates a substitute independent of eta: 1/d.
+    n, q, trials = 4, 2, 10_000
+    retain = BobStrategy(BobKind.MEASURE_RETAIN_GUESS)
+    steal = AliceStrategy(AliceKind.STEAL_STATE)
+    all_ok = True
+    details = []
+    for d, stats in retain_guess_concealment.items():
+        params = ProtocolParams(d=d, n=n, q=q)
+        target = 2 / (d + 1)
+        ok = abs(stats.estimate - target) <= 5 * stats.std_err
+        details.append(f"d={d}: bob fsq {stats.estimate:.4f} vs {target:.4f}")
+
+        accepted = run_trials(acceptance_spec(
+            Protocol.QUANTUM_B2A, params, HONEST_A, retain, trials, 720 + d,
+        ))
+        p = 1 / d
+        kept = sum(
+            math.comb(n + 1, y) * p**y * (1 - p) ** (n + 1 - y) * min(y, q)
+            for y in range(n + 2)
+        )
+        target = kept / (n + 1)
+        ok &= abs(accepted.estimate - target) <= 5 * bernoulli_se(target, trials)
+        details.append(f"acceptance {accepted.estimate:.4f} vs {target:.4f}")
+
+        stolen = run_trials(ExperimentSpec(
+            Protocol.QUANTUM_B2A, params, steal, retain, Metric.ALICE_MEAN_FSQ,
+            trials, 740 + d,
+        ))
+        target = 1 / d
+        ok &= abs(stolen.estimate - target) <= 5 * stolen.std_err
+        details.append(f"alice fsq {stolen.estimate:.4f} vs {target:.4f}")
+        all_ok &= ok
+    assert report("7 exact", all_ok, "; ".join(details))
 
 
 def test_criterion_8_soundness_floor_audit(
@@ -283,8 +330,14 @@ def test_criterion_9_abort_frequency():
     stats = run_trials(spec)
     bound = hoeffding_bound(n, eps)
     ok = stats.estimate <= bound + 3 * bernoulli_se(bound, spec.n_trials)
+    # Next to the tail bound, the exact rate, two-sided at z = 5: Alice aborts
+    # iff X >= q of the n decoys test positive, X ~ Binomial(n, 1/2).
+    exact = sum(math.comb(n, x) for x in range(q, n + 1)) / 2**n
+    ok &= abs(stats.estimate - exact) <= 5 * bernoulli_se(exact, spec.n_trials)
     assert report(
-        9, ok, f"abort rate {stats.estimate:.4f} <= exp(-2 eps^2 N) = {bound:.4f}"
+        9, ok,
+        f"abort rate {stats.estimate:.4f} <= exp(-2 eps^2 N) = {bound:.4f}, "
+        f"exact P[X >= q] = {exact:.4f}",
     )
 
 

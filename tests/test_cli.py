@@ -154,7 +154,7 @@ TRANSCRIPT_PINS = [
      240, "46801c5d1418881e0ae8134bf5fb4e8d90b5fb99c78f3ebedab9316c4bdab077"),
     (["--protocol", "b2a", "--n", "4", "--d", "2", "--q", "2", "--alice", "honest",
       "--trials", "40", "--transcript-limit", "40"],
-     480, "231bb71fe44bbcc4a19ac8dc6004d5ea12241086e5e9720ec303e5764cee1948"),
+     480, "2217a5646ecbee665c37e7113d3fbc604f115035c3f9f5ce11ce163c291c13b7"),
 ]
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwitness import protocols
+from qwitness import protocols, strategies
 from qwitness.errors import ConfigurationError
 from qwitness.harness import (
     BoundKind,
@@ -381,6 +381,55 @@ def test_receiver_honest_bob_learns_nothing():
             and e.site.agent_id in (AgentId.B1, AgentId.B2)
         ]
         assert not bob_measures
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (6, 3)])
+def test_honest_detection_count_is_one_plus_binomial(n, d):
+    # Bob's own system always tests positive and each undrawn decoy, once
+    # Alice draws it, with probability 1/d: the count she logs is
+    # 1 + Binomial(n, 1/d). Each count's frequency is gated two-sided at z = 5.
+    rng = np.random.default_rng(60 + n + d)
+    params = ProtocolParams(d=d, n=n, q=n + 1)
+    trials = 5000
+    counts = np.zeros(n + 2, dtype=int)
+    for _ in range(trials):
+        out = run_protocol(Protocol.QUANTUM_B2A, params, HONEST_A, HONEST_B, rng)
+        (measured,) = [e for e in out.transcript.events if e.kind is EventKind.MEASURE]
+        counts[measured.payload["positives"]] += 1
+    assert counts[0] == 0
+    for x in range(n + 1):
+        p = math.comb(n, x) * (d - 1) ** (n - x) / d**n
+        assert abs(counts[1 + x] / trials - p) <= 5 * bernoulli_se(p, trials)
+
+
+@pytest.mark.parametrize("protocol", ["b2a", "b2a-abort"])
+@pytest.mark.parametrize("alice,bob,draws", [
+    ("honest", "honest", 6),
+    ("ignorant", "honest", 1),
+    ("steal", "honest", 1),
+    ("steal", "retain-guess", 2),
+    ("honest", "retain-guess", 7),
+])
+def test_receiver_draws_a_system_only_when_a_party_reads_it(protocol, alice, bob, draws, monkeypatch):
+    # Haar states per trial at n = 5: eta, plus each system a party reads.
+    # Honest Alice reads all n + 1: n undrawn decoys, or n + 1 undrawn
+    # substitutes. Stealing Alice reads the one Bob points at, undrawn only
+    # against retain-guess Bob. Ignorant Alice reads none.
+    calls = []
+    real = strategies.haar_random
+
+    def counted(d, rng):
+        calls.append(d)
+        return real(d, rng)
+
+    monkeypatch.setattr(strategies, "haar_random", counted)
+    monkeypatch.setattr(protocols, "haar_random", counted)
+    params = ProtocolParams(d=3, n=5, q=6)
+    alice, bob = AliceStrategy.from_name(alice), BobStrategy.from_name(bob)
+    for i in range(10):
+        calls.clear()
+        run_protocol(Protocol(protocol), params, alice, bob, trial_rng(5, i))
+        assert len(calls) == draws and set(calls) == {3}
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from qwitness.strategies import (
     BobStrategy,
     DetectionCommitContext,
     MeasurementChoiceContext,
+    PackageContext,
     SubmissionContext,
     alice_act,
     _haar_unitary,
@@ -81,6 +82,29 @@ def test_honest_detection_draws_one_uniform_per_label(extra):
         assert plan.commit_values[: plan.positives] == tuple(expected)
         assert 1 in expected and 2 not in expected
         assert rng.random() == clone.random()
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 9])
+def test_honest_bob_hides_his_state_at_a_uniform_label(n):
+    # Bob's state sits at the label he announces, every decoy stays undrawn,
+    # and the label is uniform on 1..n+1: each label's frequency is gated
+    # two-sided at z = 5. A Bob who always sent his state at one label, so
+    # that Alice knew it, fails here though no figure sees it.
+    rng = np.random.default_rng(40 + n)
+    eta = PureState([1.0, 0.0])
+    trials = 20_000
+    counts = np.zeros(n + 2, dtype=int)
+    for _ in range(trials):
+        package = bob_act(HONEST_B, PackageContext(eta, n, rng))
+        label = package.announced_label
+        assert package.systems[label - 1] is eta and package.retained is None
+        assert len(package.systems) == n + 1
+        assert sum(s is None for s in package.systems) == n
+        counts[label] += 1
+    assert counts[0] == 0
+    p = 1 / (n + 1)
+    for label in range(1, n + 2):
+        assert abs(counts[label] / trials - p) <= 5 * bernoulli_se(p, trials)
 
 
 def test_knowledge_subspace_contains_state():

@@ -95,33 +95,33 @@ PINNED = {
     ),
     'b2a-honest': (
         '--protocol b2a --d 2 --n 4 --q 2 --alice honest',
-        200, 137, '0x0.0p+0', '0x0.0p+0',
-        '46b861c6b33bfa450470c5beb6a2ea3790ea64fb8337fb63bc16a5d85d4f13f7',
+        200, 145, '0x0.0p+0', '0x0.0p+0',
+        '3e9fe42146e97b710bcdc676a9ecff8ebf8b2a6c278889599ac0dba7e5798ad9',
     ),
     'b2a-steal': (
         '--protocol b2a --d 2 --n 9 --q 2 --alice steal --metric alice-mean-fsq',
-        200, 0, '0x1.07189202fd2ecp+7', '0x1.8b285a6f608c4p+6',
-        'ec1f73c98d94f7bfe8d2dd9548b802f806604449d03897cb3b9947988cb90949',
+        200, 0, '0x1.1cea33e4020ccp+7', '0x1.ba57412d60de4p+6',
+        '4d599151ff8b9d941f7a5e56e0a78d4e3c8bb4edb0b8b467d9c0eab0b3e774df',
     ),
     'b2a-ignorant-retain-guess': (
         '--protocol b2a --d 4 --n 4 --q 2 --alice ignorant --bob retain-guess --metric mean-fsq',
-        200, 0, '0x1.3e5cc23dce37fp+6', '0x1.3bd45d0656a77p+5',
-        'a5dc2debc9d6e34ef11d72a54a9222fff4ac3e74b42d6ab7be33a7d7ffae85fd',
+        200, 0, '0x1.4fe21e2c79a77p+6', '0x1.58c4b7ccad0c7p+5',
+        'a7b8782922a78580b21953e1cc309f71e26d9d5c1842427e2644e221cc794042',
     ),
     'b2a-honest-retain-guess': (
         '--protocol b2a --d 3 --n 4 --q 2 --alice honest --bob retain-guess --metric mean-fsq',
-        200, 0, '0x1.6e19c470b235cp+6', '0x1.a5b8bd69dc24ep+5',
-        'ee2319e5b062aaef655688fe2439bbcbb54129de77efa4aba0587bc9652308c7',
+        200, 0, '0x1.68d9778b9fb87p+6', '0x1.a12adc3a6ff3cp+5',
+        'f923eb5c86839c77c15b133f999c8a08a121fb83413750bbcd49caf4f628e3fc',
     ),
     'b2a-ignorant': (
         '--protocol b2a --d 2 --n 4 --q 2 --alice ignorant',
-        200, 84, '0x0.0p+0', '0x0.0p+0',
-        '56260b31eeafcf31b3bd82ea7c775cddaa8097e21b15ab6c4bc474783710ea41',
+        200, 79, '0x0.0p+0', '0x0.0p+0',
+        '0140a4d01e6c4982db8ad9c772970fef41385863598e35c4637050824fc7c3bb',
     ),
     'b2a-abort-honest': (
         '--protocol b2a-abort --d 2 --n 10 --q 6 --alice honest --metric abort-rate',
-        200, 70, '0x0.0p+0', '0x0.0p+0',
-        '7fc10c256c3b4a11e1de12067f7fdd756553e5a7df0696d1ddd434ab23d66d30',
+        200, 64, '0x0.0p+0', '0x0.0p+0',
+        'a9df68e66caf59d2a4fedeecae043654c4f627c01c9e16ca12dc341e73f46e77',
     ),
     'b2a-abort-always-abort': (
         '--protocol b2a-abort --d 2 --n 3 --q 1 --alice always-abort --metric abort-rate',
@@ -140,12 +140,12 @@ GRAPH_PINNED = {
     'a2b-subspace-2': '9d759d9d5c92d42dd6c0cec744bde8827695cf173f93c2c4c204aedc51228a01',
     'a2b-substitute': '9d759d9d5c92d42dd6c0cec744bde8827695cf173f93c2c4c204aedc51228a01',
     'b2a-abort-always-abort': '9f4483b562becabb92b3670e9f68e441aa3eb5ae8fb6603f9d3959a44c012451',
-    'b2a-abort-honest': '50e2fb709cc131a8fd9c59aebff3c895919d52131e22721810ad25485bfc086f',
-    'b2a-honest': '0b60c829e1d9240ee63381e5b45bce160474e8e0aa382d592b867efe0c7271ea',
-    'b2a-honest-retain-guess': '1053427a1ea1d91e4369d8d0322eb7377499c8bd438313a205dde3a576e1a20a',
-    'b2a-ignorant': '81af4af539626cafc0bec8b96324dc9fcaea10abdc1616700068b8b49b5a308b',
-    'b2a-ignorant-retain-guess': '01aa97d1f2c4c42009a4960e11562ee2d8e4979168abbc4afe8cf63ea323ab98',
-    'b2a-steal': '72b591e932e6b0427a9012c643f745408c2e02c2d5f984ae4f370394a5fb7ecd',
+    'b2a-abort-honest': 'df60cb94d0f0f1b47fc169fd389fa274383e8271d4ecc0751e40cb3164ce0c85',
+    'b2a-honest': 'c5a3b12fa26d38e1d330f74ea6df8bb811a4ca229155d9c6dd32a734ace615f6',
+    'b2a-honest-retain-guess': 'fd61ea49b77482a571e921ff6cf5bceaeed8af831dbc969a5d56aa495e32f357',
+    'b2a-ignorant': '466f74f0d87682c9d0ed8b4371009ed1308db1496a22dabeccaef6d93e94e755',
+    'b2a-ignorant-retain-guess': '23c9429cb284930455f49e5f370d8e8a5d52c26ae4d8f8955dea36b127201739',
+    'b2a-steal': 'af2c364936925add6afa85c242ac059ef8eee4ec28a7bd3f0a320ee692089c79',
     'classical1-honest': 'f30226aee971a3ef4377177185523b6e29361870e7d7d7cac181790917385be6',
     'classical1-ignorant': 'c91243fe65ecaebe6b27a4e3ad80d9ef63f916119fbbd159fa526b1507993015',
     'classical1-retain-guess': '7b62ed11f58bf1738f644e4b6ad52fc6864b2982cf44950c77aafbeb9a68169c',
