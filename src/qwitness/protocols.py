@@ -49,7 +49,7 @@ import numpy as np
 
 from .commitment import commit, sustain, unveil
 from .errors import ConfigurationError
-from .qudit import PureState, haar_random, measure_basis, owned_state, symmetric_acceptance
+from .qudit import PureState, haar_random, symmetric_acceptance
 from .qudit import measure_binary  # noqa: F401 - perfbench tests read protocols.measure_binary
 from .spacetime import A1, A2, B1, D, D_SMALL, DELTA, DELTA_PRIME, EventKind, Transcript
 from .spacetime import AgentSite, SpacetimeEvent
@@ -408,19 +408,18 @@ def _run_classical(
     eta = haar_random(params.d, rng)
     plan = alice_act(alice, MeasurementChoiceContext(q, params.eps_c_target, eta, rng))
 
-    # B1 measures what Bob submits in Alice's basis and reports the outcome.
+    # B1 measures what Bob submits in Alice's frame and reports the outcome.
     submission = bob_act(bob, SubmissionContext(eta, rng))
     reported = None
     if submission.state is not None:
-        rotated = owned_state(plan.basis.conj().T @ submission.state.amplitudes)
-        reported = measure_basis(rotated, rng)
+        reported = plan.frame.measure(submission.state, rng)
     # Alice can unveil, and Bob accepts, iff a commitment holds the report.
     accept = reported in plan.commit_values
 
     guess = bob_act(
         bob,
         FinalGuessContext(
-            basis=plan.basis,
+            frame=plan.frame,
             reported=reported,
             unveiled=accept,
             retained=submission.retained,

@@ -211,6 +211,98 @@ def haar_complement(fixed: np.ndarray, count: int, rng: np.random.Generator) -> 
     return out.T
 
 
+class HaarFrame:
+    """An orthonormal measurement basis of C^d, drawn only as far as it is read.
+
+    The frame holds the columns it has fixed, by index; every other
+    column is free, and the free columns are a Haar frame on the
+    orthogonal complement of the fixed ones. ``fixed`` (d x k) fixes
+    columns 0..k-1. With v a state's projection off the fixed columns
+    and m the number of free columns, ``measure`` returns a fixed column
+    f with probability |<f|s>|^2, and the free part with probability
+    |v|^2, each free index then equally likely. The column at a free
+    outcome has density proportional to |<b|v>|^2 on the unit sphere of
+    the free subspace: sqrt(t) v/|v| + sqrt(1 - t) w with t ~ Beta(2, m - 1)
+    and w Haar on the complement of the fixed columns and v, or v/|v|
+    when m = 1. It is drawn when ``column`` first reads it, or before the
+    next measurement, from the generator that measured it, and then
+    stays fixed; the rest of the frame stays Haar on the new complement.
+    """
+
+    __slots__ = ("dim", "_fixed", "_order", "_free", "_pending")
+
+    def __init__(self, d: int, fixed: np.ndarray | None = None) -> None:
+        rows = np.empty((0, d), dtype=np.complex128) if fixed is None else fixed.T
+        if rows.shape[1] != d or len(rows) > d:
+            raise DimensionError(f"cannot fix a {rows.shape[::-1]} frame in dimension {d}")
+        self.dim = d
+        self._fixed = rows  # row i is the fixed column at index _order[i]
+        self._order = list(range(len(rows)))
+        self._free = list(range(len(rows), d))
+        self._pending: tuple | None = None  # (index, v/|v|, rng) of a measured, undrawn column
+
+    def measure(self, state: PureState, rng: np.random.Generator) -> int:
+        """Measure ``state`` in the frame with one uniform; returns the outcome index."""
+        if self._pending is not None:
+            self._draw_pending()
+        s, free, fixed = state.amplitudes, self._free, self._fixed
+        if not len(fixed):
+            # Nothing fixed: every index is equally likely and v is the state.
+            j = free[int(rng.random() * len(free))]
+            self._pending = (j, s, rng)
+            return j
+        overlaps = fixed.conj() @ s
+        if not free:
+            return self._order[measure_basis(owned_state(overlaps), rng)]
+        u = rng.random()
+        for i, p in enumerate((overlaps.real**2 + overlaps.imag**2).tolist()):
+            if u < p:
+                return self._order[i]
+            u -= p
+        # Past every fixed column u is uniform on [0, |v|^2), since the fixed
+        # overlaps and |v|^2 sum to 1; v is computed only here.
+        v = s - overlaps @ fixed
+        free_mass = v.real.dot(v.real) + v.imag.dot(v.imag)
+        if free_mass == 0.0:
+            return self._order[-1]  # rounding carried u past the last fixed column
+        j = free[min(int(u / free_mass * len(free)), len(free) - 1)]
+        self._pending = (j, v / math.sqrt(free_mass), rng)
+        return j
+
+    def column(self, j: int) -> PureState:
+        """The column at index ``j``, which a measurement must have returned."""
+        if self._pending is not None and self._pending[0] == j:
+            return owned_state(self._draw_pending())
+        if j not in self._order:
+            raise ValueError(f"column {j} has not been measured")
+        return PureState(self._fixed[self._order.index(j)])
+
+    def _draw_pending(self) -> np.ndarray:
+        """Draw the pending column, fix it and return it."""
+        j, vhat, rng = self._pending
+        self._pending = None
+        fixed, m = self._fixed, len(self._free)
+        rows = np.empty((len(fixed) + 1, self.dim), dtype=np.complex128)
+        rows[:-1] = fixed
+        if len(fixed):
+            # A second projection, so the column is orthogonal to the fixed
+            # ones within rounding even when v was short.
+            vhat = vhat - (fixed.conj() @ vhat) @ fixed
+            vhat /= vector_norm(vhat)
+        col = vhat
+        if m > 1:
+            t = rng.beta(2, m - 1)
+            rows[-1] = vhat
+            w = haar_complement(rows.T, 1, rng)[:, 0]
+            col = math.sqrt(t) * vhat + math.sqrt(1.0 - t) * w
+            col /= vector_norm(col)
+        rows[-1] = col
+        self._fixed = rows
+        self._order.append(j)
+        self._free.remove(j)
+        return col
+
+
 def fidelity_sq(a: PureState, b: PureState) -> float:
     """Squared fidelity |<a|b>|^2 between pure states."""
     if a.dim != b.dim:

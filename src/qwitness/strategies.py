@@ -37,11 +37,11 @@ import numpy as np
 from .errors import ConfigurationError
 from .estimation import covariant_estimate
 from .qudit import (
+    HaarFrame,
     PureState,
     clamp_probabilities,
     haar_complement,
     haar_random,
-    measure_basis,
     owned_state,
 )
 
@@ -143,7 +143,7 @@ class MeasurementChoiceContext(NamedTuple):
 
 
 class ClassicalPlan(NamedTuple):
-    basis: np.ndarray  # columns are the measurement vectors
+    frame: HaarFrame  # the announced measurement, drawn as far as it is read
     commit_values: tuple[int, ...]
 
 
@@ -212,7 +212,7 @@ class FinalGuessContext(NamedTuple):
     retained: PureState | None = None
     dim: int | None = None
     copies: int = 1
-    basis: np.ndarray | None = None
+    frame: HaarFrame | None = None
     reported: int | None = None
     unveiled: bool = False
 
@@ -241,35 +241,29 @@ def _alice_measurement_choice(
     if strategy.kind is AliceKind.HONEST_KNOWING:
         # Rotate eta and a Haar direction r orthogonal to it, so the first
         # column has squared overlap exactly 1 - eps_c_target with the state,
-        # the second eps_c_target, and the others none.
+        # the second eps_c_target, and the free ones none.
         eta = ctx.true_state.amplitudes
-        rest = haar_complement(eta, d - 1, rng)
-        r = rest[:, 0]
+        r = haar_complement(eta, 1, rng)[:, 0]
         a, b = np.sqrt(1.0 - ctx.eps_c_target), np.sqrt(ctx.eps_c_target)
-        basis = np.column_stack([a * eta + b * r, b * eta - a * r, rest[:, 1:]])
+        frame = HaarFrame(d, np.array([a * eta + b * r, b * eta - a * r]).T)
         # Committed set: the high-overlap vector plus q - 1 of the columns
         # orthogonal to the state, so coverage is exactly 1 - eps_c_target.
-        others = [j for j in range(2, d)]
-        if q - 1 > len(others):
-            extra = [1] + others  # only reachable when eps_c_target == 0
+        if q - 1 > d - 2:
+            extra = list(range(1, q))  # only reachable when eps_c_target == 0
         else:
-            extra = list(rng.choice(others, size=q - 1, replace=False)) if q > 1 else []
-        commit_values = tuple(sorted([0] + [int(j) for j in extra[: q - 1]]))
-        return ClassicalPlan(basis, commit_values)
+            extra = (rng.permutation(d - 2)[: q - 1] + 2).tolist() if q > 1 else []
+        return ClassicalPlan(frame, tuple(sorted([0] + extra)))
     if strategy.kind is AliceKind.IGNORANT:
-        basis = _haar_unitary(d, rng)
-        commit_values = tuple(int(j) for j in rng.choice(d, size=q, replace=False))
-        return ClassicalPlan(basis, commit_values)
-    # Subspace knowledge.
+        return ClassicalPlan(HaarFrame(d), tuple(rng.permutation(d)[:q].tolist()))
+    # Subspace knowledge: an explicit frame, every column fixed.
     k = strategy.subspace_dim
     subspace = knowledge_subspace(ctx.true_state, k, rng)
     rotated = subspace @ _haar_unitary(k, rng)
-    basis = np.column_stack([rotated, haar_complement(rotated, d - k, rng)])
+    frame = HaarFrame(d, np.column_stack([rotated, haar_complement(rotated, d - k, rng)]))
     # The state lies in the first k columns; commit as many of those as fit.
     in_subspace = list(range(min(q, k)))
-    filler = rng.choice(np.arange(k, d), size=q - len(in_subspace), replace=False)
-    commit_values = tuple(sorted(in_subspace + [int(j) for j in filler]))
-    return ClassicalPlan(basis, commit_values)
+    filler = (rng.permutation(d - k)[: q - len(in_subspace)] + k).tolist()
+    return ClassicalPlan(frame, tuple(sorted(in_subspace + filler)))
 
 
 def _alice_prepare_copies(
@@ -362,17 +356,15 @@ def _bob_final_guess(strategy: BobStrategy, ctx: FinalGuessContext) -> PureState
     rng = ctx.rng
     if strategy.kind is BobKind.HONEST:
         return None
-    if strategy.kind is BobKind.SUBSTITUTE_STATE and ctx.basis is not None:
+    if strategy.kind is BobKind.SUBSTITUTE_STATE and ctx.frame is not None:
         # Classical protocols: the unveiled index pins the projector down;
-        # otherwise measure the kept state in the announced basis.
+        # otherwise measure the kept state in the announced frame.
         if ctx.unveiled:
-            return PureState(ctx.basis[:, ctx.reported])
-        rotated = owned_state(ctx.basis.conj().T @ ctx.retained.amplitudes)
-        outcome = measure_basis(rotated, rng)
-        return PureState(ctx.basis[:, outcome])
+            return ctx.frame.column(ctx.reported)
+        return ctx.frame.column(ctx.frame.measure(ctx.retained, rng))
     if ctx.retained is None:
         # Retain-guess Bob in the classical protocols, who measured the state:
         # any unveiling opens his own report.
-        return PureState(ctx.basis[:, ctx.reported])
+        return ctx.frame.column(ctx.reported)
     # Skip Bob, and every Bob who kept the unknown state, estimates from it.
     return covariant_estimate(ctx.retained, ctx.copies, rng)

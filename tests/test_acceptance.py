@@ -358,6 +358,52 @@ def test_criterion_10_substitute_bob_knowledge_gain():
     )
 
 
+def test_criterion_10_exact_classical_figures():
+    # Next to criterion 10's one-sided gate, the exact figures of the cells
+    # whose frames are drawn lazily, each two-sided at z = 5, at classical1
+    # d = 3 and classical2 d = 4, q = 2. With eps = eps_c_target, F = 2/(d+1)
+    # and s = (1-eps)^2 + eps^2: retain-guess Bob reads the column his
+    # outcome names, s against honest Alice and F against ignorant Alice.
+    # Substitute Bob's probe is accepted with probability q/d; an unveiling
+    # hands him a committed column (1 - eps for honest Alice's column 0,
+    # nothing for the free ones, 1/d on average for ignorant Alice's), and
+    # otherwise he measures the state in the frame for s or F.
+    eps, trials = 0.1, 6000
+    retain = BobStrategy(BobKind.MEASURE_RETAIN_GUESS)
+    sub = BobStrategy(BobKind.SUBSTITUTE_STATE)
+    all_ok = True
+    details = []
+    for seed, (protocol, d, q) in enumerate(
+        [(Protocol.CLASSICAL1, 3, None), (Protocol.CLASSICAL2, 4, 2)]
+    ):
+        qd = (q or 1) / d
+        s, f = (1 - eps) ** 2 + eps**2, 2 / (d + 1)
+        cells = [
+            (HONEST_A, eps, retain, Metric.MEAN_FSQ, s),
+            (HONEST_A, eps, sub, Metric.ACCEPTANCE, qd),
+            (HONEST_A, eps, sub, Metric.MEAN_FSQ, (1 - eps) / d + (1 - qd) * s),
+            (IGNORANT, 0.0, retain, Metric.MEAN_FSQ, f),
+            (IGNORANT, 0.0, sub, Metric.ACCEPTANCE, qd),
+            (IGNORANT, 0.0, sub, Metric.MEAN_FSQ, qd / d + (1 - qd) * f),
+        ]
+        for cell, (alice, eps_c, bob, metric, target) in enumerate(cells):
+            stats = run_trials(ExperimentSpec(
+                protocol, ProtocolParams(d=d, q=q, eps_c_target=eps_c),
+                alice, bob, metric, trials, 1010 + 10 * seed + cell,
+            ))
+            se = (
+                bernoulli_se(target, trials) if metric is Metric.ACCEPTANCE
+                else stats.std_err
+            )
+            ok = abs(stats.estimate - target) <= 5 * se
+            all_ok &= ok
+            details.append(
+                f"{protocol.value} {alice.kind.value}/{bob.kind.value} {metric.value} "
+                f"{stats.estimate:.4f} vs {target:.4f}"
+            )
+    assert report("10 exact", all_ok, "; ".join(details))
+
+
 def test_criterion_11_infrastructure(tmp_path):
     # Seeded reruns are byte-identical.
     args = [

@@ -151,7 +151,7 @@ def test_simulate_transcript_export(tmp_path):
 TRANSCRIPT_PINS = [
     (["--protocol", "classical2", "--d", "4", "--q", "2", "--alice", "ignorant",
       "--trials", "600", "--transcript-limit", "20"],
-     240, "46801c5d1418881e0ae8134bf5fb4e8d90b5fb99c78f3ebedab9316c4bdab077"),
+     240, "ca59f1d287f60a4eba84581e48240c763c78267d6fefa569f2d0558cf3337020"),
     (["--protocol", "b2a", "--n", "4", "--d", "2", "--q", "2", "--alice", "honest",
       "--trials", "40", "--transcript-limit", "40"],
      480, "2217a5646ecbee665c37e7113d3fbc604f115035c3f9f5ce11ce163c291c13b7"),

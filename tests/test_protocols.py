@@ -2,13 +2,14 @@
 
 import ast
 import math
+import zlib
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qwitness import protocols, strategies
+from qwitness import estimation, protocols, qudit, strategies
 from qwitness.errors import ConfigurationError
 from qwitness.harness import (
     BoundKind,
@@ -31,9 +32,17 @@ from qwitness.protocols import (
     run_protocol,
     soundness_floor_audit,
 )
-from qwitness.qudit import fidelity_sq, sym_dim
+from qwitness.qudit import HaarFrame, fidelity_sq, haar_complement, sym_dim
 from qwitness.spacetime import AgentId, EventKind
-from qwitness.strategies import AliceKind, AliceStrategy, BobKind, BobStrategy
+from qwitness.strategies import (
+    AliceKind,
+    AliceStrategy,
+    BobKind,
+    BobStrategy,
+    ClassicalPlan,
+    _haar_unitary,
+    knowledge_subspace,
+)
 
 HONEST_A = AliceStrategy(AliceKind.HONEST_KNOWING)
 IGNORANT = AliceStrategy(AliceKind.IGNORANT)
@@ -432,6 +441,59 @@ def test_receiver_draws_a_system_only_when_a_party_reads_it(protocol, alice, bob
         assert len(calls) == draws and set(calls) == {3}
 
 
+@pytest.mark.parametrize("protocol,d,q,alice,bob,draws", [
+    ("classical1", 3, None, "ignorant", "honest", (1, {0}, 0)),
+    ("classical1", 3, None, "honest", "honest", (1, {1}, 0)),
+    ("classical1", 3, None, "subspace-2", "honest", (1, {2}, 1)),
+    ("classical1", 3, None, "ignorant", "retain-guess", (1, {1}, 0)),
+    ("classical1", 3, None, "honest", "retain-guess", (1, {1}, 0)),
+    ("classical1", 3, None, "ignorant", "skip", (1, {1}, 0)),
+    ("classical1", 3, None, "honest", "skip", (1, {2}, 0)),
+    ("classical1", 3, None, "ignorant", "substitute", (2, {1, 2}, 0)),
+    ("classical1", 3, None, "honest", "substitute", (2, {1}, 0)),
+    ("classical2", 4, 2, "ignorant", "honest", (1, {0}, 0)),
+    ("classical2", 4, 2, "honest", "honest", (1, {1}, 0)),
+    ("classical2", 4, 2, "honest", "substitute", (2, {1, 2}, 0)),
+])
+def test_classical_draws_a_column_only_when_a_party_reads_it(
+    protocol, d, q, alice, bob, draws, monkeypatch
+):
+    # Per trial: Haar states, haar_complement columns and QR unitaries. Eta is
+    # the one Haar state but substitute Bob's probe. Ignorant Alice's frame
+    # draws a column only when Bob reads one (retain-guess Bob one,
+    # substitute Bob one or two); honest Alice draws r alone, not the d - 2
+    # columns no party reads; skip Bob's estimate draws one column. At d = 3
+    # the probe's free column against honest Alice is the last free one, so
+    # it costs no draw. Only subspace Alice draws a unitary.
+    calls = {"haar_random": 0, "haar_complement": 0, "_haar_unitary": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            # haar_complement(fixed, count, rng) counts its columns.
+            calls[name] += args[1] if name == "haar_complement" else 1
+            return real(*args)
+        return wrapper
+
+    for name, modules in [
+        ("haar_random", (strategies, protocols)),
+        ("haar_complement", (strategies, qudit, estimation)),
+        ("_haar_unitary", (strategies,)),
+    ]:
+        wrapped = counted(name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapped)
+    eps_c = 0.1 if alice == "honest" else 0.0
+    params = ProtocolParams(d=d, q=q, eps_c_target=eps_c)
+    alice, bob = AliceStrategy.from_name(alice), BobStrategy.from_name(bob)
+    states, columns, unitaries = draws
+    for i in range(20):
+        calls.update(dict.fromkeys(calls, 0))
+        run_protocol(Protocol(protocol), params, alice, bob, trial_rng(6, i))
+        assert calls["haar_random"] == states
+        assert calls["haar_complement"] in columns
+        assert calls["_haar_unitary"] == unitaries
+
+
 # ---------------------------------------------------------------------------
 # abort variant
 
@@ -623,6 +685,75 @@ def test_verdict_accept_is_a_python_bool(protocol, params):
                 assert type(e.payload["accept"]) is bool
                 seen.add(e.payload["accept"])
     assert seen  # every protocol announced at least one verdict
+
+
+# ---------------------------------------------------------------------------
+# lazy frames against explicit ones
+
+
+def _explicit_measurement_choice(strategy, ctx):
+    """The explicit-frame reference: Alice's whole d x d basis, every column fixed.
+
+    Built as before the lazy frames: a QR unitary for ignorant Alice,
+    ``haar_complement`` and ``column_stack`` for honest and subspace Alice,
+    and commitments drawn with ``rng.choice``.
+    """
+    d, q, rng = ctx.true_state.dim, ctx.q, ctx.rng
+    if strategy.kind is AliceKind.HONEST_KNOWING:
+        eta = ctx.true_state.amplitudes
+        rest = haar_complement(eta, d - 1, rng)
+        r = rest[:, 0]
+        a, b = np.sqrt(1.0 - ctx.eps_c_target), np.sqrt(ctx.eps_c_target)
+        basis = np.column_stack([a * eta + b * r, b * eta - a * r, rest[:, 1:]])
+        others = list(range(2, d))
+        if q - 1 > len(others):
+            extra = [1] + others
+        else:
+            extra = list(rng.choice(others, size=q - 1, replace=False)) if q > 1 else []
+        commit_values = tuple(sorted([0] + [int(j) for j in extra[: q - 1]]))
+    elif strategy.kind is AliceKind.IGNORANT:
+        basis = _haar_unitary(d, rng)
+        commit_values = tuple(int(j) for j in rng.choice(d, size=q, replace=False))
+    else:
+        k = strategy.subspace_dim
+        subspace = knowledge_subspace(ctx.true_state, k, rng)
+        rotated = subspace @ _haar_unitary(k, rng)
+        basis = np.column_stack([rotated, haar_complement(rotated, d - k, rng)])
+        in_subspace = list(range(min(q, k)))
+        filler = rng.choice(np.arange(k, d), size=q - len(in_subspace), replace=False)
+        commit_values = tuple(sorted(in_subspace + [int(j) for j in filler]))
+    return ClassicalPlan(HaarFrame(d, basis), commit_values)
+
+
+@pytest.mark.parametrize("protocol,d,q", [("classical1", 3, None), ("classical2", 4, 2)])
+@pytest.mark.parametrize("alice", ["honest", "ignorant", "subspace-2"])
+def test_lazy_frames_match_explicit_frames(protocol, d, q, alice, monkeypatch):
+    # Each Bob against this Alice, with the lazy frames and with the explicit
+    # reference: acceptance, and Bob's mean-fsq when he guesses. Each figure's
+    # difference is gated two-sided at z = 5.
+    trials = 2000
+    params = ProtocolParams(d=d, q=q, eps_c_target=0.1 if alice == "honest" else 0.0)
+    alice_s = AliceStrategy.from_name(alice)
+    for b, bob in enumerate(BobKind):
+        legs = []
+        for leg in (0, 1):
+            rng = np.random.default_rng([230, d, b, leg, zlib.crc32(alice.encode())])
+            with monkeypatch.context() as patch:
+                if leg:
+                    patch.setattr(
+                        strategies, "_alice_measurement_choice", _explicit_measurement_choice
+                    )
+                runs = [
+                    run_protocol(Protocol(protocol), params, alice_s, BobStrategy(bob), rng)
+                    for _ in range(trials)
+                ]
+            figures = [[out.verdict is Verdict.ACCEPT for out in runs]]
+            if runs[0].bob_guess is not None:
+                figures.append([fidelity_sq(out.bob_guess, out.true_state) for out in runs])
+            legs.append(np.array(figures, dtype=float).T)
+        lazy, explicit = legs
+        se = np.sqrt((lazy.var(axis=0, ddof=1) + explicit.var(axis=0, ddof=1)) / trials)
+        assert np.all(np.abs(lazy.mean(axis=0) - explicit.mean(axis=0)) <= 5 * se), bob
 
 
 # ---------------------------------------------------------------------------

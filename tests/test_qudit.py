@@ -13,6 +13,7 @@ from qwitness.errors import DimensionError, ResourceCapError
 from qwitness.qudit import (
     MAXIMALLY_MIXED,
     NORM_TOL,
+    HaarFrame,
     HermitianOperator,
     PureState,
     clamp_probabilities,
@@ -30,6 +31,7 @@ from qwitness.qudit import (
     tensor_states,
     vector_norm,
 )
+from qwitness.strategies import _haar_unitary
 
 
 def basis_state(d, k):
@@ -552,6 +554,128 @@ def test_measure_basis_biased_qubit():
     zeros = sum(measure_basis(s, rng) == 0 for _ in range(trials))
     se = math.sqrt(0.9 * 0.1 / trials)
     assert abs(zeros / trials - 0.9) <= 3 * se
+
+
+# ---------------------------------------------------------------------------
+# lazy Haar frames, against QR frames
+
+
+def _qr_frame(d, rng):
+    """The reference: every column fixed, from the QR of a Ginibre matrix."""
+    return HaarFrame(d, _haar_unitary(d, rng))
+
+
+FRAMES = {"lazy": lambda d, rng: HaarFrame(d), "qr": _qr_frame}
+
+
+def _gate_difference(a, b, trials):
+    """Two samples' means agree, column by column, two-sided at z = 5."""
+    se = np.sqrt(a.var(axis=0, ddof=1) / trials + b.var(axis=0, ddof=1) / trials)
+    assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 5 * se)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_haar_frame_first_measurement_matches_qr_frames(d):
+    # One measurement of a fixed state in a fresh frame: each outcome has
+    # probability 1/d, and the measured column's fidelity F with the state is
+    # Beta(2, d - 1), of mean 2/(d+1) and second moment 6/((d+1)(d+2)). Both
+    # frame kinds are gated against these, and against each other, at z = 5.
+    trials = 8000
+    s = haar_random(d, np.random.default_rng(80 + d))
+    samples = {}
+    for seed, (kind, make) in enumerate(FRAMES.items()):
+        rng = np.random.default_rng([81, d, seed])
+        counts = np.zeros(d)
+        fsq = np.empty(trials)
+        for i in range(trials):
+            frame = make(d, rng)
+            j = frame.measure(s, rng)
+            counts[j] += 1
+            fsq[i] = fidelity_sq(frame.column(j), s)
+        se = math.sqrt((1 / d) * (1 - 1 / d) / trials)
+        assert np.all(np.abs(counts / trials - 1 / d) <= 5 * se), kind
+        moments = np.column_stack([fsq, fsq**2])
+        targets = (2 / (d + 1), 6 / ((d + 1) * (d + 2)))
+        se = moments.std(axis=0, ddof=1) / math.sqrt(trials)
+        assert np.all(np.abs(moments.mean(axis=0) - targets) <= 5 * se), kind
+        samples[kind] = moments
+    _gate_difference(samples["lazy"], samples["qr"], trials)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_haar_frame_second_measurement_matches_qr_frames(d):
+    # Measure s1, then s2, in one frame, then read both measured columns. The
+    # outcomes agree with probability (1 + |<s1|s2>|^2)/(d+1) in a Haar frame;
+    # that, and each column's fidelity with its state (mean and second
+    # moment), match QR frames two-sided at z = 5.
+    trials = 8000
+    pair_rng = np.random.default_rng(90 + d)
+    s1, s2 = haar_random(d, pair_rng), haar_random(d, pair_rng)
+    same = (1 + fidelity_sq(s1, s2)) / (d + 1)
+    samples = {}
+    for seed, (kind, make) in enumerate(FRAMES.items()):
+        rng = np.random.default_rng([91, d, seed])
+        rows = np.empty((trials, 5))
+        for i in range(trials):
+            frame = make(d, rng)
+            j1 = frame.measure(s1, rng)
+            j2 = frame.measure(s2, rng)
+            f1 = fidelity_sq(frame.column(j1), s1)
+            f2 = fidelity_sq(frame.column(j2), s2)
+            rows[i] = (j1 == j2, f1, f1**2, f2, f2**2)
+        assert abs(rows[:, 0].mean() - same) <= 5 * math.sqrt(same * (1 - same) / trials), kind
+        samples[kind] = rows
+    _gate_difference(samples["lazy"], samples["qr"], trials)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_haar_frame_draws_orthonormal_columns(d):
+    # Measure Haar states until every index has come up, then read all d
+    # columns: orthonormal within 1e-12, from a free frame and from one that
+    # starts with two fixed columns.
+    rng = np.random.default_rng(100 + d)
+    for _ in range(50):
+        eta = haar_random(d, rng).amplitudes
+        for fixed in (None, np.column_stack([eta, haar_complement(eta, 1, rng)])):
+            frame = HaarFrame(d, fixed)
+            seen = set()
+            while len(seen) < d:
+                seen.add(frame.measure(haar_random(d, rng), rng))
+            cols = np.array([frame.column(j).amplitudes for j in range(d)]).T
+            assert np.max(np.abs(cols.conj().T @ cols - np.eye(d))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_haar_frame_last_free_column_is_determined(d):
+    # With one free column left, the column at the free outcome is the
+    # state's normalised projection off the fixed columns, up to phase, and
+    # reading it draws nothing.
+    rng = np.random.default_rng(110 + d)
+    for _ in range(20):
+        s = haar_random(d, rng)
+        fixed = haar_complement(haar_random(d, rng).amplitudes, d - 1, rng)
+        frame = HaarFrame(d, fixed)
+        while frame.measure(s, rng) != d - 1:
+            pass
+        v = s.amplitudes - fixed @ (fixed.conj().T @ s.amplitudes)
+        before = copy.deepcopy(rng.bit_generator.state)
+        column = frame.column(d - 1)
+        assert rng.bit_generator.state == before
+        assert abs(fidelity_sq(column, PureState(v / vector_norm(v))) - 1.0) <= 1e-12
+
+
+def test_haar_frame_reads_only_measured_columns():
+    rng = np.random.default_rng(120)
+    frame = HaarFrame(3, np.eye(3, dtype=complex)[:, :1])
+    assert fidelity_sq(frame.column(0), basis_state(3, 0)) == 1.0
+    with pytest.raises(ValueError):
+        frame.column(1)
+    j = frame.measure(basis_state(3, 2), rng)
+    assert j in (1, 2)
+    with pytest.raises(ValueError):
+        frame.column(3 - j)
+    with pytest.raises(DimensionError):
+        HaarFrame(3, np.eye(4, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

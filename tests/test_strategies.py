@@ -129,12 +129,24 @@ def _classical_plan(alice, d, q, eps_c, rng):
     ("subspace-3", 5, 1, 0.0), ("subspace-4", 4, 3, 0.0),
 ])
 def test_classical_plan_basis_is_unitary(name, d, q, eps_c):
+    # The announced frame fixes orthonormal columns: honest Alice's two, at
+    # indices 0 and 1, subspace Alice's d, ignorant Alice's none. Every other
+    # column is free until a measurement draws it. The state comes out at an
+    # index the plan allows: 0 or 1 for honest Alice (only 0 at eps_c = 0),
+    # one of the first k for subspace-k Alice, any for ignorant Alice.
     rng = np.random.default_rng(d + 10 * q)
     alice = AliceStrategy.from_name(name)
+    fixed = {"honest": min(2, d), "ignorant": 0}.get(name, d)
+    allowed = {"honest": 1 if eps_c == 0 else 2, "ignorant": d}.get(name, alice.subspace_dim)
     for _ in range(20):
-        _, plan = _classical_plan(alice, d, q, eps_c, rng)
-        assert plan.basis.shape == (d, d)
-        assert np.max(np.abs(plan.basis.conj().T @ plan.basis - np.eye(d))) <= 1e-12
+        eta, plan = _classical_plan(alice, d, q, eps_c, rng)
+        if fixed:
+            cols = np.array([plan.frame.column(j).amplitudes for j in range(fixed)]).T
+            assert np.max(np.abs(cols.conj().T @ cols - np.eye(fixed))) <= 1e-12
+        for j in range(fixed, d):
+            with pytest.raises(ValueError):
+                plan.frame.column(j)
+        assert plan.frame.measure(eta, rng) < allowed
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -156,13 +168,26 @@ def test_haar_unitary_keeps_the_random_stream(d):
 @pytest.mark.parametrize("eps_c", [0.0, 0.1])
 @pytest.mark.parametrize("d,q", [(2, 1), (3, 1), (3, 2), (5, 3)])
 def test_honest_classical_plan_covers_exactly_one_minus_eps_c(eps_c, d, q):
+    # Column 0 has squared overlap 1 - eps_c with the state and column 1
+    # eps_c; the free columns span the complement of both, so they have none.
+    # Measuring the state in the frame gives 0 or 1 with those frequencies
+    # (two-sided at z = 5), and the commitments cover exactly 1 - eps_c.
     rng = np.random.default_rng(30 + d + q)
+    counts = np.zeros(d, dtype=int)
     for _ in range(20):
         eta, plan = _classical_plan(HONEST_A, d, q, eps_c, rng)
-        overlaps = np.abs(plan.basis.conj().T @ eta.amplitudes) ** 2
+        overlaps = [fidelity_sq(plan.frame.column(j), eta) for j in range(2)]
         assert abs(overlaps[0] - (1.0 - eps_c)) <= 1e-12
+        assert abs(overlaps[1] - eps_c) <= 1e-12
         assert 0 in plan.commit_values and len(set(plan.commit_values)) == q
-        assert abs(overlaps[list(plan.commit_values)].sum() - (1.0 - eps_c)) <= 1e-12
+        assert set(plan.commit_values) <= set(range(d))
+        assert 1 not in plan.commit_values or eps_c == 0.0
+        for _ in range(100):
+            counts[plan.frame.measure(eta, rng)] += 1
+    assert counts[2:].sum() == 0
+    trials = counts.sum()
+    p = 1.0 - eps_c
+    assert abs(counts[0] / trials - p) <= 5 * bernoulli_se(p, trials)
 
 
 def test_honest_alice_commits_detections_plus_dummies():

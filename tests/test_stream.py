@@ -25,23 +25,23 @@ TRANSCRIPTS = 20
 PINNED = {
     'classical1-honest': (
         '--protocol classical1 --d 3 --alice honest --eps-c-target 0.1',
-        200, 184, '0x0.0p+0', '0x0.0p+0',
-        'd7c713b73c8675b0be3c59bb9015d01adb35367add81cc90368bcc8041bb652d',
+        200, 175, '0x0.0p+0', '0x0.0p+0',
+        '2cb9a7df7bcee093a2510ac957fed21e15b770542ae1bf19cccc0fc395d5f946',
     ),
     'classical1-ignorant': (
         '--protocol classical1 --d 3 --alice ignorant',
-        200, 51, '0x0.0p+0', '0x0.0p+0',
-        '568f870698f9d5448d1ebed659bee085bc472e9a5780ae65ce2e765fb90043ea',
+        200, 65, '0x0.0p+0', '0x0.0p+0',
+        'bdcc6df3ee8091017cb135479d5d9488afe97b38b413b03efec14e8f76c1dfb5',
     ),
     'classical1-subspace-2': (
         '--protocol classical1 --d 4 --alice subspace-2',
-        200, 108, '0x0.0p+0', '0x0.0p+0',
-        '4a8852238dc5305eb28d07827996ffdcc3bcc53a24747ba354001a8f203fa2d1',
+        200, 107, '0x0.0p+0', '0x0.0p+0',
+        'c9241e4a18b642feb07d17d5053cec7c02a0d96f0f5967b07b0f690c19f5dc46',
     ),
     'classical1-substitute': (
         '--protocol classical1 --d 3 --alice honest --eps-c-target 0.1 --bob substitute --metric mean-fsq',
-        200, 0, '0x1.5000000000012p+7', '0x1.2c0000000000cp+7',
-        'b1ecc4f4e8e6d0cdacc879a445a4ba82ce5006d6d5998d70b2ee5bb89cb107d1',
+        200, 0, '0x1.4b33333333346p+7', '0x1.273333333333ep+7',
+        '798b52d5e97df8e0f983451e4f6ef3a256a651615f1423f3e0f1b4dc0d0913cf',
     ),
     'classical1-retain-guess': (
         '--protocol classical1 --d 2 --alice honest --eps-c-target 0.1 --bob retain-guess --metric mean-fsq',
@@ -50,13 +50,13 @@ PINNED = {
     ),
     'classical2-skip': (
         '--protocol classical2 --d 4 --q 2 --alice honest --eps-c-target 0.1 --bob skip --metric mean-fsq',
-        200, 0, '0x1.4929b81b1b0d2p+6', '0x1.4a4014581e9efp+5',
+        200, 0, '0x1.42ae6fcf1c1cep+6', '0x1.3c0ec1442d149p+5',
         'f366b6b084fa6479f04216a896310b057b14f116173fb540cdf0f67ad21045ad',
     ),
     'classical2-ignorant': (
         '--protocol classical2 --d 4 --q 2 --alice ignorant',
-        200, 96, '0x0.0p+0', '0x0.0p+0',
-        'e5763d7ac34881e5ed5de7d876d99ab90b6e3d9e11f3d4b4687be7d8926594a0',
+        200, 102, '0x0.0p+0', '0x0.0p+0',
+        '36deb96d312c6e9c3eda57b8c89d4a2a3848eb27e40d94120112ed1c5c48103a',
     ),
     'a2b-n0': (
         '--protocol a2b --d 2 --n 0 --alice ignorant',
@@ -146,12 +146,12 @@ GRAPH_PINNED = {
     'b2a-ignorant': '466f74f0d87682c9d0ed8b4371009ed1308db1496a22dabeccaef6d93e94e755',
     'b2a-ignorant-retain-guess': '23c9429cb284930455f49e5f370d8e8a5d52c26ae4d8f8955dea36b127201739',
     'b2a-steal': 'af2c364936925add6afa85c242ac059ef8eee4ec28a7bd3f0a320ee692089c79',
-    'classical1-honest': 'f30226aee971a3ef4377177185523b6e29361870e7d7d7cac181790917385be6',
-    'classical1-ignorant': 'c91243fe65ecaebe6b27a4e3ad80d9ef63f916119fbbd159fa526b1507993015',
+    'classical1-honest': 'ebec64a0ee657b728bdecf806671c095ae6d31d417df759b50d431012c315f17',
+    'classical1-ignorant': 'fc48c1808b4501f87923612d7864033199f1e5d930fbe0384fbf74d90901ea91',
     'classical1-retain-guess': '7b62ed11f58bf1738f644e4b6ad52fc6864b2982cf44950c77aafbeb9a68169c',
-    'classical1-subspace-2': '6c54707037b60f12ad002e085ab1846b6c71fa53e1949ec11adc454bed465066',
-    'classical1-substitute': 'b365cf54281b75d36e6e0c6e2cd62b04af4712cc2f43fae911a25fc91f38bd76',
-    'classical2-ignorant': '5c4baa7103608f226517c03ba8873d26c8e5916ad2f43d8f09fd94c0dc566a46',
+    'classical1-subspace-2': 'ed3b9ab22ffce09cfcc795aa2ba2d2905c97f335a8a9165591144933e93907af',
+    'classical1-substitute': '730792ce327837a86059a537876ea18d9bc678b4b085dd97b9c7d5587e7da3d4',
+    'classical2-ignorant': 'abd61d117ed3a057c4f710a56c5f4bdbbd407fe8374f4ca5f1268c3499991591',
     'classical2-skip': 'ae6ba7b4cb0cd18af1bdc2e9764c551368d693b68a4ef457d22b9c089b699320',
 }
 
