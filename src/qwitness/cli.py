@@ -38,10 +38,9 @@ from .protocols import (
 )
 from .qudit import (
     MAXIMALLY_MIXED,
-    HermitianOperator,
+    HaarFrame,
     fidelity_sq,
     haar_random,
-    measure_binary,
     sym_dim,
     sym_outcome_probability,
     sym_projector,
@@ -160,13 +159,14 @@ def _check_haar_moments(max_dim: int, trials: int, rng) -> list[tuple[str, bool,
 
 
 def _check_born_frequencies(max_dim: int, trials: int, rng) -> list[tuple[str, bool, str]]:
+    # The measurement trials make: a frame whose column 0 is fixed to `direction`.
     rows = []
     for d in sorted({2, min(max_dim, 4)}):
         state = haar_random(d, rng)
         direction = haar_random(d, rng)
-        projector = HermitianOperator.from_state(direction)
+        column = direction.amplitudes[:, None]
         prob = abs(np.vdot(direction.amplitudes, state.amplitudes)) ** 2
-        hits = sum(measure_binary(state, projector, rng).index for _ in range(trials))
+        hits = sum(HaarFrame(d, column).measure(state, rng) == 0 for _ in range(trials))
         p_hat = hits / trials
         se = math.sqrt(max(prob * (1 - prob), 1e-12) / trials)
         rows.append(

@@ -42,8 +42,9 @@ Z_DEFAULT = 3.0
 # Most complex amplitudes one trial may hold in its largest arrays: 64 MiB.
 # The receiver protocols leave a system undrawn until a party reads it, but
 # honest Alice reads all n + 1, so there a trial still holds (n + 1) * d.
-# A classical frame holds only the columns it has fixed, at most three for
-# honest and ignorant Alice, but subspace Alice fixes all d: d * d.
+# A classical frame holds only the columns it has fixed: at most three for
+# honest and ignorant Alice, k + 1 for subspace-k Alice, never more than
+# d, so d * d bounds it.
 TRIAL_AMPLITUDE_CAP = 2**22
 # Slack added to a comparison whose standard error vanishes.
 ZERO_SE_ATOL = 1e-9
@@ -155,9 +156,9 @@ class ExperimentSpec:
         k = self.alice.subspace_dim
         if k is not None and k > params.d:
             raise ConfigurationError(f"subspace dimension {k} exceeds d={params.d}")
-        # A trial's largest arrays: subspace Alice's classical d x d basis,
-        # the receiver protocols' n + 1 systems, and in a2b subspace Alice's
-        # d x k basis.
+        # A trial's largest arrays: a classical frame's fixed columns, at
+        # most d x d, the receiver protocols' n + 1 systems, and in a2b
+        # subspace Alice's d x k basis.
         if classical:
             amplitudes = params.d * params.d
         elif protocol is Protocol.QUANTUM_A2B:

@@ -248,12 +248,14 @@ class HaarFrame:
         s, free, fixed = state.amplitudes, self._free, self._fixed
         if not len(fixed):
             # Nothing fixed: every index is equally likely and v is the state.
+            # The loop below draws the same law from the same uniform, but
+            # took classical1 d = 3 ignorant Alice against honest Bob from
+            # 27-33 to 45-53 us per trial (timeit, best of 3 x 300 trials, on a
+            # 2-core machine).
             j = free[int(rng.random() * len(free))]
             self._pending = (j, s, rng)
             return j
         overlaps = fixed.conj() @ s
-        if not free:
-            return self._order[measure_basis(owned_state(overlaps), rng)]
         u = rng.random()
         for i, p in enumerate((overlaps.real**2 + overlaps.imag**2).tolist()):
             if u < p:
@@ -263,7 +265,7 @@ class HaarFrame:
         # overlaps and |v|^2 sum to 1; v is computed only here.
         v = s - overlaps @ fixed
         free_mass = v.real.dot(v.real) + v.imag.dot(v.imag)
-        if free_mass == 0.0:
+        if not free or free_mass == 0.0:
             return self._order[-1]  # rounding carried u past the last fixed column
         j = free[min(int(u / free_mass * len(free)), len(free) - 1)]
         self._pending = (j, v / math.sqrt(free_mass), rng)

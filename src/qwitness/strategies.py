@@ -122,13 +122,6 @@ def _read_system(system: PureState | None, d: int, rng: np.random.Generator) -> 
     return haar_random(d, rng) if system is None else system
 
 
-def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary via QR of a complex Ginibre matrix."""
-    z = rng.standard_normal((d, 2 * d)).view(np.complex128)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 # ---------------------------------------------------------------------------
 # Stage contexts and plans
 
@@ -255,11 +248,12 @@ def _alice_measurement_choice(
         return ClassicalPlan(frame, tuple(sorted([0] + extra)))
     if strategy.kind is AliceKind.IGNORANT:
         return ClassicalPlan(HaarFrame(d), tuple(rng.permutation(d)[:q].tolist()))
-    # Subspace knowledge: an explicit frame, every column fixed.
+    # Subspace knowledge: her subspace in a Haar basis fixes the first k
+    # columns (Gram-Schmidt of a Ginibre matrix is a Haar unitary); the rest
+    # are free, which is their law, Haar on the complement of the subspace.
     k = strategy.subspace_dim
     subspace = knowledge_subspace(ctx.true_state, k, rng)
-    rotated = subspace @ _haar_unitary(k, rng)
-    frame = HaarFrame(d, np.column_stack([rotated, haar_complement(rotated, d - k, rng)]))
+    frame = HaarFrame(d, subspace @ haar_complement(np.empty((k, 0)), k, rng))
     # The state lies in the first k columns; commit as many of those as fit.
     in_subspace = list(range(min(q, k)))
     filler = (rng.permutation(d - k)[: q - len(in_subspace)] + k).tolist()

@@ -40,7 +40,6 @@ from qwitness.strategies import (
     BobKind,
     BobStrategy,
     ClassicalPlan,
-    _haar_unitary,
     knowledge_subspace,
 )
 
@@ -442,30 +441,35 @@ def test_receiver_draws_a_system_only_when_a_party_reads_it(protocol, alice, bob
 
 
 @pytest.mark.parametrize("protocol,d,q,alice,bob,draws", [
-    ("classical1", 3, None, "ignorant", "honest", (1, {0}, 0)),
-    ("classical1", 3, None, "honest", "honest", (1, {1}, 0)),
-    ("classical1", 3, None, "subspace-2", "honest", (1, {2}, 1)),
-    ("classical1", 3, None, "ignorant", "retain-guess", (1, {1}, 0)),
-    ("classical1", 3, None, "honest", "retain-guess", (1, {1}, 0)),
-    ("classical1", 3, None, "ignorant", "skip", (1, {1}, 0)),
-    ("classical1", 3, None, "honest", "skip", (1, {2}, 0)),
-    ("classical1", 3, None, "ignorant", "substitute", (2, {1, 2}, 0)),
-    ("classical1", 3, None, "honest", "substitute", (2, {1}, 0)),
-    ("classical2", 4, 2, "ignorant", "honest", (1, {0}, 0)),
-    ("classical2", 4, 2, "honest", "honest", (1, {1}, 0)),
-    ("classical2", 4, 2, "honest", "substitute", (2, {1, 2}, 0)),
+    ("classical1", 3, None, "ignorant", "honest", (1, {0})),
+    ("classical1", 3, None, "honest", "honest", (1, {1})),
+    ("classical1", 3, None, "subspace-2", "honest", (1, {3})),
+    ("classical1", 3, None, "ignorant", "retain-guess", (1, {1})),
+    ("classical1", 3, None, "honest", "retain-guess", (1, {1})),
+    ("classical1", 3, None, "ignorant", "skip", (1, {1})),
+    ("classical1", 3, None, "honest", "skip", (1, {2})),
+    ("classical1", 3, None, "ignorant", "substitute", (2, {1, 2})),
+    ("classical1", 3, None, "honest", "substitute", (2, {1})),
+    ("classical2", 4, 2, "ignorant", "honest", (1, {0})),
+    ("classical2", 4, 2, "honest", "honest", (1, {1})),
+    ("classical2", 4, 2, "honest", "substitute", (2, {1, 2})),
+    ("classical1", 3, None, "subspace-2", "retain-guess", (1, {3})),
+    ("classical1", 3, None, "subspace-2", "substitute", (2, {3})),
+    ("classical2", 4, 2, "subspace-2", "substitute", (2, {3, 4})),
 ])
 def test_classical_draws_a_column_only_when_a_party_reads_it(
     protocol, d, q, alice, bob, draws, monkeypatch
 ):
-    # Per trial: Haar states, haar_complement columns and QR unitaries. Eta is
-    # the one Haar state but substitute Bob's probe. Ignorant Alice's frame
-    # draws a column only when Bob reads one (retain-guess Bob one,
-    # substitute Bob one or two); honest Alice draws r alone, not the d - 2
-    # columns no party reads; skip Bob's estimate draws one column. At d = 3
-    # the probe's free column against honest Alice is the last free one, so
-    # it costs no draw. Only subspace Alice draws a unitary.
-    calls = {"haar_random": 0, "haar_complement": 0, "_haar_unitary": 0}
+    # Per trial: Haar states and haar_complement columns. Eta is the one Haar
+    # state but substitute Bob's probe. Ignorant Alice's frame draws a column
+    # only when Bob reads one (retain-guess Bob one, substitute Bob one or
+    # two); honest Alice draws r alone, not the d - 2 columns no party reads;
+    # skip Bob's estimate draws one column. Subspace-2 Alice draws her
+    # subspace's second column and the two columns of its Haar rotation, and
+    # eta lies in their span, so Bob reads no free column but the probe's.
+    # At d = 3 the probe's free column against honest or subspace-2 Alice is
+    # the last free one, so it costs no draw.
+    calls = {"haar_random": 0, "haar_complement": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -477,7 +481,6 @@ def test_classical_draws_a_column_only_when_a_party_reads_it(
     for name, modules in [
         ("haar_random", (strategies, protocols)),
         ("haar_complement", (strategies, qudit, estimation)),
-        ("_haar_unitary", (strategies,)),
     ]:
         wrapped = counted(name, getattr(modules[0], name))
         for module in modules:
@@ -485,13 +488,12 @@ def test_classical_draws_a_column_only_when_a_party_reads_it(
     eps_c = 0.1 if alice == "honest" else 0.0
     params = ProtocolParams(d=d, q=q, eps_c_target=eps_c)
     alice, bob = AliceStrategy.from_name(alice), BobStrategy.from_name(bob)
-    states, columns, unitaries = draws
+    states, columns = draws
     for i in range(20):
         calls.update(dict.fromkeys(calls, 0))
         run_protocol(Protocol(protocol), params, alice, bob, trial_rng(6, i))
         assert calls["haar_random"] == states
         assert calls["haar_complement"] in columns
-        assert calls["_haar_unitary"] == unitaries
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +610,22 @@ def test_protocols_reads_no_strategy_kind():
     assert readers == []
 
 
+def test_no_module_qr_factors_a_matrix():
+    # A Haar unitary is Gram-Schmidt of a Ginibre matrix (haar_complement);
+    # QR stays only in the tests' independent references.
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted(Path(protocols.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "qr"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "linalg"
+    ]
+    assert calls == []
+
+
 def test_only_the_layouts_write_events():
     # Runs decide and logs follow: each runner calls its family's layout and
     # no event writer; only the layouts and their helpers call one.
@@ -691,12 +709,20 @@ def test_verdict_accept_is_a_python_bool(protocol, params):
 # lazy frames against explicit ones
 
 
+def _qr_unitary(d, rng):
+    """A Haar d x d unitary: QR of a Ginibre matrix, R's diagonal phases moved into Q."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def _explicit_measurement_choice(strategy, ctx):
     """The explicit-frame reference: Alice's whole d x d basis, every column fixed.
 
-    Built as before the lazy frames: a QR unitary for ignorant Alice,
-    ``haar_complement`` and ``column_stack`` for honest and subspace Alice,
-    and commitments drawn with ``rng.choice``.
+    Built as before the lazy frames: a QR unitary for ignorant Alice and
+    for subspace Alice's rotation, ``haar_complement`` and ``column_stack``
+    for the rest of honest and subspace Alice's basis, and commitments
+    drawn with ``rng.choice``. QR is the tests' own, so the reference does
+    not share the sampler it checks.
     """
     d, q, rng = ctx.true_state.dim, ctx.q, ctx.rng
     if strategy.kind is AliceKind.HONEST_KNOWING:
@@ -712,12 +738,12 @@ def _explicit_measurement_choice(strategy, ctx):
             extra = list(rng.choice(others, size=q - 1, replace=False)) if q > 1 else []
         commit_values = tuple(sorted([0] + [int(j) for j in extra[: q - 1]]))
     elif strategy.kind is AliceKind.IGNORANT:
-        basis = _haar_unitary(d, rng)
+        basis = _qr_unitary(d, rng)
         commit_values = tuple(int(j) for j in rng.choice(d, size=q, replace=False))
     else:
         k = strategy.subspace_dim
         subspace = knowledge_subspace(ctx.true_state, k, rng)
-        rotated = subspace @ _haar_unitary(k, rng)
+        rotated = subspace @ _qr_unitary(k, rng)
         basis = np.column_stack([rotated, haar_complement(rotated, d - k, rng)])
         in_subspace = list(range(min(q, k)))
         filler = rng.choice(np.arange(k, d), size=q - len(in_subspace), replace=False)
@@ -726,11 +752,13 @@ def _explicit_measurement_choice(strategy, ctx):
 
 
 @pytest.mark.parametrize("protocol,d,q", [("classical1", 3, None), ("classical2", 4, 2)])
-@pytest.mark.parametrize("alice", ["honest", "ignorant", "subspace-2"])
+@pytest.mark.parametrize("alice", ["honest", "ignorant", "subspace-2", "subspace-d"])
 def test_lazy_frames_match_explicit_frames(protocol, d, q, alice, monkeypatch):
     # Each Bob against this Alice, with the lazy frames and with the explicit
     # reference: acceptance, and Bob's mean-fsq when he guesses. Each figure's
-    # difference is gated two-sided at z = 5.
+    # difference is gated two-sided at z = 5. Subspace-d Alice (k = d) fixes
+    # every column of her frame.
+    alice = alice.replace("-d", f"-{d}")
     trials = 2000
     params = ProtocolParams(d=d, q=q, eps_c_target=0.1 if alice == "honest" else 0.0)
     alice_s = AliceStrategy.from_name(alice)

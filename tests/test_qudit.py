@@ -31,7 +31,6 @@ from qwitness.qudit import (
     tensor_states,
     vector_norm,
 )
-from qwitness.strategies import _haar_unitary
 
 
 def basis_state(d, k):
@@ -562,7 +561,8 @@ def test_measure_basis_biased_qubit():
 
 def _qr_frame(d, rng):
     """The reference: every column fixed, from the QR of a Ginibre matrix."""
-    return HaarFrame(d, _haar_unitary(d, rng))
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return HaarFrame(d, q * (np.diag(r) / np.abs(np.diag(r))))
 
 
 FRAMES = {"lazy": lambda d, rng: HaarFrame(d), "qr": _qr_frame}

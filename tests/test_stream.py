@@ -35,8 +35,8 @@ PINNED = {
     ),
     'classical1-subspace-2': (
         '--protocol classical1 --d 4 --alice subspace-2',
-        200, 107, '0x0.0p+0', '0x0.0p+0',
-        'c9241e4a18b642feb07d17d5053cec7c02a0d96f0f5967b07b0f690c19f5dc46',
+        200, 101, '0x0.0p+0', '0x0.0p+0',
+        '1e7c2e0b4bfa31eb5ace8e08e60a0b45aa4c162c86da303408025c15294bbfc9',
     ),
     'classical1-substitute': (
         '--protocol classical1 --d 3 --alice honest --eps-c-target 0.1 --bob substitute --metric mean-fsq',
@@ -149,7 +149,7 @@ GRAPH_PINNED = {
     'classical1-honest': 'ebec64a0ee657b728bdecf806671c095ae6d31d417df759b50d431012c315f17',
     'classical1-ignorant': 'fc48c1808b4501f87923612d7864033199f1e5d930fbe0384fbf74d90901ea91',
     'classical1-retain-guess': '7b62ed11f58bf1738f644e4b6ad52fc6864b2982cf44950c77aafbeb9a68169c',
-    'classical1-subspace-2': 'ed3b9ab22ffce09cfcc795aa2ba2d2905c97f335a8a9165591144933e93907af',
+    'classical1-subspace-2': 'b89694c09a4503cb5c59eeeee3bcd2583feeb49b12a0af6f844d2fed3e9e6a84',
     'classical1-substitute': '730792ce327837a86059a537876ea18d9bc678b4b085dd97b9c7d5587e7da3d4',
     'classical2-ignorant': 'abd61d117ed3a057c4f710a56c5f4bdbbd407fe8374f4ca5f1268c3499991591',
     'classical2-skip': 'ae6ba7b4cb0cd18af1bdc2e9764c551368d693b68a4ef457d22b9c089b699320',
