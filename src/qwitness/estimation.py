@@ -47,9 +47,12 @@ def covariant_estimate(
     """
     if m < 1:
         raise ValueError("covariant estimation needs m >= 1")
-    d = eta.dim
+    return state_at_overlap(eta, rng.beta(m + 1, eta.dim - 1), rng)
+
+
+def state_at_overlap(eta: PureState, f: float, rng: np.random.Generator) -> PureState:
+    """sqrt(f) eta + sqrt(1 - f) r, with r Haar on the orthogonal complement of eta."""
     amps = eta.amplitudes
-    f = rng.beta(m + 1, d - 1)
     r = haar_complement(amps, 1, rng)[:, 0]
     phi = math.sqrt(f) * amps + math.sqrt(1.0 - f) * r
     # Renormalize: a draw lying nearly along eta leaves r a small rounding

@@ -44,7 +44,8 @@ Z_DEFAULT = 3.0
 # honest Alice reads all n + 1, so there a trial still holds (n + 1) * d.
 # A classical frame holds only the columns it has fixed: at most three for
 # honest and ignorant Alice, k + 1 for subspace-k Alice, never more than
-# d, so d * d bounds it.
+# d, so d * d bounds it. An a2b trial holds one state's d amplitudes at a
+# time, whoever plays Alice.
 TRIAL_AMPLITUDE_CAP = 2**22
 # Slack added to a comparison whose standard error vanishes.
 ZERO_SE_ATOL = 1e-9
@@ -156,15 +157,11 @@ class ExperimentSpec:
         k = self.alice.subspace_dim
         if k is not None and k > params.d:
             raise ConfigurationError(f"subspace dimension {k} exceeds d={params.d}")
-        # A trial's largest arrays: a classical frame's fixed columns, at
-        # most d x d, the receiver protocols' n + 1 systems, and in a2b
-        # subspace Alice's d x k basis.
-        if classical:
-            amplitudes = params.d * params.d
-        elif protocol is Protocol.QUANTUM_A2B:
-            amplitudes = params.d * (k or 1)
-        else:
-            amplitudes = (params.n + 1) * params.d
+        # A trial's largest arrays, of d amplitudes a state: a classical
+        # frame's fixed columns, at most d, the receiver protocols' n + 1
+        # systems, and in a2b one state, whoever plays Alice.
+        states = params.d if classical else 1 if protocol is Protocol.QUANTUM_A2B else params.n + 1
+        amplitudes = states * params.d
         if amplitudes > TRIAL_AMPLITUDE_CAP:
             raise ConfigurationError(
                 f"a {protocol.value} trial at d={params.d}, n={params.n} would hold "

@@ -195,17 +195,20 @@ def eps_c_b2a_exact(n: int, d: int, q: int) -> float:
     random size-q sublist misses the announced label:
 
         sum_{x=q}^{n} C(n, x) (1/d)^x (1 - 1/d)^(n-x) * (x + 1 - q) / (x + 1)
+
+    with each binomial term formed in log space: C(n, x) overflows a float
+    from n = 1030 on.
     """
     if not 1 <= q <= n + 1:
         raise ConfigurationError(f"need 1 <= q <= n + 1, got q={q}, n={n}")
     if d < 2:
         raise ConfigurationError("need d >= 2")
-    p = 1.0 / d
-    total = 0.0
-    for x in range(q, n + 1):
-        pmf = math.comb(n, x) * p**x * (1.0 - p) ** (n - x)
-        total += pmf * (x + 1 - q) / (x + 1)
-    return total
+    log_p, log_1mp, log_n_fact = -math.log(d), math.log1p(-1.0 / d), math.lgamma(n + 1)
+    return math.fsum(
+        math.exp(log_n_fact - math.lgamma(x + 1) - math.lgamma(n - x + 1)
+                 + x * log_p + (n - x) * log_1mp) * (x + 1 - q) / (x + 1)
+        for x in range(q, n + 1)
+    )
 
 
 def hoeffding_bound(n: int, epsilon: float) -> float:
@@ -473,25 +476,19 @@ def _run_b2a(
     abort_allowed = protocol is Protocol.QUANTUM_B2A_ABORT
     plan = alice_act(alice, DetectionCommitContext(package.systems, q, eta, abort_allowed, rng))
     x = package.announced_label
-    if plan.commit_values is None:
-        bob_guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
-        tr = _b2a_log(params, plan.positives, None, x)
-        return ProtocolOutcome(Verdict.ABORT, tr, eta, bob_guess)
-
-    # Alice fills the commitment slots in a random order.
-    committed = plan.commit_values
-    values = tuple([committed[slot] for slot in rng.permutation(len(committed)).tolist()])
-    # Alice can unveil, and Bob accepts, iff a commitment holds the label.
-    accept = x in values
-
-    # Bob guesses from what he kept, then Alice from the system he points at.
+    # Bob guesses from what he kept, then Alice from the system he points at:
+    # only a stealing Alice guesses, and she never aborts.
     bob_guess = bob_act(bob, FinalGuessContext(retained=package.retained, rng=rng))
     pointed_at = FinalGuessContext(retained=package.systems[x - 1], dim=params.d, rng=rng)
     alice_guess = alice_act(alice, pointed_at)
+    values = plan.commit_values
+    if values is None:
+        verdict = Verdict.ABORT
+    else:
+        # Alice can unveil, and Bob accepts, iff a commitment holds the label.
+        verdict = Verdict.ACCEPT if x in values else Verdict.REJECT
     tr = _b2a_log(params, plan.positives, values, x)
-    return ProtocolOutcome(
-        Verdict.ACCEPT if accept else Verdict.REJECT, tr, eta, bob_guess, alice_guess
-    )
+    return ProtocolOutcome(verdict, tr, eta, bob_guess, alice_guess)
 
 
 def run_protocol(

@@ -35,14 +35,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimation import covariant_estimate
+from .estimation import covariant_estimate, state_at_overlap
 from .qudit import (
     HaarFrame,
     PureState,
     clamp_probabilities,
     haar_complement,
     haar_random,
-    owned_state,
 )
 
 
@@ -106,13 +105,8 @@ class BobStrategy:
             raise ConfigurationError(f"unknown bob strategy {name!r}") from None
 
 
-def knowledge_subspace(
-    true_state: PureState, k: int, rng: np.random.Generator
-) -> np.ndarray:
+def knowledge_subspace(true_state: PureState, k: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal basis (d x k) of a random k-dim subspace containing the state."""
-    d = true_state.dim
-    if not 1 <= k <= d:
-        raise ConfigurationError(f"subspace dimension {k} outside [1, {d}]")
     eta = true_state.amplitudes
     return np.column_stack([eta, haar_complement(eta, k - 1, rng)])
 
@@ -158,7 +152,7 @@ class DetectionCommitContext(NamedTuple):
 
 
 class DetectionCommitPlan(NamedTuple):
-    commit_values: tuple[int, ...] | None  # None when aborting
+    commit_values: tuple[int, ...] | None  # in slot order; None when aborting
     positives: int | None  # detection count for honest kinds
 
 
@@ -268,10 +262,13 @@ def _alice_prepare_copies(
     if strategy.kind is AliceKind.IGNORANT:
         # Best blind strategy: a single random state, repeated.
         return haar_random(ctx.true_state.dim, ctx.rng)
-    # Subspace knowledge: a random state inside the known subspace.
+    # Subspace knowledge: a Haar state of a random k-dim subspace through eta
+    # has overlap F ~ Beta(1, k - 1) with eta, and its part off eta is Haar on
+    # eta's complement; at k = 1 it is eta itself.
     k = strategy.subspace_dim
-    subspace = knowledge_subspace(ctx.true_state, k, ctx.rng)
-    return owned_state(subspace @ haar_random(k, ctx.rng).amplitudes)
+    if k == 1:
+        return ctx.true_state
+    return state_at_overlap(ctx.true_state, ctx.rng.beta(1, k - 1), ctx.rng)
 
 
 def _alice_detection_commits(
@@ -290,16 +287,16 @@ def _alice_detection_commits(
         born = clamp_probabilities(np.abs(amps @ ctx.true_state.amplitudes.conj()) ** 2)
         detected = (rng.random(n_plus_1) < born).nonzero()[0] + 1
         positives = len(detected)
-        if positives > q:
-            if ctx.abort_allowed:
-                return DetectionCommitPlan(None, positives)
-            # A uniform ordered q-subset, the law of choice(replace=False), cheaper.
-            values = tuple(detected[rng.permutation(positives)[:q]].tolist())
-        else:
-            values = tuple(detected.tolist()) + (0,) * (q - positives)
+        if positives > q and ctx.abort_allowed:
+            return DetectionCommitPlan(None, positives)
+        # Her detections, padded with dummy 0s to q, in a uniform slot order;
+        # over budget, a uniform ordered q-subset of them, the law of
+        # choice(replace=False), cheaper.
+        padded = detected.tolist() + [0] * (q - positives)
+        values = tuple([padded[s] for s in rng.permutation(len(padded))[:q].tolist()])
         return DetectionCommitPlan(values, positives)
-    # Ignorant and steal: the blind optimum, q random distinct labels.
-    # Stealing Alice keeps every received system unmeasured.
+    # Ignorant and steal: the blind optimum, q random distinct labels in a
+    # uniform slot order. Stealing Alice keeps every received system unmeasured.
     chosen = rng.permutation(n_plus_1)[:q] + 1
     return DetectionCommitPlan(tuple(chosen.tolist()), None)
 

@@ -109,6 +109,16 @@ def test_simulate_reproducible_csv(tmp_path):
     assert line.startswith("b2a,ignorant,honest,acceptance,2,9,2")
 
 
+def test_simulate_prints_a_finite_target_past_float_binomials(capsys):
+    # C(1030, x) overflows a float; the completeness target is summed in log space.
+    code = run_cli(["simulate", "--protocol", "b2a", "--d", "2", "--n", "1030",
+                    "--alice", "honest", "--trials", "2"])
+    assert code == 0
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    target = float(dict(zip(header.split(","), row.split(",")))["target"])
+    assert 0.0 < target < 1.0
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "n", "--values", "1"]])
 def test_jobs_outside_cpu_range_exit_2(command, capsys):
     code = run_cli(command + [
@@ -154,7 +164,7 @@ TRANSCRIPT_PINS = [
      240, "ca59f1d287f60a4eba84581e48240c763c78267d6fefa569f2d0558cf3337020"),
     (["--protocol", "b2a", "--n", "4", "--d", "2", "--q", "2", "--alice", "honest",
       "--trials", "40", "--transcript-limit", "40"],
-     480, "2217a5646ecbee665c37e7113d3fbc604f115035c3f9f5ce11ce163c291c13b7"),
+     480, "84607c864fe398d33be01e8d236d74740cd5a653de895e0e5298a1689c69c814"),
 ]
 
 

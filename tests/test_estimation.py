@@ -121,16 +121,3 @@ def test_basis_guess_on_basis_state():
     rng = np.random.default_rng(19)
     eta = PureState([0, 0, 1, 0])
     assert fidelity_sq(basis_measure_guess(eta, rng), eta) == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_basis_guess_haar_average(d):
-    rng = np.random.default_rng(200 + d)
-    trials = 100_000
-    values = np.empty(trials)
-    for i in range(trials):
-        eta = haar_random(d, rng)
-        values[i] = fidelity_sq(basis_measure_guess(eta, rng), eta)
-    target = 2 / (d + 1)
-    se = values.std(ddof=1) / math.sqrt(trials)
-    assert abs(values.mean() - target) <= 4 * se

@@ -166,7 +166,7 @@ def test_trial_amplitudes_over_the_cap_rejected_when_built():
         (Protocol.QUANTUM_B2A, dict(d=2, n=cap // 2 - 1), dict(d=2, n=cap // 2), IGNORANT),
         (Protocol.QUANTUM_B2A_ABORT, dict(d=4, n=cap // 4 - 1, q=1),
          dict(d=4, n=cap // 4, q=1), IGNORANT),
-        (Protocol.QUANTUM_A2B, dict(d=cap // 2, n=10**9), dict(d=cap // 2 + 1, n=10**9), subspace),
+        (Protocol.QUANTUM_A2B, dict(d=cap, n=10**9), dict(d=cap + 1, n=10**9), subspace),
     ]
     for protocol, fits, over, alice in fits_and_over:
         ExperimentSpec(protocol, ProtocolParams(**fits), alice, HONEST_B, Metric.ACCEPTANCE, 2, 0)
@@ -174,9 +174,10 @@ def test_trial_amplitudes_over_the_cap_rejected_when_built():
             ExperimentSpec(
                 protocol, ProtocolParams(**over), alice, HONEST_B, Metric.ACCEPTANCE, 2, 0
             )
-    # a2b holds O(d) amplitudes for every other Alice, whatever n is.
-    ExperimentSpec(Protocol.QUANTUM_A2B, ProtocolParams(d=cap, n=10**9), IGNORANT, HONEST_B,
-                   Metric.ACCEPTANCE, 2, 0)
+    # a2b holds d amplitudes for every Alice, whatever n and k are.
+    for alice in (IGNORANT, AliceStrategy(AliceKind.SUBSPACE_KNOWLEDGE, cap)):
+        ExperimentSpec(Protocol.QUANTUM_A2B, ProtocolParams(d=cap, n=10**9), alice, HONEST_B,
+                       Metric.ACCEPTANCE, 2, 0)
 
 
 ALICE_NAMES = ("honest", "ignorant", "subspace-2", "steal", "always-abort")
@@ -255,7 +256,7 @@ def _target_digest(specs):
         (
             dict(d=4, n=9, q=3, eps_c_targets=(0.0, 0.1)),
             33,
-            "bf61b94d0428457ad7cb36199dc37db93e7a84deffc648ab1134f9295c48f0cd",
+            "c8edcbd1b57eef9d1eb9ed5f8f2344d0c1e76a6b9f4ad9c4b59d409f58a56634",
         ),
     ],
     ids=["d3", "d4-n9-q3"],

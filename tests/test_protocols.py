@@ -2,7 +2,9 @@
 
 import ast
 import math
+import time
 import zlib
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -138,6 +140,25 @@ def test_reject_probability_decreases_with_n():
 
     assert value(16) <= value(4)
     assert value(64) <= value(16)
+
+
+@pytest.mark.parametrize("d,q", [(2, 1), (2, 516), (3, 344), (64, 17)])
+def test_reject_probability_past_float_binomials(d, q):
+    # C(1030, x) overflows a float: the log-space sum still matches the exact
+    # rational sum to 1e-12 relative error.
+    n = 1030
+    exact = sum(
+        Fraction(math.comb(n, x) * (d - 1) ** (n - x) * (x + 1 - q), d**n * (x + 1))
+        for x in range(q, n + 1)
+    )
+    assert eps_c_b2a_exact(n, d, q) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+def test_reject_probability_is_finite_and_fast_at_large_n():
+    start = time.perf_counter()
+    value = eps_c_b2a_exact(100_000, 2, 50_001)
+    assert time.perf_counter() - start < 1.0
+    assert 0.0 < value < 1.0
 
 
 def test_reject_probability_validates_arguments():
@@ -319,6 +340,54 @@ def test_sender_ignorant_acceptance_grid(n, d):
     assert abs(accepted / trials - target) <= 4 * bernoulli_se(target, trials)
 
 
+@pytest.mark.parametrize("bob", ["honest", "substitute", "retain-guess"])
+@pytest.mark.parametrize("d,k,n", [(3, 2, 2), (5, 3, 3), (8, 8, 2), (3, 1, 4)])
+def test_sender_subspace_alice_exact_figures(d, k, n, bob):
+    # Subspace-k Alice's copies have overlap F ~ Beta(1, k - 1) with eta, so
+    # honest Bob accepts with 1/(n+1) + n E[F]/(n+1) = (1 + n/k)/(n+1), and
+    # substitute Bob's Haar probe with (1 + n/d)/(n+1). Retain-guess Bob
+    # estimates from his one copy, 2/(d+1), or at k = 1, where Alice sends
+    # eta itself, from all n + 1: (n+2)/(n+1+d). Each cell runs 20 000
+    # trials at its own fixed master, gated two-sided at z = 5.
+    figures = {
+        "honest": (Metric.ACCEPTANCE, (1 + n / k) / (n + 1)),
+        "substitute": (Metric.ACCEPTANCE, (1 + n / d) / (n + 1)),
+        "retain-guess": (Metric.MEAN_FSQ, (n + 2) / (n + 1 + d) if k == 1 else 2 / (d + 1)),
+    }
+    metric, figure = figures[bob]
+    alice = AliceStrategy(AliceKind.SUBSPACE_KNOWLEDGE, k)
+    master = 2500 + 100 * d + 10 * k + list(figures).index(bob)
+    spec = ExperimentSpec(
+        Protocol.QUANTUM_A2B, ProtocolParams(d=d, n=n), alice, BobStrategy.from_name(bob),
+        metric, 20_000, master,
+    )
+    report = compare_to_formula(run_trials(spec), figure, z=5.0)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_sender_subspace_alice_draws_no_basis(k, monkeypatch):
+    # Her copies take one Beta overlap and one column off eta, never a d x k
+    # basis of her subspace; at k = 1 they are eta and she draws nothing.
+    columns = []
+    real = estimation.haar_complement
+
+    def counted(fixed, count, rng):
+        columns.append(count)
+        return real(fixed, count, rng)
+
+    def no_basis(*args):
+        raise AssertionError("a2b drew a subspace basis")
+
+    monkeypatch.setattr(estimation, "haar_complement", counted)
+    monkeypatch.setattr(strategies, "knowledge_subspace", no_basis)
+    params, alice = ProtocolParams(d=5, n=3), AliceStrategy(AliceKind.SUBSPACE_KNOWLEDGE, k)
+    for i in range(10):
+        columns.clear()
+        run_protocol(Protocol.QUANTUM_A2B, params, alice, HONEST_B, trial_rng(8, i))
+        assert columns == ([] if k == 1 else [1])
+
+
 # ---------------------------------------------------------------------------
 # receiver protocol
 
@@ -343,21 +412,6 @@ def test_receiver_honest_rejection_matches_exact(n, d, q):
     )
     target = eps_c_b2a_exact(n, d, q)
     assert abs(rejected / trials - target) <= 4 * bernoulli_se(target, trials)
-
-
-def test_receiver_concealment_bound_for_retaining_bob():
-    rng = np.random.default_rng(10)
-    retain = BobStrategy(BobKind.MEASURE_RETAIN_GUESS)
-    for d in (2, 3, 5):
-        trials = 4000
-        params = ProtocolParams(d=d, n=4, q=2)
-        values = np.empty(trials)
-        for i in range(trials):
-            out = run_protocol(Protocol.QUANTUM_B2A, params, HONEST_A, retain, rng)
-            values[i] = fidelity_sq(out.bob_guess, out.true_state)
-        bound = 4 / (d + 1)
-        se = values.std(ddof=1) / math.sqrt(trials)
-        assert values.mean() <= bound + 4 * se
 
 
 def test_classical_concealment_lower_bound_achieved():
@@ -608,6 +662,21 @@ def test_protocols_reads_no_strategy_kind():
         and id(node) not in allowed
     ]
     assert readers == []
+
+
+def test_runners_draw_no_party_move():
+    # Runners draw only measurement outcomes and hand rng to the parties:
+    # protocols calls no generator method that picks a permutation, an
+    # index or a choice.
+    tree = ast.parse(Path(protocols.__file__).read_text())
+    calls = [
+        (node.lineno, node.func.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("permutation", "integers", "choice", "shuffle")
+    ]
+    assert calls == []
 
 
 def test_no_module_qr_factors_a_matrix():

@@ -64,21 +64,25 @@ def test_subspace_strategy_needs_dimension():
 def test_honest_detection_draws_one_uniform_per_label(extra):
     # Label j is detected iff the j-th of n + 1 uniforms, drawn in label
     # order, falls below |<eta|s_j>|^2; eta itself is always detected and a
-    # state orthogonal to it never is.
+    # state orthogonal to it never is. Within budget Alice then commits the
+    # detections, padded with dummy 0s, in the slot order of one permutation.
     rng = np.random.default_rng(20 + extra)
     eta = PureState([1.0, 0.0, 0.0])
     orthogonal = PureState([0.0, 0.6, 0.8j])
     for _ in range(20):
         systems = (eta, orthogonal) + tuple(haar_random(3, rng) for _ in range(extra))
-        ctx = DetectionCommitContext(systems, len(systems), eta, False, rng)
+        q = len(systems)
+        ctx = DetectionCommitContext(systems, q, eta, False, rng)
         clone = copy.deepcopy(rng)
-        uniforms = clone.random(len(systems))
+        uniforms = clone.random(q)
         plan = alice_act(HONEST_A, ctx)
         expected = [
             label for label, (u, s) in enumerate(zip(uniforms, systems), start=1)
             if u < fidelity_sq(s, eta)
         ]
-        assert plan.commit_values[: plan.positives] == tuple(expected)
+        padded = expected + [0] * (q - len(expected))
+        assert plan.positives == len(expected)
+        assert plan.commit_values == tuple(padded[s] for s in clone.permutation(q))
         assert 1 in expected and 2 not in expected
         assert rng.random() == clone.random()
 

@@ -70,8 +70,8 @@ PINNED = {
     ),
     'a2b-subspace-2': (
         '--protocol a2b --d 3 --n 2 --alice subspace-2',
-        200, 138, '0x0.0p+0', '0x0.0p+0',
-        '6e91b63b75eac8cfdb88b3d9c8691ee0b46dfc4b49b0aaf53b71e304189cdc78',
+        200, 139, '0x0.0p+0', '0x0.0p+0',
+        'c08bce365c750bd7bd5b635a5bdd033f9603c37d6ac83d8b17966a125e60d09b',
     ),
     'a2b-honest-retain-guess': (
         '--protocol a2b --d 3 --n 2 --alice honest --bob retain-guess --metric mean-fsq',
@@ -96,27 +96,27 @@ PINNED = {
     'b2a-honest': (
         '--protocol b2a --d 2 --n 4 --q 2 --alice honest',
         200, 145, '0x0.0p+0', '0x0.0p+0',
-        '3e9fe42146e97b710bcdc676a9ecff8ebf8b2a6c278889599ac0dba7e5798ad9',
+        '7b6853c0fdb128efc4fa56f02236c167d604f758f421cbab90d542b10551a9e2',
     ),
     'b2a-steal': (
         '--protocol b2a --d 2 --n 9 --q 2 --alice steal --metric alice-mean-fsq',
-        200, 0, '0x1.1cea33e4020ccp+7', '0x1.ba57412d60de4p+6',
-        '4d599151ff8b9d941f7a5e56e0a78d4e3c8bb4edb0b8b467d9c0eab0b3e774df',
+        200, 0, '0x1.13a972c940a52p+7', '0x1.a547655f5fb13p+6',
+        'f16f6b2ad152cfdfb6553e9e0a5815788b6234ff252a1bd3849da5a4c72b3925',
     ),
     'b2a-ignorant-retain-guess': (
         '--protocol b2a --d 4 --n 4 --q 2 --alice ignorant --bob retain-guess --metric mean-fsq',
-        200, 0, '0x1.4fe21e2c79a77p+6', '0x1.58c4b7ccad0c7p+5',
-        'a7b8782922a78580b21953e1cc309f71e26d9d5c1842427e2644e221cc794042',
+        200, 0, '0x1.44897c9006776p+6', '0x1.47cdf64717fddp+5',
+        '3f16b19812306f96ebdfa31c20a3c801d94b2f24d24214b46daaa8226e434be3',
     ),
     'b2a-honest-retain-guess': (
         '--protocol b2a --d 3 --n 4 --q 2 --alice honest --bob retain-guess --metric mean-fsq',
-        200, 0, '0x1.68d9778b9fb87p+6', '0x1.a12adc3a6ff3cp+5',
-        'f923eb5c86839c77c15b133f999c8a08a121fb83413750bbcd49caf4f628e3fc',
+        200, 0, '0x1.705da2477cf9ep+6', '0x1.ad5903dc04309p+5',
+        '8a22830e96047fadb0969f243753ffc010c2b6a68e9d5c8cb63a023f3725ef16',
     ),
     'b2a-ignorant': (
         '--protocol b2a --d 2 --n 4 --q 2 --alice ignorant',
         200, 79, '0x0.0p+0', '0x0.0p+0',
-        '0140a4d01e6c4982db8ad9c772970fef41385863598e35c4637050824fc7c3bb',
+        '06e413b4d7d97ffbb1ef9a72b63e885cf77e332938f9896f57b8f5e013328f67',
     ),
     'b2a-abort-honest': (
         '--protocol b2a-abort --d 2 --n 10 --q 6 --alice honest --metric abort-rate',
