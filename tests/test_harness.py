@@ -4,11 +4,11 @@ import concurrent.futures
 import hashlib
 import os
 from dataclasses import replace
-from itertools import product
 
 import numpy as np
 import pytest
 
+from gates import built_pairings
 from qwitness import harness, protocols
 from qwitness.errors import ConfigurationError
 from qwitness.cli import rows_to_csv
@@ -180,30 +180,6 @@ def test_trial_amplitudes_over_the_cap_rejected_when_built():
                        Metric.ACCEPTANCE, 2, 0)
 
 
-ALICE_NAMES = ("honest", "ignorant", "subspace-2", "steal", "always-abort")
-
-
-def built_pairings(n_trials, seed, d=3, n=6, q=2, eps_c_targets=(0.0,)):
-    """Every protocol x Alice x Bob x metric spec that builds, at d = 3 by default.
-
-    ``n`` applies to the non-classical protocols and ``q`` to classical2 and
-    b2a-abort; the other protocols take their default q.
-    """
-    for protocol in Protocol:
-        classical = protocol in (Protocol.CLASSICAL1, Protocol.CLASSICAL2)
-        q_set = q if protocol in (Protocol.CLASSICAL2, Protocol.QUANTUM_B2A_ABORT) else None
-        for eps_c, name, bob, metric in product(eps_c_targets, ALICE_NAMES, BobKind, Metric):
-            params = ProtocolParams(d=d, n=0 if classical else n, q=q_set, eps_c_target=eps_c)
-            try:
-                spec = ExperimentSpec(
-                    protocol, params, AliceStrategy.from_name(name),
-                    BobStrategy(bob), metric, n_trials, seed,
-                )
-            except ConfigurationError:
-                continue
-            yield spec
-
-
 def test_every_pairing_runs_or_is_rejected_when_built():
     # Every spec either fails to build or runs to the end: no strategy or
     # metric fails inside a trial, and every trial's event log passes the
@@ -214,22 +190,6 @@ def test_every_pairing_runs_or_is_rejected_when_built():
         clean += 1
     # The table admits every pairing the paper's figures need, and no more.
     assert clean == 96
-
-
-def test_every_pairing_with_a_target_meets_it():
-    # A closed-form target must hold for the pairing it is given to; each is
-    # gated at 5 standard errors.
-    targeted, failed = 0, []
-    for spec in built_pairings(2000, 91):
-        target = formula_target(spec)
-        if target is None:
-            continue
-        targeted += 1
-        report = compare_to_formula(run_trials(spec), target[0], z=5.0, kind=target[1])
-        if not report.passed:
-            failed.append((spec.protocol.value, spec.alice.kind.value, spec.bob.kind.value))
-    assert failed == []
-    assert targeted == 25
 
 
 def _target_digest(specs):
@@ -265,21 +225,6 @@ def test_every_target_is_pinned_bit_for_bit(params, count, digest):
     # Each target's value and kind, compared through float.hex, so a refactor
     # of the target formulas cannot move a figure by one unit in the last place.
     assert _target_digest(built_pairings(1, 0, **params)) == (count, digest)
-
-
-def test_always_abort_leaves_retain_guess_bob_at_the_no_protocol_optimum():
-    # Bob still guesses after an abort, from the one copy he kept: 2/(d+1).
-    spec = ExperimentSpec(
-        Protocol.QUANTUM_B2A_ABORT,
-        ProtocolParams(d=3, n=4, q=2),
-        ALWAYS_ABORT,
-        BobStrategy(BobKind.MEASURE_RETAIN_GUESS),
-        Metric.MEAN_FSQ,
-        20_000,
-        23,
-    )
-    report = compare_to_formula(run_trials(spec), 2 / 4, z=4.0)
-    assert report.passed, report
 
 
 def test_validate_transcripts_flag():
