@@ -25,6 +25,7 @@ from .harness import (
     TRIAL_AMPLITUDE_CAP,
     ExperimentSpec,
     Metric,
+    compare_to_formula,
     result_row,
     run_trial,
     run_trials,
@@ -153,7 +154,7 @@ def _check_haar_moments(max_dim: int, trials: int, rng) -> list[tuple[str, bool,
         ):
             mean = total / trials
             se = math.sqrt(max(total_sq - total * mean, 0.0) / (trials - 1) / trials)
-            ok = abs(mean - target) <= 4.0 * se
+            ok = compare_to_formula(mean, se, target, z=4.0)
             rows.append((f"haar {name} d={d}", ok, f"{mean:.5f} vs {target:.5f}"))
     return rows
 
@@ -170,7 +171,7 @@ def _check_born_frequencies(max_dim: int, trials: int, rng) -> list[tuple[str, b
         p_hat = hits / trials
         se = math.sqrt(max(prob * (1 - prob), 1e-12) / trials)
         rows.append(
-            (f"born frequency d={d}", abs(p_hat - prob) <= 4.0 * se,
+            (f"born frequency d={d}", compare_to_formula(p_hat, se, prob, z=4.0),
              f"{p_hat:.4f} vs {prob:.4f}")
         )
     return rows
@@ -185,7 +186,7 @@ def _check_estimation_law(rng) -> list[tuple[str, bool, str]]:
         values[i] = fidelity_sq(covariant_estimate(eta, m, rng), eta)
     target = mean_estimation_fsq(m, d)
     se = values.std(ddof=1) / math.sqrt(trials)
-    ok = abs(values.mean() - target) <= 4.0 * se
+    ok = compare_to_formula(values.mean(), se, target, z=4.0)
     return [(f"estimation law m={m} d={d}", ok, f"{values.mean():.4f} vs {target:.4f}")]
 
 

@@ -289,39 +289,26 @@ class BoundKind(Enum):
     LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    passed: bool
-    estimate: float
-    target: float
-    difference: float
-    std_err: float
-    z: float
-    kind: BoundKind
-
-
 def compare_to_formula(
-    stats: TrialStats,
+    estimate: float,
+    std_err: float,
     target: float,
     z: float = Z_DEFAULT,
     kind: BoundKind = BoundKind.EXACT,
-) -> ComparisonReport:
-    """Compare an estimate with a closed-form target.
+) -> bool:
+    """Whether an estimate meets a closed-form target within z standard errors.
 
     Exact targets are two-sided: |estimate - target| <= z * std_err
     (plus ``ZERO_SE_ATOL`` when the standard error vanishes). Upper bounds
     require estimate <= target + z * std_err, lower bounds the mirror.
     """
-    estimate, se = stats.estimate, stats.std_err
-    slack = z * se + (ZERO_SE_ATOL if se == 0.0 else 0.0)
+    slack = z * std_err + (ZERO_SE_ATOL if std_err == 0.0 else 0.0)
     diff = estimate - target
     if kind is BoundKind.EXACT:
-        passed = abs(diff) <= slack
-    elif kind is BoundKind.UPPER:
-        passed = diff <= slack
-    else:
-        passed = diff >= -slack
-    return ComparisonReport(passed, estimate, target, diff, se, z, kind)
+        return abs(diff) <= slack
+    if kind is BoundKind.UPPER:
+        return diff <= slack
+    return diff >= -slack
 
 
 def formula_target(spec: ExperimentSpec) -> tuple[float, BoundKind] | None:
@@ -429,10 +416,10 @@ def result_row(spec: ExperimentSpec, stats: TrialStats) -> dict:
         row.update({"target": None, "target_kind": None, "verdict": None})
     else:
         t_value, t_kind = target
-        report = compare_to_formula(stats, t_value, kind=t_kind)
+        passed = compare_to_formula(stats.estimate, stats.std_err, t_value, kind=t_kind)
         row.update({
             "target": t_value,
             "target_kind": t_kind.value,
-            "verdict": "pass" if report.passed else "fail",
+            "verdict": "pass" if passed else "fail",
         })
     return row

@@ -34,8 +34,8 @@ each handle's phases run in order by construction.
 ``eps_c_b2a_exact``, ``a2b_soundness`` and ``hoeffding_bound`` are the
 figures that take more than one line of arithmetic; ``harness.formula_target``
 turns them, and the one-line figures, into each experiment's target.
-``soundness_floor_audit`` checks Monte Carlo estimates against the
-universal floor soundness / (1 - completeness_err) >= 1/d.
+The universal floor soundness >= (1 - completeness_err)/d is a figure of
+the soundness rows in ``tests/gates.py``.
 """
 
 from __future__ import annotations
@@ -506,33 +506,3 @@ def run_protocol(
         return _run_b2a(protocol, params, alice, bob, rng)
     return _run_classical(protocol, params, alice, bob, rng)
 
-
-# ---------------------------------------------------------------------------
-# Audits
-
-
-@dataclass(frozen=True)
-class AuditResult:
-    passed: bool
-    ratio: float
-    floor: float
-    slack: float
-
-
-def soundness_floor_audit(
-    s_hat: float, se_s: float, c_hat: float, se_c: float, d: int, z: float = 3.0
-) -> AuditResult:
-    """Check estimated soundness against the universal 1/d floor.
-
-    ``s_hat`` and ``c_hat`` estimate the soundness and the completeness
-    error, ``se_s`` and ``se_c`` are their standard errors (0 for an exact
-    value). Passes iff (s_hat + z se_s) / (1 - c_hat + z se_c) >= 1/d, i.e.
-    the bound holds within the stated standard-error slack.
-    """
-    if d < 2:
-        raise ConfigurationError("floor audit needs d >= 2")
-    if c_hat >= 1.0:
-        raise ValueError("completeness-error estimate >= 1 leaves the ratio undefined")
-    ratio = (s_hat + z * se_s) / (1.0 - c_hat + z * se_c)
-    floor = 1.0 / d
-    return AuditResult(ratio >= floor, ratio, floor, ratio - floor)

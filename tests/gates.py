@@ -1,18 +1,13 @@
 """Every statistical gate on a protocol figure, as one table.
 
-A row is one random stream: protocol trials run once, with one or more
-figures read off them, each against a closed-form target. A row runs in
-one of two ways:
-
-- an ``ExperimentSpec`` through ``run_trials``: trial i draws from
-  ``trial_rng(master, i)``;
-- ``sequential``: ``run_protocol`` repeated ``n_trials`` times on one
-  ``np.random.default_rng(master_seed)``.
+A row is one random stream: an ``ExperimentSpec`` whose trials run once,
+trial i through ``harness.run_trial`` as ``simulate`` runs it, with one or
+more figures read off each outcome. Each figure meets its closed-form
+target by ``harness.compare_to_formula``.
 
 ``check(row, shift)`` runs a row and prints one verdict line for it.
-Shift 0 is the committed seed. At shift k > 0 a master m becomes
-m + k * 2**80, and a sequential seed s becomes s + k * 2**32, which is
-``default_rng([s, k])``'s stream for s < 2**32. To re-roll the whole table:
+Shift 0 is the committed master. At shift k > 0 a master m becomes
+m + k * 2**80. To re-roll the whole table:
 
     PYTHONPATH=src:tests python -c "import gates; [gates.check(r, k) for k in range(1, 6) for r in gates.ROWS]"
 
@@ -28,40 +23,27 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
 from itertools import product
-from zlib import crc32
-
-import numpy as np
 
 from qwitness import harness
 from qwitness.errors import ConfigurationError
-from qwitness.harness import ExperimentSpec, Metric, formula_target, run_trials
+from qwitness.harness import BoundKind, ExperimentSpec, Metric, compare_to_formula, formula_target
 from qwitness.protocols import (
     Protocol,
     ProtocolParams as P,
     a2b_soundness,
     eps_c_b2a_exact,
     hoeffding_bound,
-    run_protocol,
 )
 from qwitness.qudit import sym_dim
 from qwitness.strategies import AliceStrategy, BobKind, BobStrategy
 
-# A shift moves a master this far, past every committed master, and a
-# sequential seed by its second 32-bit word.
+# A shift moves a master this far, past every committed master.
 MASTER_SHIFT = 2**80
-SEQUENTIAL_SHIFT = 2**32
 
 
 def bernoulli_se(p, n):
     """A Bernoulli figure's standard error at probability p over n trials."""
     return math.sqrt(max(p * (1 - p), 1e-12) / n)
-
-
-class Kind(Enum):
-    EXACT = "=="
-    UPPER = "<="
-    LOWER = ">="
-    CLEARS = ">>"  # the estimate clears the target by z standard errors
 
 
 class SE(Enum):
@@ -73,7 +55,7 @@ class SE(Enum):
 class Figure:
     target: float
     source: str  # where the target comes from
-    kind: Kind = Kind.EXACT
+    kind: BoundKind = BoundKind.EXACT
     z: float = 3.0
     se: SE = SE.ESTIMATE
     metric: Metric | None = None  # None: the spec's own metric
@@ -84,7 +66,6 @@ class Row:
     id: str  # where the gate came from, then the cell
     spec: ExperimentSpec
     figures: tuple[Figure, ...]
-    sequential: bool = False
 
     def metric(self, figure: Figure) -> Metric:
         return figure.metric or self.spec.metric
@@ -126,7 +107,10 @@ def _acceptance_criteria():
         yield Row(
             f"criterion-2/a2b-n{n}-d{d}",
             _spec("a2b", P(d=d, n=n), "ignorant", "honest", "acceptance", 100_000, 210 + 10 * n + d),
-            (Figure(a2b_soundness(n, d), "a2b_soundness"),),
+            (
+                Figure(a2b_soundness(n, d), "a2b_soundness"),
+                Figure(1 / d, "criterion 8's floor (1 - eps_c)/d, eps_c = 0", BoundKind.LOWER),
+            ),
         )
     # Criterion 5 gates the rejection rate at eps_c; b2a only accepts or
     # rejects, so that is acceptance at 1 - eps_c, with the same se.
@@ -140,7 +124,11 @@ def _acceptance_criteria():
         yield Row(
             f"criterion-6/b2a-n{n}-q{q}",
             _spec("b2a", P(d=2, n=n, q=q), "ignorant", "honest", "acceptance", 100_000, 600 + n),
-            (Figure(q / (n + 1), "soundness q/(n+1)"),),
+            (
+                Figure(q / (n + 1), "soundness q/(n+1)"),
+                Figure((1 - eps_c_b2a_exact(n, 2, q)) / 2, "criterion 8's floor (1 - eps_c)/d",
+                       BoundKind.LOWER),
+            ),
         )
     # Criterion 7 at (n, q) = (4, 2). Retain-guess Bob keeps eta and learns
     # nothing from the run: 2/(d+1), under the paper's bound 4/(d+1). Honest
@@ -155,7 +143,7 @@ def _acceptance_criteria():
             f"criterion-7/b2a-retain-guess-fsq-d{d}",
             _spec("b2a", params, "honest", "retain-guess", "mean-fsq", 20_000, 700 + d),
             (
-                Figure(4 / (d + 1), "the paper's bound 4/(d+1)", Kind.UPPER),
+                Figure(4 / (d + 1), "the paper's bound 4/(d+1)", BoundKind.UPPER),
                 Figure(2 / (d + 1), "no-protocol optimum 2/(d+1)", z=5),
             ),
         )
@@ -187,15 +175,16 @@ def _acceptance_criteria():
         f"criterion-9/b2a-abort-n{n}-q{q}",
         _spec("b2a-abort", P(d=2, n=n, q=q), "honest", "honest", "abort-rate", 10_000, 900),
         (
-            Figure(hoeffding_bound(n, eps), "Hoeffding exp(-2 eps^2 n)", Kind.UPPER, se=SE.TARGET),
+            Figure(hoeffding_bound(n, eps), "Hoeffding exp(-2 eps^2 n)", BoundKind.UPPER,
+                   se=SE.TARGET),
             Figure(tail, "P[X >= q], X ~ Bin(n, 1/2)", z=5, se=SE.TARGET),
         ),
     )
+    # The closed form below at eps = 0, d = 2 and q = 1 is exactly 1.
     yield Row(
         "criterion-10/classical1-substitute-d2",
         _spec("classical1", P(d=2), "honest", "substitute", "mean-fsq", 10_000, 1000),
-        (Figure(2 / 3, "no-protocol optimum 2/(d+1)", Kind.CLEARS, z=4),),
-        sequential=True,
+        (Figure(1.0, "(1-eps)/d + (1 - q/d) s at eps = 0, d = 2", z=4),),
     )
     # Criterion 10's exact cells, at classical1 d = 3 and classical2 d = 4,
     # q = 2. With eps = eps_c_target, F = 2/(d+1) and s = (1-eps)^2 + eps^2:
@@ -239,7 +228,7 @@ def _harness_gates():
                 f"harness/target-{spec.protocol.value}-{spec.alice.name}-{spec.bob.kind.value}"
                 f"-{spec.metric.value}",
                 replace(spec, master_seed=9100 + index),
-                (Figure(value, "formula_target", Kind[kind.name], z=5),),
+                (Figure(value, "formula_target", kind, z=5),),
             )
     yield Row(
         "harness/always-abort-retain-guess",
@@ -269,14 +258,12 @@ def _protocol_gates():
             f"protocols/{rid}",
             _spec(protocol, params, alice, "honest", "acceptance", trials, master),
             (Figure(figure, source, z=4, se=SE.TARGET),),
-            sequential=True,
         )
     for n, d in [(1, 2), (2, 2), (1, 3), (2, 3)]:
         yield Row(
             f"protocols/sender-grid-n{n}-d{d}",
             _spec("a2b", P(d=d, n=n), "ignorant", "honest", "acceptance", 30_000, 80 + 10 * n + d),
             (Figure(sym_dim(n + 1, d) / (sym_dim(n, d) * d), "sym_dim ratio", z=4, se=SE.TARGET),),
-            sequential=True,
         )
     # Subspace-k Alice's copies have overlap F ~ Beta(1, k - 1) with eta, so
     # honest Bob accepts with 1/(n+1) + n E[F]/(n+1) = (1 + n/k)/(n+1), and
@@ -305,7 +292,6 @@ def _protocol_gates():
             f"protocols/receiver-rejection-n{n}-d{d}-q{q}",
             _spec("b2a", P(d=d, n=n, q=q), "honest", "honest", "acceptance", 10_000, 90 + n + d + q),
             (Figure(1.0 - eps_c_b2a_exact(n, d, q), "1 - eps_c_b2a_exact", z=4, se=SE.TARGET),),
-            sequential=True,
         )
     # A Bob who guesses the unveiled (or self-measured) projector realizes
     # at least (1 - eps_c)^2 / q mean squared fidelity.
@@ -313,63 +299,56 @@ def _protocol_gates():
         "protocols/classical2-concealment-d4-q2",
         _spec("classical2", P(d=4, q=2, eps_c_target=0.2), "honest", "retain-guess",
               "mean-fsq", 5000, 16),
-        (Figure((1 - 0.2) ** 2 / 2, "(1 - eps_c)^2/q", Kind.LOWER),),
-        sequential=True,
+        (Figure((1 - 0.2) ** 2 / 2, "(1 - eps_c)^2/q", BoundKind.LOWER),),
     )
     n, eps = 100, 0.1
     yield Row(
         "protocols/abort-tail-n100",
         _spec("b2a-abort", P(d=2, n=n, q=int(n / 2 + eps * n)), "honest", "honest",
               "abort-rate", 2000, 13),
-        (Figure(hoeffding_bound(n, eps), "Hoeffding exp(-2 eps^2 n)", Kind.UPPER, se=SE.TARGET),),
-        sequential=True,
+        (Figure(hoeffding_bound(n, eps), "Hoeffding exp(-2 eps^2 n)", BoundKind.UPPER,
+                se=SE.TARGET),),
     )
 
 
 def _strategy_gates():
-    # Sequential seeds are the crc32 of a tag: string hashing is salted per process.
     yield Row(
         "strategies/steal-b2a-n9",
-        _spec("b2a", P(d=2, n=9, q=2), "steal", "honest", "acceptance", 20_000, crc32(b"steal")),
+        _spec("b2a", P(d=2, n=9, q=2), "steal", "honest", "acceptance", 20_000, 3941803159),
         (
             Figure(2 / 10, "random commits q/(n+1)", z=4, se=SE.TARGET),
             Figure(2 / 3, "single-copy optimum 2/(d+1)", z=4, metric=Metric.ALICE_MEAN_FSQ),
         ),
-        sequential=True,
     )
     # With a perfectly revealing prediction (eps_c 0) the unveiled or
     # self-measured projector recovers the state.
     yield Row(
         "strategies/substitute-classical1-d2",
-        _spec("classical1", P(d=2), "honest", "substitute", "mean-fsq", 10_000,
-              crc32(b"substitute")),
-        (Figure(2 / 3, "no-protocol optimum 2/(d+1)", Kind.CLEARS, z=4),),
-        sequential=True,
+        _spec("classical1", P(d=2), "honest", "substitute", "mean-fsq", 10_000, 3488830393),
+        (Figure(1.0, "(1-eps)/d + (1 - q/d) s at eps = 0, d = 2", z=4),),
     )
-    for rid, protocol, params, alice, trials, tag, figure, source in [
-        ("subspace-classical1-d4", "classical1", P(d=4), "subspace-2", 30_000, b"subspace", 0.5,
+    for rid, protocol, params, alice, trials, master, figure, source in [
+        ("subspace-classical1-d4", "classical1", P(d=4), "subspace-2", 30_000, 1405169376, 0.5,
          "min(q, k)/k"),
-        ("ignorant-b2a-n9", "b2a", P(d=2, n=9, q=2), "ignorant", 20_000, b"ignorant-b2a", 0.2,
+        ("ignorant-b2a-n9", "b2a", P(d=2, n=9, q=2), "ignorant", 20_000, 3370384752, 0.2,
          "q/(n+1)"),
         # Ignorant Alice commits q random distinct labels.
         ("random-distinct-b2a-n5", "b2a", P(d=3, n=5, q=3), "ignorant", 10_000,
-         b"random-distinct", 0.5, "q/(n+1)"),
+         4121248291, 0.5, "q/(n+1)"),
     ]:
         yield Row(
             f"strategies/{rid}",
-            _spec(protocol, params, alice, "honest", "acceptance", trials, crc32(tag)),
+            _spec(protocol, params, alice, "honest", "acceptance", trials, master),
             (Figure(figure, source, z=4, se=SE.TARGET),),
-            sequential=True,
         )
     # Skip Bob never submits, so he is never accepted.
     yield Row(
         "strategies/skip-a2b-d4",
-        _spec("a2b", P(d=4, n=1), "honest", "skip", "mean-fsq", 30_000, crc32(b"skip")),
+        _spec("a2b", P(d=4, n=1), "honest", "skip", "mean-fsq", 30_000, 4168504701),
         (
             Figure(2 / 5, "no-protocol optimum 2/(d+1)"),
             Figure(0.0, "skip Bob is never accepted", metric=Metric.ACCEPTANCE),
         ),
-        sequential=True,
     )
 
 
@@ -378,9 +357,8 @@ _BY_ID = {row.id: row for row in ROWS}
 
 
 def seed(row: Row, shift: int = 0) -> int:
-    """The integer the row's stream is seeded with at a shift."""
-    step = SEQUENTIAL_SHIFT if row.sequential else MASTER_SHIFT
-    return row.spec.master_seed + shift * step
+    """The master the row's stream is seeded with at a shift."""
+    return row.spec.master_seed + shift * MASTER_SHIFT
 
 
 def stats(row_id: str, shift: int = 0) -> dict[Metric, harness.TrialStats]:
@@ -391,16 +369,12 @@ def stats(row_id: str, shift: int = 0) -> dict[Metric, harness.TrialStats]:
 @cache  # keyed on both arguments as passed, so ``stats`` always passes both
 def _run(row_id: str, shift: int) -> dict[Metric, harness.TrialStats]:
     row = _BY_ID[row_id]
-    spec = row.spec
-    if not row.sequential:
-        (metric,) = {row.metric(f) for f in row.figures}
-        return {metric: run_trials(replace(spec, master_seed=seed(row, shift)))}
-    rng = np.random.default_rng(seed(row, shift))
+    spec = replace(row.spec, master_seed=seed(row, shift))
     values = {row.metric(f): array("d") for f in row.figures}
-    for _ in range(spec.n_trials):
-        out = run_protocol(spec.protocol, spec.params, spec.alice, spec.bob, rng)
+    for i in range(spec.n_trials):
+        outcome = harness.run_trial(spec, i)
         for metric, column in values.items():
-            column.append(harness._metric_value(out, metric))
+            column.append(harness._metric_value(outcome, metric))
     return {metric: harness._fold(metric, column) for metric, column in values.items()}
 
 
@@ -411,17 +385,9 @@ def standard_error(figure: Figure, stats: harness.TrialStats) -> float:
 
 
 def passes(figure: Figure, stats: harness.TrialStats) -> bool:
-    """The figure's gate, with ``compare_to_formula``'s slack when the standard error vanishes."""
-    se = standard_error(figure, stats)
-    slack = figure.z * se + (harness.ZERO_SE_ATOL if se == 0.0 else 0.0)
-    diff = stats.estimate - figure.target
-    if figure.kind is Kind.EXACT:
-        return abs(diff) <= slack
-    if figure.kind is Kind.UPPER:
-        return diff <= slack
-    if figure.kind is Kind.LOWER:
-        return diff >= -slack
-    return diff >= slack
+    return compare_to_formula(
+        stats.estimate, standard_error(figure, stats), figure.target, figure.z, figure.kind
+    )
 
 
 def check(row: Row, shift: int = 0) -> bool:

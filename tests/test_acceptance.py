@@ -11,16 +11,14 @@ import math
 
 import numpy as np
 
-import gates
 from qwitness.cli import main as cli_main
-from qwitness.harness import Metric
+from qwitness.harness import ExperimentSpec, Metric, formula_target
 from qwitness.protocols import (
     Protocol,
     ProtocolParams,
     a2b_soundness,
     eps_c_b2a_exact,
     run_protocol,
-    soundness_floor_audit,
 )
 from qwitness.qudit import (
     MAXIMALLY_MIXED,
@@ -155,23 +153,25 @@ def test_criterion_7_honest_bob_learns_nothing():
 
 
 def test_criterion_8_soundness_floor_audit():
-    # The soundness estimates of criteria 2 and 6 against the floor; the
-    # classical1 cell that attains it is a row of tests/gates.py.
-    all_ok = True
-    details = []
-    # Sender protocol: completeness error is exactly zero.
-    for n, d in [(1, 2), (2, 2)]:
-        stats = gates.stats(f"criterion-2/a2b-n{n}-d{d}")[Metric.ACCEPTANCE]
-        result = soundness_floor_audit(stats.estimate, stats.std_err, 0.0, 0.0, d)
-        all_ok &= result.passed
-        details.append(f"a2b(N={n},d={d}): ratio {result.ratio:.4f} >= {result.floor}")
-    # Receiver protocol: pair with the exact completeness error.
-    for n, q in [(9, 2), (19, 4)]:
-        stats = gates.stats(f"criterion-6/b2a-n{n}-q{q}")[Metric.ACCEPTANCE]
-        eps_c = eps_c_b2a_exact(n, 2, q)
-        result = soundness_floor_audit(stats.estimate, stats.std_err, eps_c, 0.0, 2)
-        all_ok &= result.passed
-        details.append(f"b2a(N={n},q={q}): ratio {result.ratio:.4f} >= {result.floor}")
+    # Criterion 8's sampled floor, s >= (1 - eps_c)/d, is a figure of the
+    # criterion-2 and criterion-6 rows of tests/gates.py. Here the exact
+    # ratio rho = d s/(1 - eps_c) of the same cells meets 1, and the
+    # classical1 d = 2 cell attains it.
+    cells = [(f"a2b(N={n},d={d})", d, a2b_soundness(n, d), 0.0) for n, d in [(1, 2), (2, 2)]]
+    cells += [
+        (f"b2a(N={n},q={q})", 2, q / (n + 1), eps_c_b2a_exact(n, 2, q))
+        for n, q in [(9, 2), (19, 4)]
+    ]
+    ratios = {name: d * s / (1 - eps_c) for name, d, s, eps_c in cells}
+    tight = ExperimentSpec(
+        Protocol.CLASSICAL1, ProtocolParams(d=2), AliceStrategy(AliceKind.IGNORANT), HONEST_B,
+        Metric.ACCEPTANCE, 1, 0,
+    )
+    s, _ = formula_target(tight)
+    rho_tight = 2 * s / (1 - tight.params.eps_c_target)
+    all_ok = all(rho >= 1 - 1e-12 for rho in ratios.values()) and rho_tight == 1.0
+    details = [f"{name}: rho {rho:.4f} >= 1" for name, rho in ratios.items()]
+    details.append(f"classical1(d=2): rho {rho_tight:.4f} == 1")
     assert report(8, all_ok, "; ".join(details))
 
 

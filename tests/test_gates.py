@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gates
-from qwitness.harness import trial_rng
+from qwitness.harness import BoundKind, trial_rng
 
 
 def _failing_targets(figure, stats):
@@ -21,10 +21,9 @@ def _failing_targets(figure, stats):
     offset = max(10 * gates.standard_error(figure, stats), 1e-6)
     below, above = stats.estimate - offset, stats.estimate + offset
     return {
-        gates.Kind.EXACT: (below, above),
-        gates.Kind.UPPER: (below,),
-        gates.Kind.LOWER: (above,),
-        gates.Kind.CLEARS: (above,),
+        BoundKind.EXACT: (below, above),
+        BoundKind.UPPER: (below,),
+        BoundKind.LOWER: (above,),
     }[figure.kind]
 
 
@@ -50,14 +49,24 @@ def test_rows_have_distinct_ids_and_streams():
 
 
 def test_streams_are_keyed_by_the_integer_seed():
-    # A master's first trial and a sequential run on the same integer draw
-    # one stream, and a shifted sequential seed is default_rng([s, k]).
+    # A master's first trial draws default_rng(master)'s stream, so rows are
+    # told apart by their integers, and a shift moves each past every master.
     assert np.array_equal(trial_rng(92, 0).random(8), np.random.default_rng(92).random(8))
-    assert np.array_equal(
-        np.random.default_rng(92 + 3 * gates.SEQUENTIAL_SHIFT).random(8),
-        np.random.default_rng([92, 3]).random(8),
-    )
-    assert all(row.spec.master_seed < gates.SEQUENTIAL_SHIFT for row in gates.ROWS)
+    assert all(row.spec.master_seed < gates.MASTER_SHIFT for row in gates.ROWS)
+    row = gates.ROWS[0]
+    assert gates.seed(row, 3) == row.spec.master_seed + 3 * gates.MASTER_SHIFT
+
+
+def test_gates_has_one_runner():
+    # Every row runs through harness.run_trial; a second runner on its own
+    # generator would draw streams simulate never draws.
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        for node in ast.walk(ast.parse(Path(gates.__file__).read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+    }
+    assert called & {"default_rng", "run_protocol"} == set()
+    assert "run_trial" in called
 
 
 def test_every_target_cell_is_a_row():

@@ -286,24 +286,33 @@ def test_mean_stats_fields():
 
 def test_compare_exact_pass_and_fail():
     stats = TrialStats(Metric.ACCEPTANCE, 10_000, successes=5000)
-    assert compare_to_formula(stats, 0.5).passed
-    assert not compare_to_formula(stats, 0.5 + 10 * stats.std_err).passed
+    assert compare_to_formula(stats.estimate, stats.std_err, 0.5)
+    assert not compare_to_formula(stats.estimate, stats.std_err, 0.5 + 10 * stats.std_err)
 
 
 def test_compare_degenerate_uses_atol():
     stats = TrialStats(Metric.ACCEPTANCE, 100, successes=100)
-    assert compare_to_formula(stats, 1.0).passed
-    assert not compare_to_formula(stats, 0.999).passed
+    assert compare_to_formula(stats.estimate, stats.std_err, 1.0)
+    assert not compare_to_formula(stats.estimate, stats.std_err, 0.999)
 
 
 def test_compare_bounds_one_sided():
     stats = TrialStats(Metric.ACCEPTANCE, 10_000, successes=3000)
-    below = compare_to_formula(stats, 0.9, kind=BoundKind.UPPER)
-    assert below.passed
-    above = compare_to_formula(stats, 0.1, kind=BoundKind.UPPER)
-    assert not above.passed
-    assert compare_to_formula(stats, 0.1, kind=BoundKind.LOWER).passed
-    assert not compare_to_formula(stats, 0.9, kind=BoundKind.LOWER).passed
+    p, se = stats.estimate, stats.std_err
+    assert compare_to_formula(p, se, 0.9, kind=BoundKind.UPPER)
+    assert not compare_to_formula(p, se, 0.1, kind=BoundKind.UPPER)
+    assert compare_to_formula(p, se, 0.1, kind=BoundKind.LOWER)
+    assert not compare_to_formula(p, se, 0.9, kind=BoundKind.LOWER)
+
+
+@pytest.mark.parametrize(
+    "soundness, d, passed",
+    [(0.25, 4, True), (0.75, 2, True), (0.125, 4, False)],
+    ids=["zero-slack", "large-margin", "below-floor"],
+)
+def test_compare_soundness_floor(soundness, d, passed):
+    # The floor s >= (1 - eps_c)/d at eps_c = 0, as a lower figure of exact values.
+    assert compare_to_formula(soundness, 0.0, 1 / d, kind=BoundKind.LOWER) == passed
 
 
 def test_formula_targets():

@@ -31,7 +31,6 @@ from qwitness.protocols import (
     eps_c_b2a_exact,
     hoeffding_bound,
     run_protocol,
-    soundness_floor_audit,
 )
 from qwitness.qudit import HaarFrame, fidelity_sq, haar_complement, sym_dim
 from qwitness.spacetime import AgentId, EventKind
@@ -706,28 +705,3 @@ def test_lazy_frames_match_explicit_frames(protocol, d, q, alice, monkeypatch):
         se = np.sqrt((lazy.var(axis=0, ddof=1) + explicit.var(axis=0, ddof=1)) / trials)
         assert np.all(np.abs(lazy.mean(axis=0) - explicit.mean(axis=0)) <= 5 * se), bob
 
-
-# ---------------------------------------------------------------------------
-# audit
-
-
-def test_audit_tight_bound_passes_with_zero_slack():
-    result = soundness_floor_audit(0.25, 0.0, 0.0, 0.0, d=4)
-    assert result.passed
-    assert result.slack == pytest.approx(0.0, abs=1e-12)
-
-
-def test_audit_large_slack_for_sender_protocol():
-    result = soundness_floor_audit(0.75, 0.0, 0.0, 0.0, d=2)
-    assert result.passed
-    assert result.slack == pytest.approx(0.25)
-
-
-def test_audit_fabricated_violation_fails():
-    result = soundness_floor_audit(0.125, 0.0, 0.0, 0.0, d=4)
-    assert not result.passed
-
-
-def test_audit_rejects_degenerate_completeness():
-    with pytest.raises(ValueError):
-        soundness_floor_audit(0.5, 0.0, 1.0, 0.0, d=2)
