@@ -1,12 +1,14 @@
-"""Dense linear algebra for small qudit systems.
+"""Qudit states: the trial path's samplers, and a dense oracle.
 
-States are unit-norm complex vectors, operators are dense Hermitian
-matrices. The dense algebra is deliberately brute force and desk scale:
-tensor products are built with explicit Kronecker products and the
-symmetric-subspace projector is an explicit sum over all factor
-permutations, behind a hard size cap; protocol runs use closed forms
-that tests check against it. Global phase is ignored throughout;
-states are compared only through squared fidelity.
+States are unit-norm complex vectors. The trial path draws them with
+``haar_random``, ``haar_complement``, ``HaarFrame`` and ``owned_state``,
+and scores them with closed forms such as ``symmetric_acceptance``. The
+dense oracle (Hermitian matrices, Kronecker products, and the
+symmetric-subspace projector as an explicit sum over all factor
+permutations, behind a hard size cap) is brute force and desk scale;
+only ``verify`` and the tests use it, to check those closed forms.
+Global phase is ignored throughout; states are compared only through
+squared fidelity.
 """
 
 from __future__ import annotations

@@ -173,7 +173,6 @@ class Transcript:
     """Append-only event log owned by a single protocol run."""
 
     events: list[SpacetimeEvent] = field(default_factory=list)
-    _next_id: int = 0
 
     def emit(
         self,
@@ -183,8 +182,8 @@ class Transcript:
         payload: dict | None = None,
         depends_on: tuple[int, ...] = (),
     ) -> SpacetimeEvent:
-        event = _new_event(SpacetimeEvent, (self._next_id, time, site, kind, payload or {}, depends_on))
-        self._next_id += 1
+        # An event's id is its position in the log.
+        event = _new_event(SpacetimeEvent, (len(self.events), time, site, kind, payload or {}, depends_on))
         self.events.append(event)
         return event
 

@@ -1,15 +1,16 @@
 """Every statistical gate on a protocol figure, as one table.
 
-A row is one random stream: an ``ExperimentSpec`` whose trials run once,
-trial i through ``harness.run_trial`` as ``simulate`` runs it, with one or
-more figures read off each outcome. Each figure meets its closed-form
-target by ``harness.compare_to_formula``.
+A row is one cell (protocol, parameters, Alice and Bob) and one random
+stream: an ``ExperimentSpec`` whose trials run once, trial i through
+``harness.run_trial`` as ``simulate`` runs it, with each figure of the
+cell, of any metric, read off each outcome. Each figure meets its target
+by ``harness.compare_to_formula``.
 
 ``check(row, shift)`` runs a row and prints one verdict line for it.
 Shift 0 is the committed master. At shift k > 0 a master m becomes
-m + k * 2**80. To re-roll the whole table:
+m + k * 2**80. To re-roll the whole table and tally the verdicts:
 
-    PYTHONPATH=src:tests python -c "import gates; [gates.check(r, k) for k in range(1, 6) for r in gates.ROWS]"
+    PYTHONPATH=src:tests python -c "import gates; runs = [(r.id, k, gates.check(r, k)) for k in range(1, 6) for r in gates.ROWS]; failed = [(i, k) for i, k, ok in runs if not ok]; print('failed:', failed, f'{len(runs) - len(failed)} of {len(runs)} passed')"
 
 Stream independence is keyed by that integer: ``trial_rng(m, 0)`` draws
 exactly ``default_rng(m)``'s stream, so two rows must never share one.
@@ -69,6 +70,15 @@ class Row:
 
     def metric(self, figure: Figure) -> Metric:
         return figure.metric or self.spec.metric
+
+
+@dataclass(frozen=True)
+class Fold:
+    """A row that re-ran a cell: it runs no trials, and its cell's row gates its figure."""
+
+    id: str
+    spec: ExperimentSpec
+    figure: Figure
 
 
 def _spec(protocol, params, alice, bob, metric, trials, seed):
@@ -139,23 +149,26 @@ def _acceptance_criteria():
     n, q = 4, 2
     for d in (2, 3, 5):
         params = P(d=d, n=n, q=q)
+        p = 1 / d
+        kept = sum(
+            math.comb(n + 1, y) * p**y * (1 - p) ** (n + 1 - y) * min(y, q)
+            for y in range(n + 2)
+        )
+        accepted = Figure(kept / (n + 1), "E[min(Y, q)]/(n+1), Y ~ Bin(n+1, 1/d)", z=5,
+                          se=SE.TARGET, metric=Metric.ACCEPTANCE)
         yield Row(
             f"criterion-7/b2a-retain-guess-fsq-d{d}",
             _spec("b2a", params, "honest", "retain-guess", "mean-fsq", 20_000, 700 + d),
             (
                 Figure(4 / (d + 1), "the paper's bound 4/(d+1)", BoundKind.UPPER),
                 Figure(2 / (d + 1), "no-protocol optimum 2/(d+1)", z=5),
+                accepted,
             ),
         )
-        p = 1 / d
-        kept = sum(
-            math.comb(n + 1, y) * p**y * (1 - p) ** (n + 1 - y) * min(y, q)
-            for y in range(n + 2)
-        )
-        yield Row(
+        yield Fold(
             f"criterion-7/b2a-retain-guess-acceptance-d{d}",
             _spec("b2a", params, "honest", "retain-guess", "acceptance", 10_000, 720 + d),
-            (Figure(kept / (n + 1), "E[min(Y, q)]/(n+1), Y ~ Bin(n+1, 1/d)", z=5, se=SE.TARGET),),
+            accepted,
         )
         yield Row(
             f"criterion-7/b2a-steal-retain-guess-fsq-d{d}",
@@ -171,20 +184,29 @@ def _acceptance_criteria():
     n, eps = 100, 0.1
     q = int(n / 2 + eps * n)
     tail = sum(math.comb(n, x) for x in range(q, n + 1)) / 2**n
+    hoeffding = Figure(hoeffding_bound(n, eps), "Hoeffding exp(-2 eps^2 n)", BoundKind.UPPER,
+                       se=SE.TARGET)
     yield Row(
         f"criterion-9/b2a-abort-n{n}-q{q}",
         _spec("b2a-abort", P(d=2, n=n, q=q), "honest", "honest", "abort-rate", 10_000, 900),
-        (
-            Figure(hoeffding_bound(n, eps), "Hoeffding exp(-2 eps^2 n)", BoundKind.UPPER,
-                   se=SE.TARGET),
-            Figure(tail, "P[X >= q], X ~ Bin(n, 1/2)", z=5, se=SE.TARGET),
-        ),
+        (hoeffding, Figure(tail, "P[X >= q], X ~ Bin(n, 1/2)", z=5, se=SE.TARGET)),
+    )
+    yield Fold(
+        f"protocols/abort-tail-n{n}",
+        _spec("b2a-abort", P(d=2, n=n, q=q), "honest", "honest", "abort-rate", 2000, 13),
+        hoeffding,
     )
     # The closed form below at eps = 0, d = 2 and q = 1 is exactly 1.
+    exact = Figure(1.0, "(1-eps)/d + (1 - q/d) s at eps = 0, d = 2", z=4)
     yield Row(
         "criterion-10/classical1-substitute-d2",
         _spec("classical1", P(d=2), "honest", "substitute", "mean-fsq", 10_000, 1000),
-        (Figure(1.0, "(1-eps)/d + (1 - q/d) s at eps = 0, d = 2", z=4),),
+        (exact,),
+    )
+    yield Fold(
+        "strategies/substitute-classical1-d2",
+        _spec("classical1", P(d=2), "honest", "substitute", "mean-fsq", 10_000, 3488830393),
+        exact,
     )
     # Criterion 10's exact cells, at classical1 d = 3 and classical2 d = 4,
     # q = 2. With eps = eps_c_target, F = 2/(d+1) and s = (1-eps)^2 + eps^2:
@@ -193,27 +215,33 @@ def _acceptance_criteria():
     # with probability q/d; an unveiling hands him a committed column (1 - eps
     # for honest Alice's column 0, nothing for the free ones, 1/d on average
     # for ignorant Alice's), and otherwise he measures the state in the frame
-    # for s or F.
+    # for s or F. Each cell keeps its committed master, 1010 + 10 * block + offset.
     eps = 0.1
     for block, (protocol, d, q) in enumerate([("classical1", 3, None), ("classical2", 4, 2)]):
         qd = (q or 1) / d
         s, f = (1 - eps) ** 2 + eps**2, 2 / (d + 1)
         cells = [
-            ("honest", eps, "retain-guess", "mean-fsq", s, "s"),
-            ("honest", eps, "substitute", "acceptance", qd, "q/d"),
-            ("honest", eps, "substitute", "mean-fsq", (1 - eps) / d + (1 - qd) * s,
-             "(1-eps)/d + (1 - q/d) s"),
-            ("ignorant", 0.0, "retain-guess", "mean-fsq", f, "F"),
-            ("ignorant", 0.0, "substitute", "acceptance", qd, "q/d"),
-            ("ignorant", 0.0, "substitute", "mean-fsq", qd / d + (1 - qd) * f, "q/d^2 + (1 - q/d) F"),
+            (0, "honest", eps, "retain-guess", s, "s"),
+            (2, "honest", eps, "substitute", (1 - eps) / d + (1 - qd) * s, "(1-eps)/d + (1 - q/d) s"),
+            (3, "ignorant", 0.0, "retain-guess", f, "F"),
+            (5, "ignorant", 0.0, "substitute", qd / d + (1 - qd) * f, "q/d^2 + (1 - q/d) F"),
         ]
-        for cell, (alice, eps_c, bob, metric, figure, source) in enumerate(cells):
+        for offset, alice, eps_c, bob, figure, source in cells:
+            params = P(d=d, q=q, eps_c_target=eps_c)
+            figures = (Figure(figure, source, z=5),)
+            if bob == "substitute":
+                accepted = Figure(qd, "q/d", z=5, se=SE.TARGET, metric=Metric.ACCEPTANCE)
+                figures += (accepted,)
+                yield Fold(
+                    f"criterion-10/{protocol}-d{d}-{alice}-substitute-acceptance",
+                    _spec(protocol, params, alice, bob, "acceptance", 6000,
+                          1010 + 10 * block + offset - 1),
+                    accepted,
+                )
             yield Row(
-                f"criterion-10/{protocol}-d{d}-{alice}-{bob}-{metric}",
-                _spec(protocol, P(d=d, q=q, eps_c_target=eps_c), alice, bob, metric, 6000,
-                      1010 + 10 * block + cell),
-                (Figure(figure, source, z=5,
-                        se=SE.TARGET if metric == "acceptance" else SE.ESTIMATE),),
+                f"criterion-10/{protocol}-d{d}-{alice}-{bob}-mean-fsq",
+                _spec(protocol, params, alice, bob, "mean-fsq", 6000, 1010 + 10 * block + offset),
+                figures,
             )
 
 
@@ -251,20 +279,24 @@ def _protocol_gates():
          10_000, 3, 0.8, "1 - eps_c"),
         ("classical2-ignorant-d6-q3", "classical2", P(d=6, q=3), "ignorant", 20_000, 4, 0.5,
          "q/d"),
-        ("sender-ignorant-n1-d2", "a2b", P(d=2, n=1), "ignorant", 30_000, 8, 0.75,
-         "a2b soundness (1 + n/d)/(n+1)"),
     ]:
         yield Row(
             f"protocols/{rid}",
             _spec(protocol, params, alice, "honest", "acceptance", trials, master),
             (Figure(figure, source, z=4, se=SE.TARGET),),
         )
+    # Criterion 2's rows gate the d = 2 cells: the ratio is a2b_soundness.
+    yield Fold(
+        "protocols/sender-ignorant-n1-d2",
+        _spec("a2b", P(d=2, n=1), "ignorant", "honest", "acceptance", 30_000, 8),
+        Figure(0.75, "a2b soundness (1 + n/d)/(n+1)", z=4, se=SE.TARGET),
+    )
     for n, d in [(1, 2), (2, 2), (1, 3), (2, 3)]:
-        yield Row(
-            f"protocols/sender-grid-n{n}-d{d}",
-            _spec("a2b", P(d=d, n=n), "ignorant", "honest", "acceptance", 30_000, 80 + 10 * n + d),
-            (Figure(sym_dim(n + 1, d) / (sym_dim(n, d) * d), "sym_dim ratio", z=4, se=SE.TARGET),),
-        )
+        rid = f"protocols/sender-grid-n{n}-d{d}"
+        spec = _spec("a2b", P(d=d, n=n), "ignorant", "honest", "acceptance", 30_000,
+                     80 + 10 * n + d)
+        figure = Figure(sym_dim(n + 1, d) / (sym_dim(n, d) * d), "sym_dim ratio", z=4, se=SE.TARGET)
+        yield Fold(rid, spec, figure) if d == 2 else Row(rid, spec, (figure,))
     # Subspace-k Alice's copies have overlap F ~ Beta(1, k - 1) with eta, so
     # honest Bob accepts with 1/(n+1) + n E[F]/(n+1) = (1 + n/k)/(n+1), and
     # substitute Bob's Haar probe with (1 + n/d)/(n+1). Retain-guess Bob
@@ -287,12 +319,13 @@ def _protocol_gates():
                       2500 + 100 * d + 10 * k + index),
                 (Figure(figure, source, z=5),),
             )
+    # Criterion 5's row gates (n, d, q) = (4, 2, 2).
     for n, d, q in [(4, 2, 2), (6, 3, 2)]:
-        yield Row(
-            f"protocols/receiver-rejection-n{n}-d{d}-q{q}",
-            _spec("b2a", P(d=d, n=n, q=q), "honest", "honest", "acceptance", 10_000, 90 + n + d + q),
-            (Figure(1.0 - eps_c_b2a_exact(n, d, q), "1 - eps_c_b2a_exact", z=4, se=SE.TARGET),),
-        )
+        rid = f"protocols/receiver-rejection-n{n}-d{d}-q{q}"
+        spec = _spec("b2a", P(d=d, n=n, q=q), "honest", "honest", "acceptance", 10_000,
+                     90 + n + d + q)
+        figure = Figure(1.0 - eps_c_b2a_exact(n, d, q), "1 - eps_c_b2a_exact", z=4, se=SE.TARGET)
+        yield Fold(rid, spec, figure) if n == 4 else Row(rid, spec, (figure,))
     # A Bob who guesses the unveiled (or self-measured) projector realizes
     # at least (1 - eps_c)^2 / q mean squared fidelity.
     yield Row(
@@ -300,14 +333,6 @@ def _protocol_gates():
         _spec("classical2", P(d=4, q=2, eps_c_target=0.2), "honest", "retain-guess",
               "mean-fsq", 5000, 16),
         (Figure((1 - 0.2) ** 2 / 2, "(1 - eps_c)^2/q", BoundKind.LOWER),),
-    )
-    n, eps = 100, 0.1
-    yield Row(
-        "protocols/abort-tail-n100",
-        _spec("b2a-abort", P(d=2, n=n, q=int(n / 2 + eps * n)), "honest", "honest",
-              "abort-rate", 2000, 13),
-        (Figure(hoeffding_bound(n, eps), "Hoeffding exp(-2 eps^2 n)", BoundKind.UPPER,
-                se=SE.TARGET),),
     )
 
 
@@ -320,18 +345,15 @@ def _strategy_gates():
             Figure(2 / 3, "single-copy optimum 2/(d+1)", z=4, metric=Metric.ALICE_MEAN_FSQ),
         ),
     )
-    # With a perfectly revealing prediction (eps_c 0) the unveiled or
-    # self-measured projector recovers the state.
-    yield Row(
-        "strategies/substitute-classical1-d2",
-        _spec("classical1", P(d=2), "honest", "substitute", "mean-fsq", 10_000, 3488830393),
-        (Figure(1.0, "(1-eps)/d + (1 - q/d) s at eps = 0, d = 2", z=4),),
+    # Criterion 6's row gates ignorant Alice at b2a n = 9.
+    yield Fold(
+        "strategies/ignorant-b2a-n9",
+        _spec("b2a", P(d=2, n=9, q=2), "ignorant", "honest", "acceptance", 20_000, 3370384752),
+        Figure(0.2, "q/(n+1)", z=4, se=SE.TARGET),
     )
     for rid, protocol, params, alice, trials, master, figure, source in [
         ("subspace-classical1-d4", "classical1", P(d=4), "subspace-2", 30_000, 1405169376, 0.5,
          "min(q, k)/k"),
-        ("ignorant-b2a-n9", "b2a", P(d=2, n=9, q=2), "ignorant", 20_000, 3370384752, 0.2,
-         "q/(n+1)"),
         # Ignorant Alice commits q random distinct labels.
         ("random-distinct-b2a-n5", "b2a", P(d=3, n=5, q=3), "ignorant", 10_000,
          4121248291, 0.5, "q/(n+1)"),
@@ -352,8 +374,16 @@ def _strategy_gates():
     )
 
 
-ROWS = (*_acceptance_criteria(), *_harness_gates(), *_protocol_gates(), *_strategy_gates())
+_TABLE = (*_acceptance_criteria(), *_harness_gates(), *_protocol_gates(), *_strategy_gates())
+ROWS = tuple(gate for gate in _TABLE if isinstance(gate, Row))
+FOLDS = tuple(gate for gate in _TABLE if isinstance(gate, Fold))
 _BY_ID = {row.id: row for row in ROWS}
+
+
+def cell(spec: ExperimentSpec) -> tuple:
+    """What a row runs, apart from its metric, trial count and master."""
+    return (spec.protocol, replace(spec.params, q=spec.params.resolved_q(spec.protocol)),
+            spec.alice, spec.bob)
 
 
 def seed(row: Row, shift: int = 0) -> int:
@@ -388,6 +418,26 @@ def passes(figure: Figure, stats: harness.TrialStats) -> bool:
     return compare_to_formula(
         stats.estimate, standard_error(figure, stats), figure.target, figure.z, figure.kind
     )
+
+
+def slack(figure: Figure, n_trials: int) -> float:
+    """How far past its target a figure may fall at a pass: z times a Bernoulli se there."""
+    return figure.z * bernoulli_se(figure.target, n_trials)
+
+
+def covered(fold: Fold) -> bool:
+    """Whether the row of the fold's cell gates its figure no looser; prints one verdict line."""
+    key = (fold.figure.metric or fold.spec.metric, fold.figure.kind, fold.figure.target)
+    found = [
+        (row.id, slack(figure, row.spec.n_trials))
+        for row in ROWS if cell(row.spec) == cell(fold.spec)
+        for figure in row.figures if (row.metric(figure), figure.kind, figure.target) == key
+    ]
+    was = slack(fold.figure, fold.spec.n_trials)
+    ok = len(found) == 1 and found[0][1] <= was
+    rows = ", ".join(f"{rid} at {row_slack:.4f}" for rid, row_slack in found) or "none"
+    print(f"[gate {fold.id}] {'PASS' if ok else 'FAIL'}  slack {was:.4f}; its cell's row: {rows}")
+    return ok
 
 
 def check(row: Row, shift: int = 0) -> bool:

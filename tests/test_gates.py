@@ -1,6 +1,7 @@
-"""The table of statistical gates: each row passes, each can fail, no two share a stream.
+"""The table of statistical gates: each row passes, each can fail, no two share a cell or a stream.
 
-Run with ``-s`` to see one verdict line per row.
+A folded row passes while its cell's row gates its figure no looser. Run
+with ``-s`` to see one verdict line per row and per fold.
 """
 
 import ast
@@ -27,8 +28,15 @@ def _failing_targets(figure, stats):
     }[figure.kind]
 
 
-@pytest.mark.parametrize("row", gates.ROWS, ids=lambda row: row.id)
+@pytest.mark.parametrize("row", gates.ROWS + gates.FOLDS, ids=lambda row: row.id)
 def test_gate(row):
+    if isinstance(row, gates.Fold):
+        assert gates.covered(row)
+        # It fails once it asks for a tighter figure, or for another target.
+        tighter = replace(row.spec, n_trials=10**9)
+        assert not gates.covered(replace(row, spec=tighter))
+        assert not gates.covered(replace(row, figure=replace(row.figure, target=-1.0)))
+        return
     assert gates.check(row)
     # Every figure fails once its target sits past the row's own estimate,
     # read off the same trials, so a gate wired with the wrong z, kind or
@@ -41,11 +49,22 @@ def test_gate(row):
 
 
 def test_rows_have_distinct_ids_and_streams():
-    assert len({row.id for row in gates.ROWS}) == len(gates.ROWS)
+    ids = [row.id for row in gates.ROWS + gates.FOLDS]
+    assert len(set(ids)) == len(ids)
     at_zero = Counter(gates.seed(row) for row in gates.ROWS)
     assert [seed for seed, count in at_zero.items() if count > 1] == []
     shifted = Counter(gates.seed(row, k) for row in gates.ROWS for k in range(6))
     assert [seed for seed, count in shifted.items() if count > 1] == []
+
+
+def test_rows_have_distinct_cells_and_figures():
+    # A second row of one cell would re-run trials that the first already
+    # runs; every metric of a cell is a figure of its one row.
+    cells = Counter(gates.cell(row.spec) for row in gates.ROWS)
+    assert [cell for cell, count in cells.items() if count > 1] == []
+    for row in gates.ROWS:
+        figures = [(row.metric(f), f.kind, f.target) for f in row.figures]
+        assert len(set(figures)) == len(figures), row.id
 
 
 def test_streams_are_keyed_by_the_integer_seed():

@@ -308,6 +308,12 @@ def test_emit_builds_the_named_tuple():
     assert first.position == B2.position
 
 
+def test_emit_numbers_events_after_the_ones_given():
+    tr = Transcript(events=[event(0, 0.0, A1), event(1, 0.1, A1)])
+    assert tr.emit(0.2, A1, EventKind.ANNOUNCE).event_id == 2
+    assert [e.event_id for e in tr.events] == [0, 1, 2]
+
+
 payload_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5)
     | st.fractions(),
