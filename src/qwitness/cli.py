@@ -1,8 +1,11 @@
 """Command-line front end: verify, simulate, sweep.
 
-Exit codes: 0 success, 1 check failure, 2 usage error or unwritable
-output path. Outputs carry no timestamps or hostnames, so identical
-invocations (same seed) reproduce identical files byte for byte.
+Flags and printing only: ``verify`` prints the rows of
+``oracle.checks``, and ``simulate`` and ``sweep`` print
+``harness.result_row`` rows. Exit codes: 0 success, 1 check failure,
+2 usage error or unwritable output path. Outputs carry no timestamps or
+hostnames, so identical invocations (same seed) reproduce identical
+files byte for byte.
 """
 
 from __future__ import annotations
@@ -11,183 +14,27 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
-from itertools import combinations
 
-import numpy as np
-
+from . import oracle
 from .errors import ConfigurationError
-from .estimation import covariant_estimate, mean_estimation_fsq
 from .harness import (
     SWEEP_AXES,
     TRIAL_AMPLITUDE_CAP,
     ExperimentSpec,
     Metric,
-    compare_to_formula,
     result_row,
     run_trial,
     run_trials,
     sweep,
 )
-from .protocols import (
-    Protocol,
-    ProtocolParams,
-    a2b_soundness,
-    eps_c_b2a_exact,
-)
-from .qudit import (
-    MAXIMALLY_MIXED,
-    HaarFrame,
-    fidelity_sq,
-    haar_random,
-    sym_dim,
-    sym_outcome_probability,
-    sym_projector,
-)
+from .protocols import Protocol, ProtocolParams
 from .strategies import AliceStrategy, BobStrategy
 
 
 # ---------------------------------------------------------------------------
-# verify: brute-force oracles against closed forms
-
-
-def _grid(max_dim: int, cap: int):
-    # No d above cap has a power d^n <= cap with n >= 1.
-    for d in range(2, min(max_dim, cap) + 1):
-        n = 1
-        while d**n <= cap:
-            yield n, d
-            n += 1
-
-
-def _check_projector_traces(max_dim: int) -> list[tuple[str, bool, str]]:
-    rows = []
-    for n, d in _grid(max_dim, 256):
-        proj = sym_projector(n, d).matrix
-        trace = float(np.trace(proj).real)
-        expected = sym_dim(n, d)
-        idem = float(np.max(np.abs(proj @ proj - proj)))
-        herm = float(np.max(np.abs(proj - proj.conj().T)))
-        ok = abs(trace - expected) < 1e-8 and idem < 1e-10 and herm < 1e-10
-        rows.append(
-            (f"projector n={n} d={d}", ok, f"trace {trace:.6f} vs {expected}")
-        )
-    return rows
-
-
-def _check_mixed_outcome(max_dim: int, rng) -> list[tuple[str, bool, str]]:
-    rows = []
-    for d in range(2, min(max_dim, 6) + 1):
-        phi = haar_random(d, rng)
-        got = sym_outcome_probability([phi, MAXIMALLY_MIXED], d)
-        expected = sym_dim(2, d) / (sym_dim(1, d) * d)
-        rows.append(
-            (f"pure+mixed d={d}", abs(got - expected) < 1e-10,
-             f"{got:.12f} vs {expected:.12f}")
-        )
-    for n_copies, d in [(1, 2), (2, 2), (1, 3), (3, 2)]:
-        if d ** (n_copies + 1) > 256 or d > max_dim:
-            continue
-        phi = haar_random(d, rng)
-        got = sym_outcome_probability([phi] * n_copies + [MAXIMALLY_MIXED], d)
-        expected = sym_dim(n_copies + 1, d) / (sym_dim(n_copies, d) * d)
-        rows.append(
-            (f"copies+mixed n={n_copies} d={d}", abs(got - expected) < 1e-10,
-             f"{got:.12f} vs {expected:.12f}")
-        )
-    return rows
-
-
-def _check_blind_acceptance_form(max_dim: int) -> list[tuple[str, bool, str]]:
-    worst = 0.0
-    for n in range(0, 51):
-        for d in range(2, min(max_dim, 50) + 1):
-            lhs = sym_dim(n + 1, d) / (sym_dim(n, d) * d)
-            rhs = a2b_soundness(n, d)
-            worst = max(worst, abs(lhs - rhs))
-    return [("blind-acceptance closed form", worst < 1e-12, f"max |diff| {worst:.2e}")]
-
-
-def _reject_probability_enumerated(n: int, d: int, q: int) -> float:
-    """Independent oracle: exact detection pmf plus explicit sublist enumeration."""
-    p = 1.0 / d
-    total = 0.0
-    for x in range(n + 1):
-        pmf = math.comb(n, x) * p**x * (1 - p) ** (n - x)
-        detected = x + 1  # the unknown system always tests positive
-        if detected <= q:
-            continue
-        subsets = list(combinations(range(detected), q))
-        missing = sum(1 for s in subsets if 0 not in s)
-        total += pmf * missing / len(subsets)
-    return total
-
-
-def _check_reject_probability(max_dim: int) -> list[tuple[str, bool, str]]:
-    rows = []
-    for n, d, q in [(1, 2, 1), (2, 2, 1), (4, 2, 2), (6, 3, 2), (9, 3, 4), (10, 4, 3)]:
-        if d > max_dim:
-            continue
-        got = eps_c_b2a_exact(n, d, q)
-        expected = _reject_probability_enumerated(n, d, q)
-        rows.append(
-            (f"reject-probability n={n} d={d} q={q}", abs(got - expected) < 1e-12,
-             f"{got:.12f} vs {expected:.12f}")
-        )
-    return rows
-
-
-def _check_haar_moments(max_dim: int, trials: int, rng) -> list[tuple[str, bool, str]]:
-    rows = []
-    for d in (2, 3):
-        if d > max_dim:
-            continue
-        s2 = s4 = s8 = 0.0  # running sums of |c0|^2, |c0|^4, |c0|^8: O(1) memory
-        for _ in range(trials):
-            sq = abs(haar_random(d, rng).amplitudes[0]) ** 2
-            s2, s4, s8 = s2 + sq, s4 + sq * sq, s8 + sq**4
-        for name, total, total_sq, target in (
-            ("|c0|^2", s2, s4, 1.0 / d),
-            ("|c0|^4", s4, s8, 2.0 / (d * (d + 1))),
-        ):
-            mean = total / trials
-            se = math.sqrt(max(total_sq - total * mean, 0.0) / (trials - 1) / trials)
-            ok = compare_to_formula(mean, se, target, z=4.0)
-            rows.append((f"haar {name} d={d}", ok, f"{mean:.5f} vs {target:.5f}"))
-    return rows
-
-
-def _check_born_frequencies(max_dim: int, trials: int, rng) -> list[tuple[str, bool, str]]:
-    # The measurement trials make: a frame whose column 0 is fixed to `direction`.
-    rows = []
-    for d in sorted({2, min(max_dim, 4)}):
-        state = haar_random(d, rng)
-        direction = haar_random(d, rng)
-        column = direction.amplitudes[:, None]
-        prob = abs(np.vdot(direction.amplitudes, state.amplitudes)) ** 2
-        hits = sum(HaarFrame(d, column).measure(state, rng) == 0 for _ in range(trials))
-        p_hat = hits / trials
-        se = math.sqrt(max(prob * (1 - prob), 1e-12) / trials)
-        rows.append(
-            (f"born frequency d={d}", compare_to_formula(p_hat, se, prob, z=4.0),
-             f"{p_hat:.4f} vs {prob:.4f}")
-        )
-    return rows
-
-
-def _check_estimation_law(rng) -> list[tuple[str, bool, str]]:
-    trials = 20_000
-    m, d = 1, 2
-    values = np.empty(trials)
-    for i in range(trials):
-        eta = haar_random(d, rng)
-        values[i] = fidelity_sq(covariant_estimate(eta, m, rng), eta)
-    target = mean_estimation_fsq(m, d)
-    se = values.std(ddof=1) / math.sqrt(trials)
-    ok = compare_to_formula(values.mean(), se, target, z=4.0)
-    return [(f"estimation law m={m} d={d}", ok, f"{values.mean():.4f} vs {target:.4f}")]
+# verify
 
 
 def cmd_verify(args) -> int:
@@ -199,15 +46,7 @@ def cmd_verify(args) -> int:
         raise ConfigurationError(f"--max-dim must be at least 2, got {args.max_dim}")
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
-    checks: list[tuple[str, bool, str]] = []
-    checks += _check_projector_traces(args.max_dim)
-    checks += _check_mixed_outcome(args.max_dim, rng)
-    checks += _check_blind_acceptance_form(args.max_dim)
-    checks += _check_reject_probability(args.max_dim)
-    checks += _check_haar_moments(args.max_dim, args.trials, rng)
-    checks += _check_born_frequencies(args.max_dim, max(args.trials // 10, 1000), rng)
-    checks += _check_estimation_law(rng)
+    checks = oracle.checks(args.max_dim, args.trials, args.seed)
     width = max(len(name) for name, _, _ in checks)
     failures = 0
     for name, ok, detail in checks:

@@ -3,11 +3,9 @@
 The optimal mean squared fidelity achievable from m copies of an
 unknown Haar-random qudit is (m + 1) / (m + d). The covariant
 estimator below realizes it by sampling a guess from the exact
-posterior, whose fidelity law is Beta(m + 1, d - 1); the single-copy
-basis estimator reproduces the m = 1 value 2 / (d + 1) on
-Haar-averaged inputs. Both return the guess as a ``PureState`` and
-score nothing: whoever knows the unknown state scores the guess
-against it with ``fidelity_sq``.
+posterior, whose fidelity law is Beta(m + 1, d - 1). It returns the
+guess as a ``PureState`` and scores nothing: whoever knows the unknown
+state scores the guess against it with ``fidelity_sq``.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError
-from .qudit import PureState, haar_complement, measure_basis, owned_state, vector_norm
+from .qudit import PureState, haar_complement, owned_state, vector_norm
 
 
 def mean_estimation_fsq(m: int, d: int) -> float:
@@ -59,15 +57,3 @@ def state_at_overlap(eta: PureState, f: float, rng: np.random.Generator) -> Pure
     # overlap with eta that would break the norm tolerance.
     phi /= vector_norm(phi)
     return owned_state(phi)
-
-
-def basis_measure_guess(eta: PureState, rng: np.random.Generator) -> PureState:
-    """Measure ``eta`` in the computational basis and guess the outcome vector.
-
-    Averaged over Haar-random inputs the mean squared fidelity of this
-    single-copy strategy is 2 / (d + 1).
-    """
-    index = measure_basis(eta, rng)
-    amps = np.zeros(eta.dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return PureState(amps)

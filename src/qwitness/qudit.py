@@ -1,12 +1,13 @@
-"""Qudit states: the trial path's samplers, and a dense oracle.
+"""Qudit states: the trial path's samplers and closed forms, and dense primitives.
 
 States are unit-norm complex vectors. The trial path draws them with
 ``haar_random``, ``haar_complement``, ``HaarFrame`` and ``owned_state``,
 and scores them with closed forms such as ``symmetric_acceptance``. The
-dense oracle (Hermitian matrices, Kronecker products, and the
+dense primitives (``HermitianOperator``, ``tensor_states``, the
 symmetric-subspace projector as an explicit sum over all factor
-permutations, behind a hard size cap) is brute force and desk scale;
-only ``verify`` and the tests use it, to check those closed forms.
+permutations behind a hard size cap, ``measure_basis`` and
+``measure_binary``) are brute force and desk scale: ``qwitness.oracle``
+and the tests build on them, and the benchmark traces them here by name.
 Global phase is ignored throughout; states are compared only through
 squared fidelity.
 """
@@ -30,16 +31,6 @@ _NARROW_DTYPES = (np.float16, np.float32, np.complex64)
 HERMITIAN_TOL = 1e-12
 PROJECTOR_TOL = 1e-10
 PROB_TOL = 1e-12
-
-
-class _MaximallyMixed:
-    """Marker for a maximally mixed tensor factor (identity / d)."""
-
-    def __repr__(self) -> str:
-        return "MAXIMALLY_MIXED"
-
-
-MAXIMALLY_MIXED = _MaximallyMixed()
 
 
 def clamp_probability(p: float) -> float:
@@ -76,9 +67,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def density_matrix(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 def _seal(amps: np.ndarray, source: object) -> np.ndarray:
@@ -153,7 +141,7 @@ class HermitianOperator:
     @classmethod
     def from_state(cls, state: PureState) -> "HermitianOperator":
         """Rank-1 projector onto ``state``."""
-        return cls(state.density_matrix())
+        return cls(np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -360,34 +348,6 @@ def sym_projector(n: int, d: int) -> HermitianOperator:
         rows = digits[:, perm] @ powers
         acc[rows, cols] += 1.0
     return HermitianOperator(acc / math.factorial(n))
-
-
-def sym_outcome_probability(
-    factors: list[PureState | _MaximallyMixed] | tuple[PureState | _MaximallyMixed, ...],
-    d: int,
-) -> float:
-    """Probability of the symmetric outcome on a product of factors.
-
-    Returns Tr(P rho) where P projects onto the symmetric subspace and
-    rho is the tensor product of the given pure states and maximally
-    mixed factors (identity / d). Every factor must have dimension d.
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    n = len(factors)
-    if d**n > SIZE_CAP:
-        raise ResourceCapError(f"dimension {d}**{n} exceeds cap {SIZE_CAP}")
-    mats = []
-    for f in factors:
-        if isinstance(f, _MaximallyMixed):
-            mats.append(np.eye(d, dtype=np.complex128) / d)
-        else:
-            if f.dim != d:
-                raise DimensionError(f"factor dimension {f.dim} != {d}")
-            mats.append(f.density_matrix())
-    rho = reduce(np.kron, mats)
-    proj = sym_projector(n, d).matrix
-    return clamp_probability(float(np.trace(proj @ rho).real))
 
 
 def symmetric_acceptance(phi: PureState, n: int, psi: PureState) -> float:

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import qwitness.cli
+import qwitness.oracle
 from qwitness.cli import build_parser, main
 from qwitness.harness import SWEEP_AXES
 from qwitness.protocols import ProtocolParams
@@ -51,8 +52,8 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
 
 
 def test_verify_fault_injection_fails(capsys, monkeypatch):
-    true_dim = qwitness.cli.sym_dim
-    monkeypatch.setattr(qwitness.cli, "sym_dim", lambda n, d: true_dim(n, d) + 1)
+    true_dim = qwitness.oracle.sym_dim
+    monkeypatch.setattr(qwitness.oracle, "sym_dim", lambda n, d: true_dim(n, d) + 1)
     code = run_cli(["verify", "--max-dim", "3", "--trials", "2000"])
     out = capsys.readouterr().out
     assert code == 1
@@ -73,7 +74,7 @@ def test_verify_degenerate_values_exit_2(flags, capsys):
 
 def test_verify_grid_stops_at_the_cap():
     # No d above the cap has a power d^n <= cap, so a huge --max-dim adds nothing.
-    assert list(qwitness.cli._grid(10**12, 256)) == list(qwitness.cli._grid(256, 256))
+    assert list(qwitness.oracle.grid(10**12, 256)) == list(qwitness.oracle.grid(256, 256))
 
 
 def test_verify_runs_each_born_dimension_once(capsys):

@@ -7,11 +7,8 @@ import numpy as np
 import pytest
 
 from qwitness.errors import DimensionError
-from qwitness.estimation import (
-    basis_measure_guess,
-    covariant_estimate,
-    mean_estimation_fsq,
-)
+from qwitness.estimation import covariant_estimate, mean_estimation_fsq
+from qwitness.oracle import basis_measure_guess, check_estimation
 from qwitness.qudit import PureState, fidelity_sq, haar_complement, haar_random
 
 
@@ -41,15 +38,11 @@ def test_law_monotone_in_copies_and_dimension():
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_covariant_estimate_matches_law(m, d):
-    rng = np.random.default_rng(100 * m + d)
-    trials = 50_000
-    values = np.empty(trials)
-    for i in range(trials):
-        eta = haar_random(d, rng)
-        values[i] = fidelity_sq(covariant_estimate(eta, m, rng), eta)
-    target = mean_estimation_fsq(m, d)
-    se = values.std(ddof=1) / math.sqrt(trials)
-    assert abs(values.mean() - target) <= 4 * se
+    _, ok, detail = check_estimation(
+        "law", lambda eta, rng: covariant_estimate(eta, m, rng), mean_estimation_fsq(m, d),
+        d, 50_000, np.random.default_rng(100 * m + d), z=4.0,
+    )
+    assert ok, detail
 
 
 @pytest.mark.parametrize("m", [1, 2])

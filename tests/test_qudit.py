@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwitness.errors import DimensionError, ResourceCapError
-from qwitness.qudit import (
+from qwitness.oracle import (
     MAXIMALLY_MIXED,
+    check_haar_moments,
+    check_mixed_factor,
+    check_projector_traces,
+    sym_outcome_probability,
+)
+from qwitness.qudit import (
     NORM_TOL,
     HaarFrame,
     HermitianOperator,
@@ -25,7 +31,6 @@ from qwitness.qudit import (
     measure_binary,
     owned_state,
     sym_dim,
-    sym_outcome_probability,
     sym_projector,
     symmetric_acceptance,
     tensor_states,
@@ -295,15 +300,8 @@ def test_haar_random_rejects_d0():
 def test_haar_moments(d):
     # First moment 1/d, second moment 2/(d(d+1)), each within 3 standard
     # errors at this seed (4 is the hard bound).
-    rng = np.random.default_rng(1000 + d)
-    trials = 100_000
-    sq = np.empty(trials)
-    for i in range(trials):
-        sq[i] = abs(haar_random(d, rng).amplitudes[0]) ** 2
-    quartic = sq * sq
-    for values, target in ((sq, 1 / d), (quartic, 2 / (d * (d + 1)))):
-        se = values.std(ddof=1) / math.sqrt(trials)
-        assert abs(values.mean() - target) <= 3 * se
+    rows = check_haar_moments([d], 100_000, np.random.default_rng(1000 + d), z=3.0)
+    assert [row for row in rows if not row[1]] == []
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +342,9 @@ def test_sym_dim_values():
     assert sym_dim(3, 2) == 4
 
 
-def grid_up_to(cap):
-    for d in range(2, 17):
-        n = 1
-        while d**n <= cap:
-            yield n, d
-            n += 1
-
-
 def test_sym_projector_properties_full_grid():
-    for n, d in grid_up_to(256):
-        proj = sym_projector(n, d).matrix
-        assert np.max(np.abs(proj @ proj - proj)) < 1e-10, (n, d)
-        assert np.max(np.abs(proj - proj.conj().T)) < 1e-10, (n, d)
-        assert abs(np.trace(proj).real - sym_dim(n, d)) < 1e-8, (n, d)
+    rows = check_projector_traces(16)
+    assert [row for row in rows if not row[1]] == []
 
 
 def test_sym_projector_single_factor_is_identity():
@@ -383,11 +370,9 @@ def test_sym_outcome_identical_copies():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_sym_outcome_pure_plus_mixed_closed_form(d):
-    rng = np.random.default_rng(5)
-    phi = haar_random(d, rng)
-    got = sym_outcome_probability([phi, MAXIMALLY_MIXED], d)
-    assert got == pytest.approx(0.5 + 0.5 / d, abs=1e-10)
-    assert got == pytest.approx(sym_dim(2, d) / (sym_dim(1, d) * d), abs=1e-12)
+    (row,) = check_mixed_factor("d={d}", [(1, d)], np.random.default_rng(5))
+    assert row[1], row
+    assert sym_dim(2, d) / (sym_dim(1, d) * d) == pytest.approx(0.5 + 0.5 / d, abs=1e-12)
 
 
 def test_sym_outcome_orthogonal_qubits():
@@ -396,12 +381,9 @@ def test_sym_outcome_orthogonal_qubits():
 
 
 def test_sym_outcome_copies_plus_mixed_ratio():
-    rng = np.random.default_rng(6)
-    for n, d in ((1, 2), (2, 2), (1, 3), (3, 2)):
-        phi = haar_random(d, rng)
-        got = sym_outcome_probability([phi] * n + [MAXIMALLY_MIXED], d)
-        expected = sym_dim(n + 1, d) / (sym_dim(n, d) * d)
-        assert got == pytest.approx(expected, abs=1e-10), (n, d)
+    cells = [(1, 2), (2, 2), (1, 3), (3, 2)]
+    rows = check_mixed_factor("n={n} d={d}", cells, np.random.default_rng(6))
+    assert [row for row in rows if not row[1]] == []
 
 
 # Closed forms sampled in protocol runs, against the dense oracle. The grid
